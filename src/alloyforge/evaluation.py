@@ -9,7 +9,6 @@ Counts are pooled across documents before computing metrics (micro-averaging).
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,7 @@ COMPOSITE_FIELD = "composite"
 DEFAULT_FIELDS = ("nominal_composition", "lattice_constant", "phase", "processing")
 SCORABLE_FIELDS = (COMPOSITE_FIELD,) + DEFAULT_FIELDS
 
-# groups up to this size use exhaustive assignment with lexicographic tie-breaks
-_EXHAUSTIVE_LIMIT = 7
+# assignment totals this close to the optimum count as ties
 _COST_EPS = 1e-12
 
 
@@ -106,7 +104,9 @@ def match_entries(
     A pair is admissible when both nominal compositions exist, have identical
     element sets, and differ by L1 at most ``tol.l1_match``. Among admissible
     assignments the maximum-cardinality, minimum-total-L1 one is chosen; ties
-    prefer pairings with earlier truth (then extracted) indices.
+    prefer pairings with earlier truth (then extracted) indices. Every
+    element-set group goes through one polynomial assignment solver, whatever
+    its size.
     """
     groups: dict[frozenset, tuple[list[int], list[int]]] = {}
     for idx, record in enumerate(extracted):
@@ -122,18 +122,13 @@ def match_entries(
     for e_idxs, t_idxs in groups.values():
         if not e_idxs or not t_idxs:
             continue
-        cost = [
-            [
-                _pair_cost(extracted[e], truth[t], tol.l1_match)
-                for t in t_idxs
-            ]
+        distance = np.array([
+            [l1_distance(extracted[e].nominal_composition, truth[t].nominal_composition)
+             for t in t_idxs]
             for e in e_idxs
-        ]
-        if min(len(e_idxs), len(t_idxs)) <= _EXHAUSTIVE_LIMIT:
-            local = _assign_exhaustive(cost, len(e_idxs), len(t_idxs))
-        else:
-            local = _assign_lsa(cost, len(e_idxs), len(t_idxs))
-        pairs.extend((e_idxs[le], t_idxs[lt]) for le, lt in local)
+        ])
+        local = _assign(distance, distance <= tol.l1_match)
+        pairs.extend((e_idxs[le], t_idxs[lt]) for lt, le in local.items())
 
     matched_e = {e for e, _ in pairs}
     matched_t = {t for _, t in pairs}
@@ -144,59 +139,51 @@ def match_entries(
     )
 
 
-def _pair_cost(extracted: AlloyRecord, truth: AlloyRecord, l1_match: float) -> float | None:
-    distance = l1_distance(extracted.nominal_composition, truth.nominal_composition)
-    return distance if distance <= l1_match else None
+def _assign(distance: np.ndarray, admissible: np.ndarray) -> dict[int, int]:
+    """Optimal assignment as truth index -> extracted index, ties broken exactly.
 
-
-def _assign_exhaustive(cost, n_e: int, n_t: int) -> list[tuple[int, int]]:
-    """Exact search over assignments: max cardinality, min cost, lexicographic ties.
-
-    Recurses over truth indices in order, trying extracted candidates in
-    ascending order before the skip option, so the first optimum found is the
-    lexicographically smallest by (truth, extracted) pair sequence.
+    One ``linear_sum_assignment`` solve finds the optimal (cardinality, cost).
+    A post-pass then walks truth indices in order and, for each, tries the
+    extracted indices below its current partner (every admissible one when it
+    has none), re-solving the later truth indices with that pair forced; the
+    first pair that keeps the optimum is adopted. The result is the optimum
+    whose (truth, extracted) pair sequence is lexicographically smallest.
+    Truth indices left unmatched at their turn are unmatched in every optimum
+    that keeps the pairs fixed before them, so later solves leave them out.
     """
-    best: dict = {"card": -1, "cost": math.inf, "pairs": ()}
+    n_e, n_t = distance.shape
+    # an L1 distance is at most 2, so an inadmissible cell at this cost outweighs
+    # any sum of admissible ones: each solve maximizes cardinality, then minimizes L1
+    cost = np.where(admissible, distance, 2.0 * min(n_e, n_t) + 1.0)
 
-    admissible = [
-        [e for e in range(n_e) if cost[e][t] is not None] for t in range(n_t)
-    ]
+    def solve(sub: np.ndarray, rows, cols) -> dict[int, int]:
+        """Assign the rows and columns ``sub`` holds, mapped back to group indices."""
+        r, c = linear_sum_assignment(sub)
+        pairs = ((rows[i], cols[j]) for i, j in zip(r.tolist(), c.tolist()))
+        return {t: e for e, t in pairs if admissible[e, t]}
 
-    def walk(t: int, used: set, card: int, total: float, chosen: tuple) -> None:
-        remaining = sum(1 for tt in range(t, n_t) if admissible[tt])
-        if card + min(remaining, n_e - card) < best["card"]:
-            return
-        if t == n_t:
-            if (
-                card > best["card"]
-                or (card == best["card"] and total < best["cost"] - _COST_EPS)
-                or (
-                    card == best["card"]
-                    and abs(total - best["cost"]) <= _COST_EPS
-                    and chosen < best["pairs"]
-                )
-            ):
-                best.update(card=card, cost=total, pairs=chosen)
-            return
-        for e in admissible[t]:
-            if e not in used:
-                walk(t + 1, used | {e}, card + 1, total + cost[e][t], chosen + ((t, e),))
-        walk(t + 1, used, card, total, chosen)
+    def total(partner: dict[int, int]) -> float:
+        return sum(float(distance[e, t]) for t, e in partner.items())
 
-    walk(0, set(), 0, 0.0, ())
-    return [(e, t) for t, e in best["pairs"]]
-
-
-def _assign_lsa(cost, n_e: int, n_t: int) -> list[tuple[int, int]]:
-    """scipy assignment for large groups; inadmissible cells carry a large cost."""
-    big = 1.0e6
-    matrix = np.full((n_e, n_t), big)
-    for e in range(n_e):
-        for t in range(n_t):
-            if cost[e][t] is not None:
-                matrix[e, t] = cost[e][t]
-    rows, cols = linear_sum_assignment(matrix)
-    return [(int(e), int(t)) for e, t in zip(rows, cols) if matrix[e, t] < big]
+    partner = solve(cost, range(n_e), range(n_t))
+    best_card, best_cost = len(partner), total(partner)
+    fixed: dict[int, int] = {}
+    for t in range(n_t):
+        used, spent = set(fixed.values()), total(fixed)
+        for e in range(partner.get(t, n_e)):
+            # costs are non-negative, so a pair that alone overshoots cannot be optimal
+            if e in used or not admissible[e, t] or spent + distance[e, t] > best_cost + _COST_EPS:
+                continue
+            trial = {**fixed, t: e}
+            rows = [r for r in range(n_e) if r not in used and r != e]
+            cols = range(t + 1, n_t)
+            trial.update(solve(cost[np.ix_(rows, cols)], rows, cols))
+            if len(trial) == best_card and total(trial) <= best_cost + _COST_EPS:
+                partner = trial
+                break
+        if t in partner:
+            fixed[t] = partner[t]
+    return partner
 
 
 # --- field scoring ----------------------------------------------------------------

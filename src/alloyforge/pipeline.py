@@ -246,8 +246,10 @@ def run_extraction(
 
     Every document ends in a terminal state (done, rejected, failed). Raw
     completion text is written before parsing; re-running resumes from the
-    ledger and never re-calls documents already done or rejected. Only an
-    authentication failure aborts the run.
+    ledger and calls the engine only for pending documents, so documents
+    already done, rejected or failed are never re-called; ``retry_failed``
+    returns failed documents to pending first. Only an authentication
+    failure aborts the run.
     """
     if isinstance(corpus, CorpusManifest):
         corpus = CorpusStore(corpus)
@@ -278,7 +280,7 @@ def run_extraction(
     def work(doc_id: str) -> None:
         nonlocal calls
         state = ledger.states[doc_id]
-        if state.status in ("done", "rejected") or abort:
+        if state.status != "pending" or abort:
             return
         request = build_document_request(prompt_text, doc_id, corpus, temperature)
         try:
@@ -318,7 +320,7 @@ def run_extraction(
             ledger.states[doc_id] = DocState(status, state.attempts + 1, raw_rel, detail)
             persist_ledger()
 
-    pending = [d for d in corpus.ids if ledger.states[d].status not in ("done", "rejected")]
+    pending = [d for d in corpus.ids if ledger.states[d].status == "pending"]
     if parallelism <= 1:
         for doc_id in pending:
             work(doc_id)

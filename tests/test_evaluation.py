@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from alloyforge.composition import Composition
 from alloyforge.evaluation import (
     ConfusionCounts,
     DocumentMismatch,
@@ -105,15 +108,65 @@ class TestMatchEntries:
                 _l1(extracted[e], truth[t]) for e, t in got
             )
             assert total == pytest.approx(cost, abs=1e-9)
-            if len(optima) == 1:
-                assert got == optima[0]
-            else:
-                assert got in optima
+            assert got == _lexicographic_min(optima)
+
+    # seeds whose brute-force enumeration takes at most a few seconds; the
+    # oracle's cost grows with the number of tied optima
+    @pytest.mark.parametrize(
+        "n_extracted, n_truth, seed", [(8, 8, 1), (8, 8, 3), (8, 8, 10), (8, 9, 3), (8, 9, 4)]
+    )
+    def test_tied_groups_match_brute_force(self, n_extracted, n_truth, seed):
+        # three mutually admissible MoNbTaW variants, drawn with repeats, so
+        # thousands of assignments share the optimal cost
+        rng = np.random.default_rng(seed)
+        variants = [_same_alloy_record(k) for k in (0, 10, 20)]
+        extracted = [variants[i] for i in rng.integers(0, 3, n_extracted)]
+        truth = [variants[i] for i in rng.integers(0, 3, n_truth)]
+        result = match_entries(extracted, truth)
+        card, _, optima = brute_force_assignment(extracted, truth)
+        assert card == n_extracted and len(optima) > 1
+        assert tuple(result.pairs) == _lexicographic_min(optima)
 
     def test_duplicate_prefers_earliest_truth(self):
         extracted = [rec("MoNbTaW")]
         truth = [rec("MoNbTaW"), rec("MoNbTaW")]
         assert match_entries(extracted, truth).pairs == [(0, 0)]
+
+    @pytest.mark.parametrize("n_extracted, n_truth", [(7, 12), (7, 16), (40, 40)])
+    def test_same_alloy_groups_are_fast(self, n_extracted, n_truth):
+        truth = [_same_alloy_record(k) for k in range(n_truth)]
+        picks = np.linspace(0, n_truth - 1, n_extracted).round().astype(int).tolist()
+        extracted = [truth[t] for t in picks]
+        result, seconds = _timed_match(extracted, truth)
+        assert result.pairs == list(enumerate(picks))
+        assert seconds < 0.05
+
+    def test_identical_records_are_fast(self):
+        records = [_same_alloy_record(0)] * 40
+        result, seconds = _timed_match(records, records)
+        assert result.pairs == [(i, i) for i in range(40)]
+        assert seconds < 0.05
+
+
+def _same_alloy_record(k):
+    """MoNbTaW with k thousandths moved from W to Mo."""
+    comp = Composition.from_coefficients({"Mo": 230 + k, "Nb": 250, "Ta": 250, "W": 270 - k})
+    return make_record(DOC, alloy_name="MoNbTaW", nominal_composition=comp)
+
+
+def _lexicographic_min(optima):
+    """The optimum whose pair sequence, read as (truth, extracted), is smallest."""
+    return min(optima, key=lambda pairing: [(t, e) for e, t in pairing])
+
+
+def _timed_match(extracted, truth):
+    """Best of three wall times, so one descheduling does not fail the bound."""
+    timings = []
+    for _ in range(3):
+        started = time.perf_counter()
+        result = match_entries(extracted, truth)
+        timings.append(time.perf_counter() - started)
+    return result, min(timings)
 
 
 def _l1(a, b):
@@ -133,8 +186,6 @@ def _random_instance(rng, max_side=5):
                     sym: max(0.01, frac + rng.normal(0, 0.02))
                     for sym, frac in base.fractions.items()
                 }
-                from alloyforge.composition import Composition
-
                 comp = Composition.from_coefficients(jitter)
             else:
                 comp = base

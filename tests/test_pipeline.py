@@ -113,6 +113,13 @@ class TestRunExtraction:
         assert result.ledger.counts()["failed"] == 2
         assert result.ledger.states["d03"].status == "failed"
 
+        # a plain resume leaves failures alone; only retry_failed re-calls them
+        untouched = ScriptedForwardEngine(truth_by_doc)
+        resumed = run_extraction(corpus8, FULL_PROMPT, untouched, tmp_path, parallelism=2)
+        assert untouched.calls == 0 and resumed.engine_calls == 0
+        assert resumed.ledger.counts()["failed"] == 2
+        assert resumed.ledger.states["d03"].attempts == 1
+
         healthy = ScriptedForwardEngine(truth_by_doc)
         resumed = run_extraction(
             corpus8, FULL_PROMPT, healthy, tmp_path, parallelism=1, retry_failed=True
