@@ -215,9 +215,14 @@ def _parse_coefficient(s: str, i: int) -> tuple[float, int]:
 
 
 def l1_distance(a: Composition, b: Composition) -> float:
-    """Sum of absolute fraction differences over the union of element supports."""
+    """Sum of absolute fraction differences over the union of element supports.
+
+    ``math.fsum`` rounds the sum correctly, so the result does not depend on
+    the order in which the support set is walked (which follows string
+    hashing and so changes between processes).
+    """
     support = a.elements | b.elements
-    return sum(abs(a.get(sym) - b.get(sym)) for sym in support)
+    return math.fsum(abs(a.get(sym) - b.get(sym)) for sym in support)
 
 
 def cosine_similarity(a: Composition, b: Composition) -> float:

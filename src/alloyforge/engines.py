@@ -387,7 +387,12 @@ class HttpEngine(_CallCounter):
                 )
             if status in (401, 403):
                 raise AuthError(f"{self.endpoint} returned {status} (env {self.api_key_env})")
-            if status == 413 or "context" in str(body.get("error", "")).lower():
+            # only a refusal of the request itself says the document is too
+            # long; "context" in a 5xx or transport error (e.g. "upstream
+            # context deadline exceeded") is a transient failure
+            if status == 413 or (
+                status == 400 and "context" in str(body.get("error", "")).lower()
+            ):
                 raise ContextTooLong(str(body.get("error", f"status {status}")))
             last_status = status
             if attempt < self.max_retries:

@@ -1,9 +1,10 @@
 """Corpus ingestion, large-scale extraction with a resumable ledger, and reporting.
 
-Raw completions are persisted verbatim per document before any parsing, and
-the dataset files are rebuilt deterministically from those raw responses in
-manifest order, so a run is bitwise reproducible at any parallelism level and
-an interrupted run resumes without re-calling finished documents.
+Raw completions are persisted verbatim per document before any parsing, each
+finished attempt is appended to the run's journal, and the dataset files are
+assembled deterministically in manifest order, so a run is bitwise
+reproducible at any parallelism level and an interrupted run resumes without
+re-calling finished documents.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import re
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +28,7 @@ from .records import (
     AlloyRecord,
     DocumentId,
     MalformedOutput,
+    RecordSetParseResult,
     parse_record_set,
     record_from_object,
     record_to_object,
@@ -36,6 +39,8 @@ from .records import (
 REJECTION_SENTINEL = "NO HEA DATA"
 
 LEDGER_FILENAME = "ledger.json"
+JOURNAL_FILENAME = "journal.jsonl"
+SUMMARY_FILENAME = "run_summary.json"
 RAW_DIRNAME = "raw"
 DATASET_FILENAME = "dataset.jsonl"
 DATASET_CSV_FILENAME = "dataset.csv"
@@ -233,6 +238,65 @@ class ExtractionResult:
     engine_calls: int
 
 
+def _load_ledger(out_dir: Path) -> RunLedger:
+    """The ``ledger.json`` snapshot, if any, with the run journal folded over it.
+
+    Journal lines carry a document's absolute state, so folding them in order
+    gives the ledger as it stood after the last complete line. A crash can
+    leave the last line torn (no newline, or not JSON): it is ignored and cut
+    off the file, so that the next append starts a line of its own.
+    """
+    ledger_path = out_dir / LEDGER_FILENAME
+    ledger = (
+        RunLedger.from_json(ledger_path.read_text(encoding="utf-8"))
+        if ledger_path.exists()
+        else RunLedger()
+    )
+    journal_path = out_dir / JOURNAL_FILENAME
+    if not journal_path.exists():
+        return ledger
+    data = journal_path.read_bytes()
+    *lines, tail = data.split(b"\n")
+    kept = 0
+    for number, line in enumerate(lines, start=1):
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            if number == len(lines) and not tail:
+                break
+            raise PipelineError(f"{journal_path}:{number}: unreadable journal line") from None
+        ledger.states[entry["doc_id"]] = DocState(
+            entry["status"], entry["attempt"], entry["raw_path"], entry["detail"]
+        )
+        kept += len(line) + 1
+    if kept < len(data):
+        with journal_path.open("r+b") as fh:
+            fh.truncate(kept)
+    return ledger
+
+
+def _run_summary(entries: list[dict], engine_calls: int, wall_s: float) -> dict:
+    """What one run did, from the journal lines it appended."""
+    statuses = dict.fromkeys(TERMINAL_STATUSES, 0)
+    for entry in entries:
+        statuses[entry["status"]] += 1
+    latencies = sorted(entry["latency_s"] for entry in entries)
+
+    def nearest_rank(q: float) -> float | None:
+        if not latencies:
+            return None
+        return latencies[max(0, math.ceil(q * len(latencies)) - 1)]
+
+    return {
+        "statuses": statuses,
+        "engine_calls": engine_calls,
+        "wall_s": wall_s,
+        "latency_s": {"p50": nearest_rank(0.50), "p95": nearest_rank(0.95)},
+        "input_tokens": sum(entry["input_tokens"] for entry in entries),
+        "output_tokens": sum(entry["output_tokens"] for entry in entries),
+    }
+
+
 def run_extraction(
     corpus: CorpusStore | CorpusManifest,
     prompt_text: str,
@@ -245,24 +309,25 @@ def run_extraction(
     """Extract every manifest document, persisting raw output and a status ledger.
 
     Every document ends in a terminal state (done, rejected, failed). Raw
-    completion text is written before parsing; re-running resumes from the
-    ledger and calls the engine only for pending documents, so documents
-    already done, rejected or failed are never re-called; ``retry_failed``
-    returns failed documents to pending first. Only an authentication
-    failure aborts the run.
+    completion text is written before parsing, and each finished attempt is
+    then appended to ``journal.jsonl``; when the run ends, ``ledger.json`` is
+    written once and the journal removed. Re-running resumes from the ledger,
+    with the journal of an interrupted run folded in, and calls the engine
+    only for pending documents, so documents already done, rejected or failed
+    are never re-called; ``retry_failed`` returns failed documents to pending
+    first. Only an authentication failure aborts the run. Each run, aborted
+    or not, reports what it did in ``run_summary.json``.
     """
+    started = time.perf_counter()
     if isinstance(corpus, CorpusManifest):
         corpus = CorpusStore(corpus)
     out_dir = Path(out_dir)
     raw_dir = out_dir / RAW_DIRNAME
     raw_dir.mkdir(parents=True, exist_ok=True)
     ledger_path = out_dir / LEDGER_FILENAME
+    journal_path = out_dir / JOURNAL_FILENAME
 
-    ledger = (
-        RunLedger.from_json(ledger_path.read_text(encoding="utf-8"))
-        if ledger_path.exists()
-        else RunLedger()
-    )
+    ledger = _load_ledger(out_dir)
     for doc_id in corpus.ids:
         ledger.states.setdefault(doc_id, DocState())
         if retry_failed and ledger.states[doc_id].status == "failed":
@@ -271,85 +336,118 @@ def run_extraction(
     lock = threading.Lock()
     abort: list[Exception] = []
     calls = 0
+    entries: list[dict] = []                        # this run's journal lines
+    parsed: dict[str, RecordSetParseResult] = {}    # documents this run marked done
 
-    def persist_ledger() -> None:
-        tmp = ledger_path.with_suffix(".tmp")
-        tmp.write_text(ledger.to_json(), encoding="utf-8")
-        tmp.replace(ledger_path)
+    def finish(doc_id, state, latency_s, response=None, result=None) -> None:
+        entry = {
+            "doc_id": doc_id,
+            "attempt": state.attempts,
+            "status": state.status,
+            "raw_path": state.raw_path,
+            "detail": state.detail,
+            "latency_s": latency_s,
+            "input_tokens": response.input_tokens if response else 0,
+            "output_tokens": response.output_tokens if response else 0,
+        }
+        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+        with lock:
+            journal.write(line)
+            journal.flush()
+            ledger.states[doc_id] = state
+            entries.append(entry)
+            if result is not None:
+                parsed[doc_id] = result
 
     def work(doc_id: str) -> None:
         nonlocal calls
         state = ledger.states[doc_id]
         if state.status != "pending" or abort:
             return
+        attempt = state.attempts + 1
         request = build_document_request(prompt_text, doc_id, corpus, temperature)
+        with lock:
+            calls += 1
+        called = time.perf_counter()
         try:
-            with lock:
-                calls += 1
             response = engine.complete(request)
         except ContextTooLong as exc:
-            with lock:
-                ledger.states[doc_id] = DocState(
-                    "rejected", state.attempts + 1, None, f"context too long: {exc}"
-                )
-                persist_ledger()
+            finish(doc_id, DocState("rejected", attempt, None, f"context too long: {exc}"),
+                   time.perf_counter() - called)
             return
         except AuthError as exc:
             with lock:
                 abort.append(exc)
             return
         except EngineError as exc:
-            with lock:
-                ledger.states[doc_id] = DocState(
-                    "failed", state.attempts + 1, None, str(exc)
-                )
-                persist_ledger()
+            finish(doc_id, DocState("failed", attempt, None, str(exc)),
+                   time.perf_counter() - called)
             return
+        latency_s = time.perf_counter() - called
         raw_name = _safe_filename(doc_id)
-        (raw_dir / raw_name).write_text(response.text, encoding="utf-8")
+        (raw_dir / raw_name).write_bytes(response.text.encode("utf-8"))
         raw_rel = f"{RAW_DIRNAME}/{raw_name}"
+        result = None
         if is_rejection(response.text):
             status, detail = "rejected", "model declared the document irrelevant"
         else:
             try:
-                parse_record_set(response.text, DocumentId(doc_id, corpus.kind(doc_id)))
+                result = parse_record_set(response.text, DocumentId(doc_id, corpus.kind(doc_id)))
                 status, detail = "done", ""
             except MalformedOutput as exc:
                 status, detail = "failed", str(exc)
-        with lock:
-            ledger.states[doc_id] = DocState(status, state.attempts + 1, raw_rel, detail)
-            persist_ledger()
+        finish(doc_id, DocState(status, attempt, raw_rel, detail), latency_s, response, result)
 
     pending = [d for d in corpus.ids if ledger.states[d].status == "pending"]
-    if parallelism <= 1:
-        for doc_id in pending:
-            work(doc_id)
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(work, pending))
-    if abort:
-        persist_ledger()
-        raise abort[0]
+    with journal_path.open("ab") as journal:
+        if parallelism <= 1:
+            for doc_id in pending:
+                work(doc_id)
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                list(pool.map(work, pending))
+    # journal lines carry absolute state, so a crash between these two steps
+    # leaves a journal that folds over the new snapshot to the same ledger
+    tmp = ledger_path.with_suffix(".tmp")
+    tmp.write_text(ledger.to_json(), encoding="utf-8")
+    tmp.replace(ledger_path)
+    journal_path.unlink()
 
-    dataset, issues = _rebuild_dataset(corpus, ledger, out_dir)
-    persist_ledger()
-    write_dataset(dataset, out_dir / DATASET_FILENAME, corpus.ids)
-    (out_dir / DATASET_CSV_FILENAME).write_text(
-        dataset_to_csv(dataset, corpus.ids), encoding="utf-8"
+    dataset: dict[str, list[AlloyRecord]] = {}
+    issues: list[tuple[str, str]] = []
+    if not abort:
+        dataset, issues = _rebuild_dataset(corpus, ledger, out_dir, parsed)
+        write_dataset(dataset, out_dir / DATASET_FILENAME, corpus.ids)
+        (out_dir / DATASET_CSV_FILENAME).write_text(
+            dataset_to_csv(dataset, corpus.ids), encoding="utf-8"
+        )
+    summary = _run_summary(entries, calls, time.perf_counter() - started)
+    (out_dir / SUMMARY_FILENAME).write_text(
+        json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
+    if abort:
+        raise abort[0]
     return ExtractionResult(dataset=dataset, ledger=ledger, issues=issues, engine_calls=calls)
 
 
-def _rebuild_dataset(corpus: CorpusStore, ledger: RunLedger, out_dir: Path):
-    """Parse persisted raw responses in manifest order; the ledger is authoritative."""
+def _rebuild_dataset(corpus: CorpusStore, ledger: RunLedger, out_dir: Path,
+                     parsed: dict[str, RecordSetParseResult]):
+    """Assemble the dataset in manifest order; the ledger is authoritative.
+
+    ``parsed`` holds the parse of every document this run marked done; the
+    raw responses of documents finished in an earlier run are read back
+    byte for byte and parsed here.
+    """
     dataset: dict[str, list[AlloyRecord]] = {}
     issues: list[tuple[str, str]] = []
     for doc_id in corpus.ids:
         state = ledger.states.get(doc_id)
         if state is None or state.status != "done" or not state.raw_path:
             continue
-        text = (out_dir / state.raw_path).read_text(encoding="utf-8")
-        result = parse_record_set(text, DocumentId(doc_id, corpus.kind(doc_id)))
+        result = parsed.get(doc_id)
+        if result is None:
+            text = (out_dir / state.raw_path).read_bytes().decode("utf-8")
+            result = parse_record_set(text, DocumentId(doc_id, corpus.kind(doc_id)))
         dataset[doc_id] = result.records
         issues.extend((doc_id, issue.message) for issue in result.issues)
     return dataset, issues

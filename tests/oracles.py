@@ -21,8 +21,9 @@ def brute_force_assignment(extracted, truth, l1_match=0.05):
     """Enumerate every admissible injective mapping; return all optima.
 
     An optimum maximizes cardinality then minimizes total L1. Returns
-    (cardinality, cost, [pairings]) where each pairing is a sorted tuple of
-    (extracted_index, truth_index) pairs sorted by truth index.
+    (cardinality, cost, [pairings]) where each pairing is a tuple of
+    (extracted_index, truth_index) pairs sorted by truth index, and the
+    pairings are sorted.
     """
 
     def admissible(e_rec, t_rec):
@@ -34,7 +35,7 @@ def brute_force_assignment(extracted, truth, l1_match=0.05):
 
     n_e, n_t = len(extracted), len(truth)
     cost = [[admissible(e, t) for t in truth] for e in extracted]
-    best_card, best_cost, optima = -1, float("inf"), []
+    best_card, best_cost, optima = -1, float("inf"), set()
     for k in range(min(n_e, n_t), -1, -1):
         if k < best_card:
             break
@@ -52,8 +53,7 @@ def brute_force_assignment(extracted, truth, l1_match=0.05):
                     continue
                 pairing = tuple(sorted(zip(e_subset, t_perm), key=lambda p: p[1]))
                 if k > best_card or (k == best_card and total < best_cost - 1e-12):
-                    best_card, best_cost, optima = k, total, [pairing]
+                    best_card, best_cost, optima = k, total, {pairing}
                 elif k == best_card and abs(total - best_cost) <= 1e-12:
-                    if pairing not in optima:
-                        optima.append(pairing)
-    return best_card, best_cost, optima
+                    optima.add(pairing)
+    return best_card, best_cost, sorted(optima)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,6 +124,28 @@ class TestDistances:
             assert 0.0 <= cos <= 1.0
         for comp in comps[:20]:
             assert l1_distance(comp, comp) == 0.0
+
+    def test_l1_distance_is_independent_of_string_hashing(self):
+        # element sets iterate in hash order, which PYTHONHASHSEED changes
+        script = (
+            "import numpy as np\n"
+            "from alloyforge.composition import l1_distance\n"
+            "from tests.oracles import random_composition\n"
+            "rng = np.random.default_rng(7)\n"
+            "pairs = [(random_composition(rng, max_elements=7),"
+            " random_composition(rng, max_elements=7)) for _ in range(200)]\n"
+            "print(' '.join(l1_distance(a, b).hex() for a, b in pairs))\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+            done = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            outputs.append(done.stdout.split())
+        assert len(outputs[0]) == 200
+        assert outputs[0] == outputs[1]
 
 
 class TestConsistencyCheck:

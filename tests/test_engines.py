@@ -179,6 +179,35 @@ class TestHttpEngine:
         with pytest.raises(ContextTooLong):
             engine.complete(req())
 
+    def test_context_length_error_on_400(self):
+        engine, transport = http_engine(
+            [(400, {"error": "This model's maximum context length is 8192 tokens"})])
+        with pytest.raises(ContextTooLong):
+            engine.complete(req())
+        assert transport.calls == 1
+
+    def test_context_deadline_is_retried(self):
+        engine, transport = http_engine(
+            [(503, {"error": "upstream context deadline exceeded"})] * 2
+            + [(200, {"text": "ok", "input_tokens": 1, "output_tokens": 1})]
+        )
+        assert engine.complete(req()).text == "ok"
+        assert transport.calls == 3
+
+    def test_transport_error_mentioning_context_is_retried(self):
+        calls = []
+
+        def transport(url, payload, headers, timeout):
+            calls.append(url)
+            if len(calls) == 1:
+                raise OSError("connection reset: context canceled")
+            return 200, {"text": "ok", "input_tokens": 1, "output_tokens": 1}
+
+        engine = HttpEngine(endpoint="http://fake/v1", model_name="m", transport=transport,
+                            sleep=lambda s: None)
+        assert engine.complete(req()).text == "ok"
+        assert len(calls) == 2
+
     def test_context_guard(self):
         engine, transport = http_engine([], max_context_chars=10)
         with pytest.raises(ContextTooLong):

@@ -110,10 +110,11 @@ class TestMatchEntries:
             assert total == pytest.approx(cost, abs=1e-9)
             assert got == _lexicographic_min(optima)
 
-    # seeds whose brute-force enumeration takes at most a few seconds; the
-    # oracle's cost grows with the number of tied optima
+    # the brute-force oracle enumerates at most 9!/1! = 362880 full mappings
+    # per case (about a second); 8-9-0 has the most tied optima here, 43200
     @pytest.mark.parametrize(
-        "n_extracted, n_truth, seed", [(8, 8, 1), (8, 8, 3), (8, 8, 10), (8, 9, 3), (8, 9, 4)]
+        "n_extracted, n_truth, seed",
+        [(8, 8, 1), (8, 8, 3), (8, 8, 10), (8, 9, 0), (8, 9, 3), (8, 9, 4)],
     )
     def test_tied_groups_match_brute_force(self, n_extracted, n_truth, seed):
         # three mutually admissible MoNbTaW variants, drawn with repeats, so

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -30,6 +31,27 @@ from tests.conftest import FIXTURES
 from tests.scripted import INITIAL_PROMPT_TEXT, MARKERS, ScriptedForwardEngine
 
 FULL_PROMPT = INITIAL_PROMPT_TEXT + "\n" + "\n".join(MARKERS)
+
+
+class Killed(BaseException):
+    """Stands in for the process being killed: run_extraction catches nothing of it."""
+
+
+class DocsSeen:
+    """Passes requests on to ``inner``, records their document ids, and is
+    killed on call ``kill_on`` (1-based) if given."""
+
+    supports_attachments = True
+
+    def __init__(self, inner, kill_on=None):
+        self.inner, self.kill_on = inner, kill_on
+        self.docs = []
+
+    def complete(self, request):
+        if len(self.docs) + 1 == self.kill_on:
+            raise Killed
+        self.docs.append(re.search(r"Document (\S+):", request.user_text).group(1))
+        return self.inner.complete(request)
 
 
 class TestIngestCorpus:
@@ -138,6 +160,93 @@ class TestRunExtraction:
 
         with pytest.raises(AuthError):
             run_extraction(corpus8, FULL_PROMPT, BadAuth(), tmp_path, parallelism=1)
+        # the abort still leaves a snapshot, no journal, and a summary
+        blob = json.loads((tmp_path / "ledger.json").read_text())
+        assert {s["status"] for s in blob.values()} == {"pending"}
+        assert not (tmp_path / "journal.jsonl").exists()
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["engine_calls"] == 1
+        assert summary["statuses"] == {"done": 0, "rejected": 0, "failed": 0}
+
+    @pytest.mark.parametrize("torn", [
+        '{"doc_id": "d05", "attempt": 1, "sta',        # cut off mid-line
+        '{"doc_id": "d05", "attempt": 1, "sta\n',      # newline, but not JSON
+    ])
+    def test_kill_and_resume_matches_uninterrupted_run(self, corpus8, truth_by_doc, tmp_path,
+                                                       torn):
+        whole = tmp_path / "whole"
+        run_extraction(corpus8, FULL_PROMPT, ScriptedForwardEngine(truth_by_doc), whole,
+                       parallelism=1)
+
+        run_dir = tmp_path / "killed"
+        dies = DocsSeen(ScriptedForwardEngine(truth_by_doc), kill_on=5)
+        with pytest.raises(Killed):
+            run_extraction(corpus8, FULL_PROMPT, dies, run_dir, parallelism=1)
+        assert not (run_dir / "ledger.json").exists()
+        journal = run_dir / "journal.jsonl"
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["doc_id"] for line in lines] == ["d01", "d02", "d03", "d04"]
+        with journal.open("a", encoding="utf-8") as fh:
+            fh.write(torn)
+
+        resumed = DocsSeen(ScriptedForwardEngine(truth_by_doc))
+        result = run_extraction(corpus8, FULL_PROMPT, resumed, run_dir, parallelism=2)
+        assert sorted(resumed.docs) == ["d05", "d06", "d07", "d08"]
+        assert result.engine_calls == 4
+        for name in ("dataset.jsonl", "dataset.csv", "ledger.json"):
+            assert (run_dir / name).read_bytes() == (whole / name).read_bytes(), name
+        assert not journal.exists()
+
+        again = DocsSeen(ScriptedForwardEngine(truth_by_doc))
+        run_extraction(corpus8, FULL_PROMPT, again, run_dir, parallelism=2)
+        assert again.docs == []
+        assert (run_dir / "ledger.json").read_bytes() == (whole / "ledger.json").read_bytes()
+
+    def test_journal_folds_over_snapshot(self, corpus8, truth_by_doc, tmp_path):
+        first = run_extraction(corpus8, FULL_PROMPT, ScriptedForwardEngine(truth_by_doc),
+                               tmp_path, parallelism=1)
+        # a later attempt journaled after the snapshot wins over it
+        line = {"doc_id": "d02", "attempt": 2, "status": "failed", "raw_path": None,
+                "detail": "boom", "latency_s": 0.0, "input_tokens": 0, "output_tokens": 0}
+        (tmp_path / "journal.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
+        engine = ScriptedForwardEngine(truth_by_doc)
+        result = run_extraction(corpus8, FULL_PROMPT, engine, tmp_path, parallelism=1)
+        assert engine.calls == 0
+        assert result.ledger.states["d02"].status == "failed"
+        assert result.ledger.states["d02"].attempts == 2
+        assert "d02" not in result.dataset
+        assert result.dataset["d01"] == first.dataset["d01"]
+
+    def test_corrupt_journal_line_before_the_last_is_refused(self, corpus8, truth_by_doc,
+                                                             tmp_path):
+        good = {"doc_id": "d01", "attempt": 1, "status": "failed", "raw_path": None,
+                "detail": "", "latency_s": 0.0, "input_tokens": 0, "output_tokens": 0}
+        (tmp_path / "journal.jsonl").write_text(
+            "not json\n" + json.dumps(good) + "\n", encoding="utf-8")
+        engine = ScriptedForwardEngine(truth_by_doc)
+        with pytest.raises(PipelineError, match="journal.jsonl:1"):
+            run_extraction(corpus8, FULL_PROMPT, engine, tmp_path, parallelism=1)
+        assert engine.calls == 0
+
+    def test_run_summary(self, corpus8, truth_by_doc, tmp_path):
+        engine = ScriptedForwardEngine(truth_by_doc)
+        run_extraction(corpus8, FULL_PROMPT, engine, tmp_path, parallelism=2)
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["statuses"] == {"done": 7, "rejected": 1, "failed": 0}
+        assert summary["engine_calls"] == 8
+        raw = [p.read_text(encoding="utf-8") for p in (tmp_path / "raw").glob("*.txt")]
+        assert summary["input_tokens"] == 0
+        assert summary["output_tokens"] == sum(len(text) // 4 for text in raw)
+        latency = summary["latency_s"]
+        assert 0 <= latency["p50"] <= latency["p95"] <= summary["wall_s"]
+
+        # a resume reports only what it did itself
+        run_extraction(corpus8, FULL_PROMPT, engine, tmp_path, parallelism=2)
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["statuses"] == {"done": 0, "rejected": 0, "failed": 0}
+        assert summary["engine_calls"] == 0
+        assert summary["latency_s"] == {"p50": None, "p95": None}
+        assert (summary["input_tokens"], summary["output_tokens"]) == (0, 0)
 
     def test_dataset_rebuilt_from_raw_after_crash(self, corpus8, truth_by_doc, tmp_path):
         engine = ScriptedForwardEngine(truth_by_doc)
