@@ -115,15 +115,13 @@ def cmd_extract(args) -> int:
     cfg = config_mod.load_config(args.config)
     corpus = pipeline.CorpusStore(pipeline.ingest_corpus(args.corpus))
     engine = engine_from_config(cfg, args.engine)
-    parallelism = args.parallelism or config_mod.get_int(cfg, "pipeline.parallelism", 4)
-    temperature = config_mod.get_float(cfg, "pipeline.extract_temperature", 1.0)
     result = pipeline.run_extraction(
         corpus,
         _load_prompt_text(args.prompt),
         engine,
         args.out,
-        parallelism=parallelism,
-        temperature=temperature,
+        parallelism=args.parallelism or cfg["pipeline.parallelism"],
+        temperature=cfg["pipeline.extract_temperature"],
         retry_failed=args.retry_failed,
     )
     counts = result.ledger.counts()
@@ -144,10 +142,10 @@ def cmd_optimize(args) -> int:
         forward_engine=engine_from_config(cfg, "forward"),
         backward_engine=engine_from_config(cfg, "backward"),
         evaluator_engine=engine_from_config(cfg, "evaluator"),
-        epochs=config_mod.get_int(cfg, "optimizer.epochs", 3),
-        batch_size=config_mod.get_int(cfg, "optimizer.batch_size", 3),
-        forward_temperature=config_mod.get_float(cfg, "optimizer.forward_temperature", 0.0),
-        parallelism=config_mod.get_int(cfg, "optimizer.parallelism", 1),
+        epochs=cfg["optimizer.epochs"],
+        batch_size=cfg["optimizer.batch_size"],
+        forward_temperature=cfg["optimizer.forward_temperature"],
+        parallelism=cfg["optimizer.parallelism"],
     )
     initial = optimizer.Prompt(text=_load_prompt_text(args.prompt))
     history = optimizer.optimize(initial, corpus, truth, opt_config)
@@ -177,12 +175,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_clean(args) -> int:
     dataset = pipeline.load_dataset(args.dataset)
-    cfg = config_mod.load_config(args.config) if args.config else {}
-    result = pipeline.clean_dataset(
-        dataset,
-        l1_threshold=config_mod.get_float(cfg, "thresholds.l1", 0.1),
-        cosine_threshold=config_mod.get_float(cfg, "thresholds.cosine", 0.99),
-    )
+    cfg = config_mod.load_config(args.config) if args.config else config_mod.Config()
+    result = pipeline.clean_dataset(dataset, cfg["thresholds.l1"], cfg["thresholds.cosine"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_dataset(result.accepted, out_dir / "dataset_clean.jsonl")

@@ -228,15 +228,13 @@ class RecordingEngine(_CallCounter):
     runs resumable at the engine level.
     """
 
+    supports_attachments = True
+
     def __init__(self, inner, store: TranscriptStore | str, reuse_cached: bool = True):
         super().__init__()
         self.inner = inner
         self.store = store if isinstance(store, TranscriptStore) else TranscriptStore(store)
         self.reuse_cached = reuse_cached
-
-    @property
-    def supports_attachments(self) -> bool:
-        return getattr(self.inner, "supports_attachments", True)
 
     def complete(self, request: EngineRequest) -> EngineResponse:
         self._count()
@@ -303,7 +301,6 @@ class HttpEngine(_CallCounter):
         endpoint: str,
         model_name: str,
         name: str = "default",
-        supports_attachments: bool = True,
         max_retries: int = 5,
         backoff_base_s: float = 0.5,
         backoff_cap_s: float = 30.0,
@@ -318,14 +315,14 @@ class HttpEngine(_CallCounter):
         self.endpoint = endpoint
         self.model_name = model_name
         self.name = name
-        self.supports_attachments = supports_attachments
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.timeout_s = timeout_s
         self.rate_limit = rate_limit
         self.max_context_chars = max_context_chars
-        self._semaphore = threading.Semaphore(max(1, parallelism))
+        self.parallelism = max(1, parallelism)
+        self._semaphore = threading.Semaphore(self.parallelism)
         self._transport = transport or _requests_transport
         self._sleep = sleep
 
@@ -385,26 +382,19 @@ class HttpEngine(_CallCounter):
                     output_tokens=int(body.get("output_tokens", 0)),
                     latency_s=elapsed,
                 )
+            error = str(body.get("error", f"status {status}"))
             if status in (401, 403):
                 raise AuthError(f"{self.endpoint} returned {status} (env {self.api_key_env})")
-            # only a refusal of the request itself says the document is too
-            # long; "context" in a 5xx or transport error (e.g. "upstream
-            # context deadline exceeded") is a transient failure
-            if status == 413 or (
-                status == 400 and "context" in str(body.get("error", "")).lower()
-            ):
-                raise ContextTooLong(str(body.get("error", f"status {status}")))
+            if status == 413 or (status == 400 and "context" in error.lower()):
+                raise ContextTooLong(error)
+            if status not in (None, 408, 429) and not 500 <= status < 600:
+                raise EngineError(f"{self.endpoint} returned {status}: {error}")
             last_status = status
             if attempt < self.max_retries:
                 self._sleep(min(self.backoff_cap_s, self.backoff_base_s * 2**attempt))
         if last_status == 429:
             raise RateLimited(f"{self.endpoint} still throttling after {self.max_retries} retries")
         raise EngineError(f"{self.endpoint} failed after retries (last status {last_status})")
-
-
-def complete(engine, request: EngineRequest) -> EngineResponse:
-    """Run one completion on any engine handle."""
-    return engine.complete(request)
 
 
 # --- cost accounting ---------------------------------------------------------------
@@ -453,40 +443,25 @@ def cost_effectiveness(mean_f1: float, total_cost: float) -> float:
 # --- configuration ------------------------------------------------------------------
 
 
-def engine_from_config(cfg: dict, role: str):
-    """Build an engine handle for a role from flat dotted config keys.
-
-    Recognized keys (prefix ``engine.<role>.``): kind (http | replay), model,
-    endpoint, temperature, record (true/false), transcript_dir, parallelism,
-    rate_limit_per_s, max_context_chars, max_retries, supports_attachments.
-    """
+def engine_from_config(cfg, role: str):
+    """Build an engine handle for a role from a loaded ``config.Config``."""
     prefix = f"engine.{role}."
-
-    def get(key, default=None):
-        return cfg.get(prefix + key, default)
-
-    kind = get("kind", "replay")
-    if kind == "replay":
-        store_dir = get("transcript_dir")
-        if not store_dir:
-            raise ValueError(f"{prefix}transcript_dir is required for a replay engine")
-        return ReplayEngine(TranscriptStore(store_dir))
-    if kind != "http":
+    kind, store_dir = cfg[prefix + "kind"], cfg[prefix + "transcript_dir"]
+    record = cfg[prefix + "record"]
+    if kind not in ("http", "replay"):
         raise ValueError(f"unknown engine kind {kind!r} for role {role!r}")
-    rate = get("rate_limit_per_s")
+    if (kind == "replay" or record) and not store_dir:
+        raise ValueError(f"{prefix}transcript_dir is required to replay or record")
+    if kind == "replay":
+        return ReplayEngine(TranscriptStore(store_dir))
+    rate = cfg[prefix + "rate_limit_per_s"]
     engine = HttpEngine(
-        endpoint=get("endpoint", ""),
-        model_name=get("model", ""),
+        endpoint=cfg[prefix + "endpoint"],
+        model_name=cfg[prefix + "model"],
         name=role,
-        supports_attachments=str(get("supports_attachments", "true")).lower() != "false",
-        max_retries=int(get("max_retries", 5)),
-        parallelism=int(get("parallelism", 4)),
-        rate_limit=TokenBucket(float(rate)) if rate else None,
-        max_context_chars=int(get("max_context_chars")) if get("max_context_chars") else None,
+        max_retries=cfg[prefix + "max_retries"],
+        parallelism=cfg[prefix + "parallelism"],
+        rate_limit=TokenBucket(rate) if rate is not None else None,
+        max_context_chars=cfg[prefix + "max_context_chars"],
     )
-    if str(get("record", "false")).lower() == "true":
-        store_dir = get("transcript_dir")
-        if not store_dir:
-            raise ValueError(f"{prefix}transcript_dir is required when recording")
-        return RecordingEngine(engine, TranscriptStore(store_dir))
-    return engine
+    return RecordingEngine(engine, TranscriptStore(store_dir)) if record else engine

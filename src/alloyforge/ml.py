@@ -303,7 +303,6 @@ def train_esvr(
     ensemble_sizes=DEFAULT_ENSEMBLE_SIZES,
     validation=None,
     val_fraction: float = 0.25,
-    resample: str = "bootstrap",
     seed: int = 0,
     epsilon: float = DEFAULT_EPSILON,
     tol: float = DEFAULT_SVR_TOL,
@@ -319,8 +318,6 @@ def train_esvr(
     """
     if not gamma_grid or not cost_grid or not ensemble_sizes:
         raise ValueError("gamma_grid, cost_grid, and ensemble_sizes must be non-empty")
-    if resample not in ("bootstrap", "full"):
-        raise ValueError(f"unknown resample mode {resample!r}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) != len(y):
@@ -358,10 +355,7 @@ def train_esvr(
     estimators = []
     for b in range(m_max):
         rng = np.random.default_rng(children[b])
-        if resample == "bootstrap":
-            picks = rng.integers(0, n_fit, n_fit)
-        else:
-            picks = np.arange(n_fit)
+        picks = rng.integers(0, n_fit, n_fit)
         oob = np.setdiff1d(np.arange(n_fit), np.unique(picks))
         Zb, ub = Z_fit[picks], u_fit[picks]
         Z_score = Z_fit[oob] if len(oob) else Z_fit
@@ -388,8 +382,7 @@ def train_esvr(
         estimators=estimators[:best_size],
         standardization=std,
         seed=seed,
-        extra={"ensemble_size": best_size, "validation_r2": best_r2,
-               "resample": resample},
+        extra={"ensemble_size": best_size, "validation_r2": best_r2},
     )
 
 

@@ -21,10 +21,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import quality
+from . import composition, quality
 from .composition import NothingToCompare, consistency_check
 from .engines import AuthError, ContextTooLong, EngineError, EngineRequest
 from .records import (
+    GROUND_TRUTH_COLUMNS,
+    SCHEMA_KEYS,
     AlloyRecord,
     DocumentId,
     MalformedOutput,
@@ -490,16 +492,11 @@ def dataset_to_csv(dataset: dict[str, list[AlloyRecord]], doc_order=None) -> str
     order = doc_order if doc_order is not None else sorted(dataset)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["doc_id", "alloy_name", "nominal_composition", "measured_composition",
-         "phase", "processing_condition", "lattice_constant_angstrom"]
-    )
+    writer.writerow(GROUND_TRUTH_COLUMNS)
     for doc_id in order:
         for record in dataset.get(doc_id, []):
             obj = record_to_object(record)
-            writer.writerow([doc_id] + [obj[k] for k in (
-                "alloy_name", "nominal_composition", "measured_composition",
-                "phase", "processing_condition", "lattice_constant_angstrom")])
+            writer.writerow([doc_id] + [obj[k] for k in SCHEMA_KEYS])
     return out.getvalue()
 
 
@@ -515,8 +512,8 @@ class CleanResult:
 
 def clean_dataset(
     dataset: dict[str, list[AlloyRecord]],
-    l1_threshold: float = 0.1,
-    cosine_threshold: float = 0.99,
+    l1_threshold: float = composition.DEFAULT_L1_THRESHOLD,
+    cosine_threshold: float = composition.DEFAULT_COSINE_THRESHOLD,
 ) -> CleanResult:
     """Plausibility screen plus composition consistency checks over a dataset."""
     flat = [record for doc_id in sorted(dataset) for record in dataset[doc_id]]

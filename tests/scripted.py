@@ -73,8 +73,6 @@ class _Scripted:
 class ScriptedForwardEngine(_Scripted):
     """Reveals truth records whose threshold is at or below the rule count."""
 
-    supports_attachments = True
-
     def __init__(self, truth_by_doc, thresholds=REVEAL_THRESHOLDS):
         super().__init__()
         self.truth_by_doc = truth_by_doc
@@ -98,8 +96,6 @@ class ScriptedForwardEngine(_Scripted):
 class ScriptedEvaluatorEngine(_Scripted):
     """Compares the expert and model record blocks embedded in the request."""
 
-    supports_attachments = True
-
     def complete(self, request):
         self._count()
         text = request.user_text
@@ -120,8 +116,6 @@ class ScriptedEvaluatorEngine(_Scripted):
 class ScriptedBackwardEngine(_Scripted):
     """Appends the next numbered rule to the current prompt."""
 
-    supports_attachments = True
-
     def complete(self, request):
         self._count()
         current = re.search(
@@ -137,8 +131,6 @@ class ScriptedBackwardEngine(_Scripted):
 
 class FlakyEngine(_Scripted):
     """Fails a fixed number of times before delegating; for retry tests."""
-
-    supports_attachments = True
 
     def __init__(self, inner, failures: int, error):
         super().__init__()

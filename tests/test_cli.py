@@ -192,8 +192,6 @@ def test_audit_command(tmp_path, capsys):
     write_dataset({"d01": [suspicious]}, dataset_path)
 
     class NaysayingAuditor:
-        supports_attachments = True
-
         def complete(self, request):
             return EngineResponse(text="No, that value is not what the record claims.")
 

@@ -2,6 +2,7 @@ import threading
 
 import pytest
 
+from alloyforge.config import load_config
 from alloyforge.engines import (
     AuthError,
     ContextTooLong,
@@ -18,7 +19,6 @@ from alloyforge.engines import (
     TranscriptStore,
     UnknownModel,
     ZeroCost,
-    complete,
     cost_effectiveness,
     cost_of,
     engine_from_config,
@@ -68,8 +68,6 @@ class TestTranscriptKey:
 
 
 class _StaticEngine:
-    supports_attachments = True
-
     def __init__(self, text="pong"):
         self.text = text
         self.calls = 0
@@ -120,9 +118,6 @@ class TestReplayAndRecording:
         assert transcript.key == transcript_key(request)
         assert store.load_transcript("0" * 64) is None
 
-    def test_module_level_complete(self):
-        assert complete(_StaticEngine("x"), req()).text == "x"
-
 
 class _FakeTransport:
     def __init__(self, script):
@@ -131,19 +126,24 @@ class _FakeTransport:
 
     def __call__(self, url, payload, headers, timeout):
         self.calls += 1
-        status, body = self.script.pop(0) if self.script else self.script_exhausted()
-        return status, body
+        step = self.script.pop(0) if self.script else self.script_exhausted()
+        if isinstance(step, OSError):
+            raise step
+        return step
 
     @staticmethod
     def script_exhausted():
         raise AssertionError("transport called more times than scripted")
 
 
-def http_engine(script, **kw):
+OK = {"text": "ok", "input_tokens": 1, "output_tokens": 1}
+
+
+def http_engine(script, sleep=lambda s: None, **kw):
     transport = _FakeTransport(script)
     engine = HttpEngine(
         endpoint="http://fake/v1", model_name="m", transport=transport,
-        sleep=lambda s: None, **kw,
+        sleep=sleep, **kw,
     )
     return engine, transport
 
@@ -224,6 +224,36 @@ class TestHttpEngine:
         engine, _ = http_engine([(500, {"error": "boom"})] * 2, max_retries=1)
         with pytest.raises(EngineError):
             engine.complete(req())
+
+    @pytest.mark.parametrize("script, expected, calls", [
+        ([(200, OK)], None, 1),
+        ([(401, {"error": "bad key"})], AuthError, 1),
+        ([(403, {"error": "forbidden"})], AuthError, 1),
+        ([(413, {"error": "too large"})], ContextTooLong, 1),
+        ([(400, {"error": "maximum context length exceeded"})], ContextTooLong, 1),
+        ([(400, {"error": "malformed payload"})], EngineError, 1),
+        ([(404, {"error": "no such model"})], EngineError, 1),
+        ([(422, {"error": "unprocessable"})], EngineError, 1),
+        ([(302, {})], EngineError, 1),
+        ([(408, {"error": "timeout"})] * 2 + [(200, OK)], None, 3),
+        ([(408, {"error": "timeout"})] * 3, EngineError, 3),
+        ([(429, {"error": "slow down"})] * 3, RateLimited, 3),
+        ([(500, {"error": "boom"}), (502, {}), (599, {})], EngineError, 3),
+        ([(503, {"error": "busy"}), (200, OK)], None, 2),
+        ([OSError("connection reset")] * 3, EngineError, 3),
+        ([OSError("connection reset"), (200, OK)], None, 2),
+    ])
+    def test_status_table(self, script, expected, calls):
+        sleeps = []
+        engine, transport = http_engine(script, sleep=sleeps.append, max_retries=2)
+        if expected is None:
+            assert engine.complete(req()).text == "ok"
+        else:
+            with pytest.raises(EngineError) as info:
+                engine.complete(req())
+            assert type(info.value) is expected
+        assert transport.calls == calls
+        assert sleeps == [0.5, 1.0][:calls - 1]
 
     def test_api_key_env_name(self):
         engine, _ = http_engine([], )
@@ -314,24 +344,32 @@ class TestCosts:
         assert table.prices["m"] == (3e-6, 15e-6)
 
 
+def loaded(tmp_path, pairs):
+    """Write ``pairs`` as a config file and load it through the key table."""
+    path = tmp_path / "engine.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()),
+                    encoding="utf-8")
+    return load_config(path)
+
+
 class TestEngineFromConfig:
     def test_replay(self, tmp_path):
-        cfg = {"engine.forward.kind": "replay",
-               "engine.forward.transcript_dir": str(tmp_path)}
+        cfg = loaded(tmp_path, {"engine.forward.kind": "replay",
+                                "engine.forward.transcript_dir": str(tmp_path)})
         assert isinstance(engine_from_config(cfg, "forward"), ReplayEngine)
 
     def test_http_with_recording(self, tmp_path):
-        cfg = {
+        cfg = loaded(tmp_path, {
             "engine.forward.kind": "http",
             "engine.forward.endpoint": "http://fake",
             "engine.forward.model": "m",
             "engine.forward.record": "true",
             "engine.forward.transcript_dir": str(tmp_path),
-        }
+        })
         engine = engine_from_config(cfg, "forward")
         assert isinstance(engine, RecordingEngine)
         assert isinstance(engine.inner, HttpEngine)
 
-    def test_unknown_kind(self):
+    def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError):
-            engine_from_config({"engine.x.kind": "carrier-pigeon"}, "x")
+            engine_from_config(loaded(tmp_path, {"engine.x.kind": "carrier-pigeon"}), "x")

@@ -41,8 +41,6 @@ class DocsSeen:
     """Passes requests on to ``inner``, records their document ids, and is
     killed on call ``kill_on`` (1-based) if given."""
 
-    supports_attachments = True
-
     def __init__(self, inner, kill_on=None):
         self.inner, self.kill_on = inner, kill_on
         self.docs = []
@@ -117,8 +115,6 @@ class TestRunExtraction:
 
     def test_failed_docs_recorded_and_retryable(self, corpus8, truth_by_doc, tmp_path):
         class FailsSomeDocs:
-            supports_attachments = True
-
             def __init__(self, inner, bad):
                 self.inner, self.bad = inner, bad
                 self.calls = 0
@@ -152,7 +148,6 @@ class TestRunExtraction:
 
     def test_auth_error_aborts(self, corpus8, tmp_path):
         class BadAuth:
-            supports_attachments = True
             calls = 0
 
             def complete(self, request):
@@ -257,8 +252,6 @@ class TestRunExtraction:
         (tmp_path / "dataset.csv").unlink()
 
         class MustNotBeCalled:
-            supports_attachments = True
-
             def complete(self, request):
                 raise AssertionError("ledger replay must not re-call the engine")
 
