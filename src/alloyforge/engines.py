@@ -192,27 +192,15 @@ class TranscriptStore:
                 tmp.replace(path)
 
 
-class _CallCounter:
-    def __init__(self):
-        self.calls = 0
-        self._counter_lock = threading.Lock()
-
-    def _count(self) -> None:
-        with self._counter_lock:
-            self.calls += 1
-
-
-class ReplayEngine(_CallCounter):
+class ReplayEngine:
     """Serves recorded responses only; any novel request is a ReplayMiss."""
 
     supports_attachments = True
 
     def __init__(self, store: TranscriptStore | str):
-        super().__init__()
         self.store = store if isinstance(store, TranscriptStore) else TranscriptStore(store)
 
     def complete(self, request: EngineRequest) -> EngineResponse:
-        self._count()
         key = transcript_key(request)
         response = self.store.get(key)
         if response is None:
@@ -220,29 +208,25 @@ class ReplayEngine(_CallCounter):
         return response
 
 
-class RecordingEngine(_CallCounter):
+class RecordingEngine:
     """Wraps another engine, persisting every exchange into a transcript store.
 
-    With ``reuse_cached`` (default) a request already in the store is answered
-    from it without touching the inner engine, which also makes interrupted
-    runs resumable at the engine level.
+    A request already in the store is answered from it without touching the
+    inner engine, which also makes interrupted runs resumable at the engine
+    level.
     """
 
     supports_attachments = True
 
-    def __init__(self, inner, store: TranscriptStore | str, reuse_cached: bool = True):
-        super().__init__()
+    def __init__(self, inner, store: TranscriptStore | str):
         self.inner = inner
         self.store = store if isinstance(store, TranscriptStore) else TranscriptStore(store)
-        self.reuse_cached = reuse_cached
 
     def complete(self, request: EngineRequest) -> EngineResponse:
-        self._count()
         key = transcript_key(request)
-        if self.reuse_cached:
-            cached = self.store.get(key)
-            if cached is not None:
-                return cached
+        cached = self.store.get(key)
+        if cached is not None:
+            return cached
         response = self.inner.complete(request)
         self.store.put(key, request, response)
         return response
@@ -287,7 +271,17 @@ def _requests_transport(url, payload, headers, timeout):
     return reply.status_code, body
 
 
-class HttpEngine(_CallCounter):
+def _response_from_body(body, latency_s: float) -> EngineResponse:
+    """The response a 200 body describes; a malformed body is an ``EngineError``."""
+    if isinstance(body, dict):
+        text = body.get("text")
+        tokens = [body.get("input_tokens", 0), body.get("output_tokens", 0)]
+        if isinstance(text, str) and all(type(t) is int and t >= 0 for t in tokens):
+            return EngineResponse(text, *tokens, latency_s=latency_s)
+    raise EngineError(f"malformed reply body: {body!r:.200}")
+
+
+class HttpEngine:
     """JSON-over-HTTP engine with exponential-backoff retry.
 
     Expects the endpoint to accept ``{model, system, user, temperature,
@@ -311,7 +305,6 @@ class HttpEngine(_CallCounter):
         transport=None,
         sleep=time.sleep,
     ):
-        super().__init__()
         self.endpoint = endpoint
         self.model_name = model_name
         self.name = name
@@ -350,7 +343,6 @@ class HttpEngine(_CallCounter):
         }
 
     def complete(self, request: EngineRequest) -> EngineResponse:
-        self._count()
         size = len(request.user_text) + sum(
             len(c) for _, c in request.attachments
         )
@@ -376,13 +368,9 @@ class HttpEngine(_CallCounter):
                     status, body = None, {"error": str(exc)}
                 elapsed = time.monotonic() - started
             if status == 200:
-                return EngineResponse(
-                    text=body.get("text", ""),
-                    input_tokens=int(body.get("input_tokens", 0)),
-                    output_tokens=int(body.get("output_tokens", 0)),
-                    latency_s=elapsed,
-                )
-            error = str(body.get("error", f"status {status}"))
+                return _response_from_body(body, elapsed)
+            error = (str(body.get("error", f"status {status}")) if isinstance(body, dict)
+                     else str(body))
             if status in (401, 403):
                 raise AuthError(f"{self.endpoint} returned {status} (env {self.api_key_env})")
             if status == 413 or (status == 400 and "context" in error.lower()):

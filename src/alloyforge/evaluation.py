@@ -21,6 +21,10 @@ COMPOSITE_FIELD = "composite"
 DEFAULT_FIELDS = ("nominal_composition", "lattice_constant", "phase", "processing")
 SCORABLE_FIELDS = (COMPOSITE_FIELD,) + DEFAULT_FIELDS
 
+L1_MATCH = 0.05       # pairing admissibility on nominal composition
+LATTICE_ABS = 0.005   # angstrom tolerance for lattice equality
+L1_FIELD = 0.05       # L1 tolerance for composition field equality
+
 # assignment totals this close to the optimum count as ties
 _COST_EPS = 1e-12
 
@@ -58,13 +62,6 @@ class EntityMetrics:
         return cls(precision=p, recall=r, f1=f1(p, r))
 
 
-@dataclass(frozen=True)
-class MatchTolerances:
-    l1_match: float = 0.05       # pairing admissibility on nominal composition
-    lattice_abs: float = 0.005   # angstrom tolerance for lattice equality
-    l1_field: float = 0.05       # L1 tolerance for composition field equality
-
-
 @dataclass
 class MatchResult:
     pairs: list[tuple[int, int]]          # (extracted index, truth index)
@@ -94,15 +91,11 @@ def composite_criterion(record: AlloyRecord) -> bool:
 # --- record alignment ------------------------------------------------------------
 
 
-def match_entries(
-    extracted: list[AlloyRecord],
-    truth: list[AlloyRecord],
-    tol: MatchTolerances = MatchTolerances(),
-) -> MatchResult:
+def match_entries(extracted: list[AlloyRecord], truth: list[AlloyRecord]) -> MatchResult:
     """Align extracted records to truth records within one document.
 
     A pair is admissible when both nominal compositions exist, have identical
-    element sets, and differ by L1 at most ``tol.l1_match``. Among admissible
+    element sets, and differ by L1 at most ``L1_MATCH``. Among admissible
     assignments the maximum-cardinality, minimum-total-L1 one is chosen; ties
     prefer pairings with earlier truth (then extracted) indices. Every
     element-set group goes through one polynomial assignment solver, whatever
@@ -127,7 +120,7 @@ def match_entries(
              for t in t_idxs]
             for e in e_idxs
         ])
-        local = _assign(distance, distance <= tol.l1_match)
+        local = _assign(distance, distance <= L1_MATCH)
         pairs.extend((e_idxs[le], t_idxs[lt]) for lt, le in local.items())
 
     matched_e = {e for e, _ in pairs}
@@ -189,17 +182,17 @@ def _assign(distance: np.ndarray, admissible: np.ndarray) -> dict[int, int]:
 # --- field scoring ----------------------------------------------------------------
 
 
-def _field_equal(field_name: str, e: AlloyRecord, t: AlloyRecord, tol: MatchTolerances) -> bool:
+def _field_equal(field_name: str, e: AlloyRecord, t: AlloyRecord) -> bool:
     if field_name == "nominal_composition":
         a, b = e.nominal_composition, t.nominal_composition
         if a is None or b is None:
             return a is None and b is None
-        return l1_distance(a, b) <= tol.l1_field
+        return l1_distance(a, b) <= L1_FIELD
     if field_name == "lattice_constant":
         a, b = e.lattice_constant, t.lattice_constant
         if a is None or b is None:
             return a is None and b is None
-        return abs(a.value - b.value) <= tol.lattice_abs
+        return abs(a.value - b.value) <= LATTICE_ABS
     if field_name == "phase":
         return e.phase.kind == t.phase.kind
     if field_name == "processing":
@@ -212,7 +205,6 @@ def score_entities(
     extracted: list[AlloyRecord],
     truth: list[AlloyRecord],
     fields=DEFAULT_FIELDS,
-    tol: MatchTolerances = MatchTolerances(),
 ) -> dict[str, ConfusionCounts]:
     """Tally TP/FP/FN per field under the hierarchical scoring rule.
 
@@ -258,7 +250,7 @@ def score_entities(
         for name in fields:
             if name == COMPOSITE_FIELD:
                 continue
-            if _field_equal(name, e, t, tol):
+            if _field_equal(name, e, t):
                 counts[name].tp += 1
             else:
                 counts[name].fp += 1
@@ -306,7 +298,6 @@ def evaluate_run(
     extracted_by_doc: dict[str, list[AlloyRecord]],
     truth_by_doc: dict[str, list[AlloyRecord]],
     fields=DEFAULT_FIELDS,
-    tol: MatchTolerances = MatchTolerances(),
 ) -> EvaluationReport:
     """Match and score per document, summing counts before computing metrics."""
     unknown_docs = set(extracted_by_doc) - set(truth_by_doc)
@@ -318,7 +309,7 @@ def evaluate_run(
     for doc_id in truth_by_doc:
         extracted = extracted_by_doc.get(doc_id, [])
         truth = truth_by_doc[doc_id]
-        match = match_entries(extracted, truth, tol)
-        for name, c in score_entities(match, extracted, truth, fields, tol).items():
+        match = match_entries(extracted, truth)
+        for name, c in score_entities(match, extracted, truth, fields).items():
             totals[name].add(c)
     return EvaluationReport(counts=totals, fields=tuple(fields))

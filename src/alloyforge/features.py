@@ -102,9 +102,6 @@ class FeatureVector:
             ]
         )
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, self.as_array().tolist()))
-
 
 def featurize(composition: Composition, table: ElementPropertyTable) -> FeatureVector:
     """Fraction-weighted average of each elemental property."""
@@ -179,7 +176,7 @@ def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
 
 
 def _standardized_coefficient_ranker(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Default importance: absolute least-squares coefficients on z-scored columns."""
+    """Importance: absolute least-squares coefficients on z-scored columns."""
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     sigma[sigma == 0.0] = 1.0
@@ -189,30 +186,23 @@ def _standardized_coefficient_ranker(X: np.ndarray, y: np.ndarray) -> np.ndarray
     return np.abs(coef[:-1])
 
 
-def rfe_select(
-    X: np.ndarray,
-    y: np.ndarray,
-    k: int,
-    ranker=None,
-    feature_names=None,
-) -> list[str]:
+def rfe_select(X: np.ndarray, y: np.ndarray, k: int) -> list[str]:
     """Recursive feature elimination down to ``k`` features.
 
-    Repeatedly refits the ranker and drops the least-important column; the
-    survivors are returned most-resistant first (the virtual elimination is
-    continued past ``k`` to order them). Zero-variance columns are dropped
-    first with a warning.
+    Repeatedly refits a least-squares ranker on z-scored columns and drops the
+    least-important column; the survivors are returned most-resistant first
+    (the virtual elimination is continued past ``k`` to order them), named
+    after ``FEATURE_NAMES`` for a six-column design and ``x<i>`` otherwise.
+    Zero-variance columns are dropped first with a warning.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n_features = X.shape[1]
     if not 1 <= k <= n_features:
         raise ValueError(f"k={k} out of range for {n_features} features")
-    if feature_names is None:
-        feature_names = FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(
-            f"x{i}" for i in range(n_features)
-        )
-    rank = ranker or _standardized_coefficient_ranker
+    feature_names = FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(
+        f"x{i}" for i in range(n_features)
+    )
 
     active = list(range(n_features))
     elimination_order: list[int] = []
@@ -226,7 +216,7 @@ def rfe_select(
         active.remove(col)
 
     while len(active) > 1:
-        importances = rank(X[:, active], y)
+        importances = _standardized_coefficient_ranker(X[:, active], y)
         weakest = active[int(np.argmin(importances))]
         elimination_order.append(weakest)
         active.remove(weakest)

@@ -21,8 +21,11 @@ DEFAULT_GAMMA_GRID = tuple(float(2.0**k) for k in range(-8, 4))
 DEFAULT_COST_GRID = tuple(float(2.0**k) for k in range(-2, 9))
 DEFAULT_ENSEMBLE_SIZES = (10, 20, 30, 40, 50, 75, 100)
 DEFAULT_EPSILON = 0.1          # tube width in standardized target units
-DEFAULT_LASSO_TOL = 1e-8
-DEFAULT_SVR_TOL = 1e-3
+SVR_TOL = 1e-3                 # KKT violation at which SMO stops
+ESVR_VAL_FRACTION = 0.25       # share of the training set carved off for validation
+LASSO_TOL = 1e-8
+CV_FOLDS = 10
+_PATH_TOL = 1e-6               # looser tolerance for the warm-started path fits
 _TAU = 1e-12
 
 
@@ -269,13 +272,8 @@ def _smo_epsilon_svr(K, y, cost, epsilon, tol, max_iter):
     return beta, bias, iterations, converged
 
 
-def fit_svr(
-    X: np.ndarray,
-    y: np.ndarray,
-    hp: SvrHyperParams,
-    tol: float = DEFAULT_SVR_TOL,
-    max_iter: int | None = None,
-) -> SvrEstimator:
+def fit_svr(X: np.ndarray, y: np.ndarray, hp: SvrHyperParams,
+            max_iter: int | None = None) -> SvrEstimator:
     """Fit one epsilon-SVR on standardized inputs."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -284,11 +282,11 @@ def fit_svr(
         max_iter = max(40_000, 400 * n)
     K = _rbf_kernel(X, X, hp.gamma)
     beta, bias, iterations, converged = _smo_epsilon_svr(
-        K, y, hp.cost, hp.epsilon, tol, max_iter
+        K, y, hp.cost, hp.epsilon, SVR_TOL, max_iter
     )
     if not converged:
         warnings.warn(
-            f"SMO stopped after {iterations} iterations without reaching tol={tol}",
+            f"SMO stopped after {iterations} iterations without reaching tol={SVR_TOL}",
             NonConvergence,
         )
     keep = np.abs(beta) > 1e-12
@@ -302,10 +300,7 @@ def train_esvr(
     cost_grid=DEFAULT_COST_GRID,
     ensemble_sizes=DEFAULT_ENSEMBLE_SIZES,
     validation=None,
-    val_fraction: float = 0.25,
     seed: int = 0,
-    epsilon: float = DEFAULT_EPSILON,
-    tol: float = DEFAULT_SVR_TOL,
 ) -> EnsembleModel:
     """Train a bagged epsilon-SVR ensemble with per-estimator grid search.
 
@@ -331,7 +326,7 @@ def train_esvr(
     if validation is None:
         carve_rng = np.random.default_rng(seed)
         perm = carve_rng.permutation(len(Z))
-        n_val = max(2, round(val_fraction * len(Z)))
+        n_val = max(2, round(ESVR_VAL_FRACTION * len(Z)))
         if len(Z) - n_val < 2:
             # too few samples to carve a holdout; validate on the training data
             Z_fit, u_fit, Z_val, y_val = Z, u, Z, y
@@ -364,7 +359,7 @@ def train_esvr(
         best = None
         for gamma in gamma_grid:
             for cost in cost_grid:
-                est = fit_svr(Zb, ub, SvrHyperParams(gamma, cost, epsilon), tol=tol)
+                est = fit_svr(Zb, ub, SvrHyperParams(gamma, cost))
                 mse = float(np.mean((est.predict(Z_score) - u_score) ** 2))
                 if best is None or mse < best[0]:
                     best = (mse, est)
@@ -432,62 +427,52 @@ def _lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None):
     return np.asarray(w)
 
 
-def fit_lasso(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    tol: float = DEFAULT_LASSO_TOL,
-    max_iter: int = 100_000,
-):
+def _centered_moments(X: np.ndarray, y: np.ndarray):
+    """(x_mean, y_mean, Gram = Xc'Xc/n, corr = Xc'yc/n, diag(Gram)) for centered Xc, yc."""
+    n = len(y)
+    x_mean, y_mean = X.mean(axis=0), float(y.mean())
+    Xc, yc = X - x_mean, y - y_mean
+    gram = Xc.T @ Xc / n
+    return x_mean, y_mean, gram, Xc.T @ yc / n, np.diag(gram).copy()
+
+
+def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float):
     """Fit one LASSO by cyclic coordinate descent; returns (coef, intercept)."""
     if lam < 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
-    Xc = X - x_mean
-    yc = y - y_mean
-    gram = Xc.T @ Xc / n
-    corr = Xc.T @ yc / n
-    w = _lasso_cd(gram, corr, np.diag(gram).copy(), lam, tol, max_iter)
+    x_mean, y_mean, gram, corr, diag = _centered_moments(
+        np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+    w = _lasso_cd(gram, corr, diag, lam, LASSO_TOL, 100_000)
     intercept = y_mean - float(x_mean @ w)
     return w, intercept
 
 
 def lasso_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     """Smallest penalty that zeroes every coefficient: max|X'(y - mean(y))| / n."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    Xc = X - X.mean(axis=0)
-    yc = y - y.mean()
-    return float(np.max(np.abs(Xc.T @ yc)) / len(y))
+    corr = _centered_moments(np.asarray(X, dtype=float), np.asarray(y, dtype=float))[3]
+    return float(np.max(np.abs(corr)))
 
 
 def train_elasso(
     X,
     y,
     B: int = 1000,
-    folds: int = 10,
-    lambda_grid=None,
     seed: int = 0,
-    tol: float = DEFAULT_LASSO_TOL,
 ) -> EnsembleModel:
     """Train a bootstrap LASSO ensemble.
 
     Each of the ``B`` resamples carries its own penalty, chosen to minimize
-    mean squared error under ``folds``-fold cross-validation over a 50-point
-    logarithmic grid below that resample's shutoff penalty (or over
-    ``lambda_grid`` when given).
+    mean squared error under ``CV_FOLDS``-fold cross-validation over a
+    50-point logarithmic grid below that resample's shutoff penalty.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) != len(y):
         raise DimensionMismatch("X and y lengths differ")
     n = len(y)
-    if n < folds:
-        raise TooFewSamples(f"need at least {folds} samples for {folds}-fold CV, got {n}")
+    if n < CV_FOLDS:
+        raise TooFewSamples(
+            f"need at least {CV_FOLDS} samples for {CV_FOLDS}-fold CV, got {n}")
     if B < 1:
         raise ValueError("B must be at least 1")
 
@@ -500,44 +485,31 @@ def train_elasso(
         rng = np.random.default_rng(children[b])
         picks = rng.integers(0, n, n)
         Zb, ub = Z[picks], u[picks]
-        if lambda_grid is None:
-            lam_max = lasso_lambda_max(Zb, ub)
-            if lam_max <= 0:
-                lam_max = 1e-8
-            grid = np.geomspace(lam_max, lam_max * 1e-4, 50)
-        else:
-            grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
+        xm, ym, gram, corr, diag = _centered_moments(Zb, ub)
+        lam_max = float(np.max(np.abs(corr)))
+        if lam_max <= 0:
+            lam_max = 1e-8
+        grid = np.geomspace(lam_max, lam_max * 1e-4, 50)
 
-        fold_ids = rng.permutation(n) % folds
+        fold_ids = rng.permutation(n) % CV_FOLDS
         cv_errors = np.zeros(len(grid))
-        for fold in range(folds):
+        for fold in range(CV_FOLDS):
             val_mask = fold_ids == fold
-            Zt, ut = Zb[~val_mask], ub[~val_mask]
             Zv, uv = Zb[val_mask], ub[val_mask]
-            nt = len(ut)
-            xm, ym = Zt.mean(axis=0), float(ut.mean())
-            Xc, yc = Zt - xm, ut - ym
-            gram = Xc.T @ Xc / nt
-            corr = Xc.T @ yc / nt
-            diag = np.diag(gram).copy()
+            fxm, fym, fgram, fcorr, fdiag = _centered_moments(Zb[~val_mask], ub[~val_mask])
             w = None
             for g_idx, lam in enumerate(grid):
                 # scoring fits ride the warm-started path; loose tolerance and a
                 # small sweep cap keep ill-conditioned resamples from stalling
-                w = _lasso_cd(gram, corr, diag, lam, max(tol, 1e-6), 300, w0=w)
-                pred = (Zv - xm) @ w + ym
+                w = _lasso_cd(fgram, fcorr, fdiag, lam, _PATH_TOL, 300, w0=w)
+                pred = (Zv - fxm) @ w + fym
                 cv_errors[g_idx] += float(np.mean((pred - uv) ** 2))
         best_idx = int(np.argmin(cv_errors))
         best_lam = float(grid[best_idx])
-        xm, ym = Zb.mean(axis=0), float(ub.mean())
-        Xc, yc = Zb - xm, ub - ym
-        gram = Xc.T @ Xc / n
-        corr = Xc.T @ yc / n
-        diag = np.diag(gram).copy()
         w = None
         for lam in grid[: best_idx + 1]:
-            w = _lasso_cd(gram, corr, diag, float(lam), max(tol, 1e-6), 300, w0=w)
-        w = _lasso_cd(gram, corr, diag, best_lam, tol, 5_000, w0=w)
+            w = _lasso_cd(gram, corr, diag, float(lam), _PATH_TOL, 300, w0=w)
+        w = _lasso_cd(gram, corr, diag, best_lam, LASSO_TOL, 5_000, w0=w)
         intercept = ym - float(xm @ w)
         estimators.append(LassoEstimator(coef=w, intercept=intercept, lam=best_lam))
 
@@ -546,7 +518,7 @@ def train_elasso(
         estimators=estimators,
         standardization=std,
         seed=seed,
-        extra={"bootstrap_count": B, "folds": folds},
+        extra={"bootstrap_count": B, "folds": CV_FOLDS},
     )
 
 

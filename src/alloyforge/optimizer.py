@@ -85,17 +85,12 @@ class OptimizationConfig:
     evaluator_engine: object
     epochs: int = 3
     batch_size: int = 3
-    evaluation_prompt_template: str | None = None
     forward_temperature: float = 0.0
     parallelism: int = 1
-    fields: tuple = evaluation.DEFAULT_FIELDS
-    tolerances: evaluation.MatchTolerances = field(default_factory=evaluation.MatchTolerances)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-        if self.evaluation_prompt_template is None:
-            self.evaluation_prompt_template = default_evaluation_template()
 
 
 @dataclass
@@ -291,6 +286,7 @@ def optimize(
     if missing:
         raise ValueError(f"truth documents missing from corpus: {sorted(missing)}")
 
+    template = default_evaluation_template()
     history = PromptHistory(prompts=[initial], epochs=[])
     current = initial
     doc_ids = corpus.ids
@@ -318,7 +314,7 @@ def optimize(
                         outputs[doc_id],
                         config.evaluator_engine,
                         corpus,
-                        config.evaluation_prompt_template,
+                        template,
                     )
                 )
             if feedbacks:
@@ -333,9 +329,7 @@ def optimize(
             current = replace(current, epoch=epoch)
             history.prompts.append(current)
         scored = {doc_id: epoch_outputs.get(doc_id, []) for doc_id in truth_by_doc}
-        report = evaluation.evaluate_run(
-            scored, truth_by_doc, fields=config.fields, tol=config.tolerances
-        )
+        report = evaluation.evaluate_run(scored, truth_by_doc)
         history.epochs.append(
             EpochSnapshot(epoch=epoch, final_version=current.version, metrics=report.metrics)
         )

@@ -30,6 +30,7 @@ from .records import (
     AlloyRecord,
     DocumentId,
     MalformedOutput,
+    RecordError,
     RecordSetParseResult,
     parse_record_set,
     record_from_object,
@@ -131,16 +132,23 @@ def ingest_corpus(manifest_path) -> CorpusManifest:
         if not needed.issubset(reader.fieldnames or []):
             raise PipelineError(f"{manifest_path}: manifest needs columns {sorted(needed)}")
         for row_index, row in enumerate(reader, start=2):
+            where = f"{manifest_path}:{row_index}"
+            if any(row[column] is None for column in needed):
+                raise PipelineError(f"{where}: row needs columns {sorted(needed)}")
             doc_id = row["doc_id"].strip()
             if doc_id in seen:
-                raise DuplicateId(f"{manifest_path}:{row_index}: duplicate id {doc_id!r}")
+                raise DuplicateId(f"{where}: duplicate id {doc_id!r}")
             seen.add(doc_id)
             path = Path(row["path"].strip())
             if not path.is_absolute():
                 path = manifest_path.parent / path
             if not path.is_file():
-                raise UnreadablePath(f"{manifest_path}:{row_index}: cannot read {path}")
-            entries.append(ManifestEntry(doc=DocumentId(doc_id, row["kind"].strip()), path=path))
+                raise UnreadablePath(f"{where}: cannot read {path}")
+            try:
+                doc = DocumentId(doc_id, row["kind"].strip())
+            except RecordError as exc:
+                raise PipelineError(f"{where}: {exc}") from None
+            entries.append(ManifestEntry(doc=doc, path=path))
     return CorpusManifest(entries=entries)
 
 
@@ -300,7 +308,7 @@ def _run_summary(entries: list[dict], engine_calls: int, wall_s: float) -> dict:
 
 
 def run_extraction(
-    corpus: CorpusStore | CorpusManifest,
+    corpus: CorpusStore,
     prompt_text: str,
     engine,
     out_dir,
@@ -321,8 +329,6 @@ def run_extraction(
     or not, reports what it did in ``run_summary.json``.
     """
     started = time.perf_counter()
-    if isinstance(corpus, CorpusManifest):
-        corpus = CorpusStore(corpus)
     out_dir = Path(out_dir)
     raw_dir = out_dir / RAW_DIRNAME
     raw_dir.mkdir(parents=True, exist_ok=True)
@@ -459,7 +465,11 @@ def _rebuild_dataset(corpus: CorpusStore, ledger: RunLedger, out_dir: Path,
 
 
 def write_dataset(dataset: dict[str, list[AlloyRecord]], path, doc_order=None) -> None:
-    """Append-only JSON-lines dataset: one record per line with its doc id."""
+    """Write the whole JSON-lines dataset: one record per line with its doc id.
+
+    Documents follow ``doc_order`` (sorted ids by default); the file is
+    replaced, not appended to.
+    """
     order = doc_order if doc_order is not None else sorted(dataset)
     lines = []
     for doc_id in order:
@@ -586,7 +596,8 @@ class SummaryReport:
         for kind, count in sorted(self.bcc_processing_counts.items()):
             lines.append(f"  {kind}: {count} ({percent(count, bcc_total)}%)")
         lines.append(
-            f"outliers: {self.outlier_low} below 1 A, {self.outlier_high} above 10 A"
+            f"outliers: {self.outlier_low} below {quality.PLAUSIBLE_LO:g} A,"
+            f" {self.outlier_high} above {quality.PLAUSIBLE_HI:g} A"
         )
         lines.append("as-cast BCC lattice histogram (A):")
         for lo, hi, count in self.histogram:
@@ -619,8 +630,10 @@ def summarize(dataset) -> SummaryReport:
         phase_counts=phase_counts,
         bcc_processing_counts=processing_counts,
         histogram=histogram,
-        outlier_low=sum(1 for r in with_lattice if r.lattice_constant.value <= 1.0),
-        outlier_high=sum(1 for r in with_lattice if r.lattice_constant.value >= 10.0),
+        outlier_low=sum(1 for r in with_lattice
+                        if r.lattice_constant.value <= quality.PLAUSIBLE_LO),
+        outlier_high=sum(1 for r in with_lattice
+                         if r.lattice_constant.value >= quality.PLAUSIBLE_HI),
     )
 
 

@@ -51,7 +51,6 @@ class RepairSuggestion:
     original: float
     repaired: float
     assumed_unit: str                 # nm | pm
-    confidence_band: tuple[float, float] = REPAIR_BAND
 
 
 @dataclass(frozen=True)
@@ -72,24 +71,20 @@ class AuditReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def filter_plausible(
-    records: list[AlloyRecord], lo: float = PLAUSIBLE_LO, hi: float = PLAUSIBLE_HI
-) -> PlausibilityPartition:
-    """Partition records by lattice-constant plausibility.
+def filter_plausible(records: list[AlloyRecord]) -> PlausibilityPartition:
+    """Partition records by lattice-constant plausibility (``PLAUSIBLE_LO``, ``PLAUSIBLE_HI``).
 
     Records without a lattice constant are accepted; the screen applies to
     reported values only.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
     partition = PlausibilityPartition()
     for record in records:
         length = record.lattice_constant
         if length is None:
             partition.accepted.append(record)
-        elif length.value <= lo:
+        elif length.value <= PLAUSIBLE_LO:
             partition.rejected_low.append(record)
-        elif length.value >= hi:
+        elif length.value >= PLAUSIBLE_HI:
             partition.rejected_high.append(record)
         else:
             partition.accepted.append(record)

@@ -468,7 +468,7 @@ def _extract_entries(text: str) -> list:
             continue
         try:
             value = json.loads(candidate)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             continue
         entries = _coerce_entries(value)
         if entries is not None:
@@ -480,6 +480,10 @@ def _extract_entries(text: str) -> list:
                 value, _ = decoder.raw_decode(text, match.start())
             except json.JSONDecodeError:
                 continue
+            except RecursionError:
+                # nesting past the decoder's limit is no record block, and
+                # rescanning each opener inside it would take quadratic time
+                break
             entries = _coerce_entries(value)
             if entries is not None:
                 return entries

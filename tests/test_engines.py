@@ -93,12 +93,11 @@ class TestReplayAndRecording:
 
     def test_recording_is_idempotent(self, tmp_path):
         store = TranscriptStore(tmp_path)
-        inner = _StaticEngine()
-        recorder = RecordingEngine(inner, store, reuse_cached=False)
-        recorder.complete(req())
-        recorder.complete(req())
-        assert inner.calls == 2
+        key = transcript_key(req())
+        store.put(key, req(), EngineResponse(text="first"))
+        store.put(key, req(), EngineResponse(text="second"))
         assert len(list(tmp_path.glob("*.response"))) == 1
+        assert store.get(key).text == "first"
 
     def test_reuse_cached_skips_inner(self, tmp_path):
         store = TranscriptStore(tmp_path)
@@ -242,6 +241,17 @@ class TestHttpEngine:
         ([(503, {"error": "busy"}), (200, OK)], None, 2),
         ([OSError("connection reset")] * 3, EngineError, 3),
         ([OSError("connection reset"), (200, OK)], None, 2),
+        ([(200, ["ok"])], EngineError, 1),
+        ([(200, "ok")], EngineError, 1),
+        ([(200, {"text": None})], EngineError, 1),
+        ([(200, {"input_tokens": 1})], EngineError, 1),
+        ([(200, {"text": "ok", "input_tokens": "n/a"})], EngineError, 1),
+        ([(200, {"text": "ok", "output_tokens": -1})], EngineError, 1),
+        ([(503, ["busy"]), (200, OK)], None, 2),
+        ([(503, "busy")] * 3, EngineError, 3),
+        ([(400, "maximum context length exceeded")], ContextTooLong, 1),
+        ([(401, ["denied"])], AuthError, 1),
+        ([(404, "not found")], EngineError, 1),
     ])
     def test_status_table(self, script, expected, calls):
         sleeps = []

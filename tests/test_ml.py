@@ -258,7 +258,7 @@ class TestEnsembles:
     def test_elasso_needs_enough_samples(self):
         X, y = vegard_data(n=8)
         with pytest.raises(ml.TooFewSamples):
-            ml.train_elasso(X, y, B=2, folds=10)
+            ml.train_elasso(X, y, B=2)
 
     def test_shared_split_config(self):
         X, y = vegard_data(n=40)

@@ -6,6 +6,7 @@ import pytest
 from alloyforge.engines import (
     AuthError,
     EngineError,
+    EngineResponse,
     RecordingEngine,
     ReplayEngine,
     TranscriptStore,
@@ -74,6 +75,21 @@ class TestIngestCorpus:
         manifest.write_text("doc_id,path,kind\nd1,missing.txt,plain_text\n", encoding="utf-8")
         with pytest.raises(UnreadablePath):
             ingest_corpus(manifest)
+
+    @pytest.mark.parametrize("row, message", [
+        ("d1,a.txt", "row needs columns"),
+        ("d1", "row needs columns"),
+        ("d1,a.txt,txt", "unknown document kind 'txt'"),
+    ])
+    def test_bad_row_names_manifest_row(self, tmp_path, row, message):
+        (tmp_path / "a.txt").write_text("x", encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"doc_id,path,kind\nd0,a.txt,plain_text\n{row}\n",
+                            encoding="utf-8")
+        with pytest.raises(PipelineError) as info:
+            ingest_corpus(manifest)
+        assert type(info.value) is PipelineError
+        assert str(info.value).startswith(f"{manifest}:3: {message}")
 
     def test_mixed_kinds(self, tmp_path):
         text = tmp_path / "a.txt"
@@ -145,6 +161,26 @@ class TestRunExtraction:
         assert healthy.calls == 2  # only the failed documents are re-called
         assert resumed.ledger.counts()["failed"] == 0
         assert resumed.ledger.states["d03"].attempts == 2
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_deeply_nested_answer_fails_its_document_only(
+        self, corpus8, truth_by_doc, tmp_path, parallelism
+    ):
+        class NestsOneDoc:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                if "Document d04:" in request.user_text:
+                    return EngineResponse(text="[" * 100_000)
+                return self.inner.complete(request)
+
+        engine = NestsOneDoc(ScriptedForwardEngine(truth_by_doc))
+        result = run_extraction(corpus8, FULL_PROMPT, engine, tmp_path,
+                                parallelism=parallelism)
+        assert result.ledger.states["d04"].status == "failed"
+        assert result.ledger.counts() == {"pending": 0, "done": 6, "rejected": 1, "failed": 1}
+        assert (tmp_path / "ledger.json").exists() and (tmp_path / "dataset.jsonl").exists()
 
     def test_auth_error_aborts(self, corpus8, tmp_path):
         class BadAuth:

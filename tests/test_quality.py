@@ -44,10 +44,6 @@ class TestFilterPlausible:
         part = filter_plausible(records)
         assert len(part) == len(records)
 
-    def test_bad_band(self):
-        with pytest.raises(ValueError):
-            filter_plausible([], lo=5.0, hi=1.0)
-
 
 class TestUnitRepair:
     def test_nanometer_case(self):

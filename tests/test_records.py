@@ -116,6 +116,16 @@ class TestParseRecordSet:
         with pytest.raises(MalformedOutput):
             parse_record_set("no json anywhere", DOC)
 
+    def test_deep_nesting_malformed(self):
+        for opener in ("[", "{\"a\":"):
+            with pytest.raises(MalformedOutput):
+                parse_record_set(opener * 100_000, DOC)
+
+    def test_block_after_deep_nesting_in_a_fence(self):
+        block = json.dumps([{"alloy_name": "MoNbTaW"}])
+        result = parse_record_set("[" * 5000 + f"\n```json\n{block}\n```", DOC)
+        assert [r.alloy_name for r in result.records] == ["MoNbTaW"]
+
     def test_prose_and_fences(self):
         inner = json.dumps([{"alloy_name": "MoNbTaW"}])
         text = f"Sure! Here is the data:\n```json\n{inner}\n```\nLet me know."
