@@ -251,6 +251,9 @@ def cmd_train(args) -> int:
         f"test R2 {ml.r2(y_test, test_pred):.3f} "
         f"({len(y_train)} train / {len(y_test)} test samples)"
     )
+    if args.model == "esvr":
+        print(f"SVR grid fits stopped at the SMO iteration cap: "
+              f"{model.extra['svr_nonconverged']}")
     print(f"model written to {args.out}")
     return 0
 

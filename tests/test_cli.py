@@ -118,6 +118,11 @@ def test_featurize_train_predict_flow(workspace, capsys):
     assert rc == 0
     assert "test R2" in capsys.readouterr().out
 
+    rc = main(["train", "--model", "esvr", "--data", str(work / "features.csv"),
+               "--out", str(work / "esvr.json"), "--seed", "1"])
+    assert rc == 0
+    assert "SVR grid fits stopped at the SMO iteration cap: 0" in capsys.readouterr().out
+
     rc = main(["predict", "--model", str(work / "model.json"),
                "--composition", "MoNbTaW"])
     assert rc == 0

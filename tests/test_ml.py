@@ -1,4 +1,7 @@
+import functools
 import json
+import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +20,25 @@ def vegard_data(seed=7, n=150, noise=0.005):
     coefs = np.array([0.02, 0.003, -0.001, 0.05, -0.004, 0.002])
     y = 2.6 + X @ coefs + rng.normal(0, noise, n)
     return X, y
+
+
+def assert_svr_kkt(K, y, beta, bias, hp, tol):
+    """The certificate of test_kkt_certificate_on_random_problems, for other tests."""
+    assert abs(beta.sum()) <= 1e-9                   # equality constraint
+    assert np.all(np.abs(beta) <= hp.cost + 1e-12)   # box constraint
+    residual = y - (K @ beta + bias)
+    slack = tol + 1e-8
+    for i in range(len(y)):
+        if abs(beta[i]) <= 1e-12:
+            assert abs(residual[i]) <= hp.epsilon + slack
+        elif beta[i] >= hp.cost - 1e-12:
+            assert residual[i] >= hp.epsilon - slack
+        elif beta[i] <= -hp.cost + 1e-12:
+            assert residual[i] <= -hp.epsilon + slack
+        elif beta[i] > 0:
+            assert abs(residual[i] - hp.epsilon) <= slack
+        else:
+            assert abs(residual[i] + hp.epsilon) <= slack
 
 
 class TestSplit:
@@ -116,6 +138,44 @@ class TestSvr:
                     assert abs(residual[i] - hp.epsilon) <= slack
                 else:
                     assert abs(residual[i] + hp.epsilon) <= slack
+
+    def test_warm_started_kkt_certificate(self):
+        # the same problems, solved at a quarter of the cost first; that
+        # solution stays feasible for the larger box and is the start there
+        rng = np.random.default_rng(40)
+        for trial in range(10):
+            n = int(rng.integers(5, 40))
+            X = rng.normal(size=(n, 3))
+            y = rng.normal(size=n)
+            hp = ml.SvrHyperParams(
+                gamma=float(rng.uniform(0.05, 2.0)),
+                cost=float(rng.uniform(0.5, 50.0)),
+                epsilon=float(rng.uniform(0.01, 0.3)),
+            )
+            tol = 1e-4
+            K = ml._rbf_kernel(X, X, hp.gamma)
+            start, _, _, converged = ml._smo_epsilon_svr(
+                K, y, hp.cost / 4, hp.epsilon, tol, max_iter=200_000)
+            assert converged
+            beta, bias, _, converged = ml._smo_epsilon_svr(
+                K, y, hp.cost, hp.epsilon, tol, max_iter=200_000, beta0=start)
+            assert converged
+            assert_svr_kkt(K, y, beta, bias, hp, tol)
+
+    def test_duplicate_support_rows_are_merged(self):
+        rng = np.random.default_rng(5)
+        X = np.repeat(rng.normal(size=(20, 3)), 2, axis=0)
+        y = np.repeat(rng.normal(size=20), 2)
+        hp = ml.SvrHyperParams(gamma=0.5, cost=10.0)
+        est = ml.fit_svr(X, y, hp)
+        assert len(est.support) > 0
+        assert len(np.unique(est.support, axis=0)) == len(est.support)
+        K = ml._rbf_kernel(X, X, hp.gamma)
+        beta, bias, _, _ = ml._smo_epsilon_svr(
+            K, y, hp.cost, hp.epsilon, ml.SVR_TOL, max_iter=max(40_000, 400 * len(y)))
+        probe = rng.normal(size=(30, 3))
+        unmerged = ml._rbf_kernel(probe, X, hp.gamma) @ beta + bias
+        assert np.max(np.abs(est.predict(probe) - unmerged)) <= 1e-12
 
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):
@@ -221,6 +281,34 @@ class TestEnsembles:
         ml.save_model(a, pa)
         ml.save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_esvr_cost_grid_order_does_not_matter(self, tmp_path):
+        X, y = vegard_data(n=50)
+        paths = []
+        for cost_grid in ((100.0, 1.0, 10.0), (1.0, 10.0, 100.0)):
+            model = ml.train_esvr(X, y, gamma_grid=(0.2, 1.0), cost_grid=cost_grid,
+                                  ensemble_sizes=(3,), seed=9)
+            paths.append(tmp_path / f"{len(paths)}.json")
+            ml.save_model(model, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_esvr_default_grid_converges(self):
+        X, y = vegard_data(n=100)   # 75 rows fitted after the holdout
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ml.NonConvergence)
+            model = ml.train_esvr(X, y, ensemble_sizes=(1,), seed=1)
+        assert model.extra["svr_nonconverged"] == 0
+        assert len(model.extra["svr_iterations"]) == 1
+
+    def test_esvr_counts_and_logs_nonconverged_fits(self, monkeypatch, caplog):
+        X, y = vegard_data(n=40)
+        monkeypatch.setattr(ml, "fit_svr", functools.partial(ml.fit_svr, max_iter=2))
+        with pytest.warns(ml.NonConvergence), caplog.at_level(logging.WARNING, "alloyforge.ml"):
+            model = ml.train_esvr(X, y, gamma_grid=(0.2, 1.0), cost_grid=(1.0, 10.0),
+                                  ensemble_sizes=(3,), seed=2)
+        assert model.extra["svr_nonconverged"] == 12
+        assert model.extra["svr_iterations"] == [2, 2, 2]
+        assert "12 of 12 SVR grid fits" in caplog.text
 
     def test_esvr_external_validation(self):
         X, y = vegard_data(n=60)
