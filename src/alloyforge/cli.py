@@ -254,6 +254,8 @@ def cmd_train(args) -> int:
     if args.model == "esvr":
         print(f"SVR grid fits stopped at the SMO iteration cap: "
               f"{model.extra['svr_nonconverged']}")
+    else:
+        print(f"LASSO fits stopped at the sweep cap: {model.extra['lasso_capped']}")
     print(f"model written to {args.out}")
     return 0
 

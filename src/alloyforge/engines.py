@@ -43,10 +43,6 @@ class UnknownModel(KeyError):
     pass
 
 
-class ZeroCost(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EngineRequest:
     system_text: str
@@ -419,13 +415,6 @@ def cost_of(responses: list[EngineResponse], prices: PriceTable, model: str) -> 
         raise UnknownModel(model)
     p_in, p_out = prices.prices[model]
     return sum(r.input_tokens * p_in + r.output_tokens * p_out for r in responses)
-
-
-def cost_effectiveness(mean_f1: float, total_cost: float) -> float:
-    """Mean F1 per dollar."""
-    if total_cost <= 0:
-        raise ZeroCost(f"total cost must be positive, got {total_cost}")
-    return mean_f1 / total_cost
 
 
 # --- configuration ------------------------------------------------------------------

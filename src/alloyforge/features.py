@@ -1,4 +1,4 @@
-"""Composition-weighted elemental descriptors and recursive feature elimination.
+"""Composition-weighted elemental descriptors.
 
 Six descriptors are computed per composition: mean atomic volume, covalent
 radius, Mendeleev number, Pauling electronegativity, d-valence electron count,
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -42,10 +41,6 @@ TARGET_COLUMN = "lattice_constant_angstrom"
 
 class ElementNotInTable(KeyError):
     pass
-
-
-class DegenerateDesign(Warning):
-    """A zero-variance design column was dropped before ranking."""
 
 
 @dataclass(frozen=True)
@@ -173,54 +168,3 @@ def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     if data.size == 0:
         return np.empty((0, len(names))), np.empty(0), names
     return data[:, :-1], data[:, -1], names
-
-
-def _standardized_coefficient_ranker(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Importance: absolute least-squares coefficients on z-scored columns."""
-    mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
-    sigma[sigma == 0.0] = 1.0
-    Z = (X - mu) / sigma
-    design = np.column_stack([Z, np.ones(len(Z))])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return np.abs(coef[:-1])
-
-
-def rfe_select(X: np.ndarray, y: np.ndarray, k: int) -> list[str]:
-    """Recursive feature elimination down to ``k`` features.
-
-    Repeatedly refits a least-squares ranker on z-scored columns and drops the
-    least-important column; the survivors are returned most-resistant first
-    (the virtual elimination is continued past ``k`` to order them), named
-    after ``FEATURE_NAMES`` for a six-column design and ``x<i>`` otherwise.
-    Zero-variance columns are dropped first with a warning.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n_features = X.shape[1]
-    if not 1 <= k <= n_features:
-        raise ValueError(f"k={k} out of range for {n_features} features")
-    feature_names = FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(
-        f"x{i}" for i in range(n_features)
-    )
-
-    active = list(range(n_features))
-    elimination_order: list[int] = []
-    for col in [c for c in active if np.std(X[:, c]) == 0.0]:
-        if len(active) == 1:
-            break
-        warnings.warn(
-            f"dropping zero-variance column {feature_names[col]!r}", DegenerateDesign
-        )
-        elimination_order.append(col)
-        active.remove(col)
-
-    while len(active) > 1:
-        importances = _standardized_coefficient_ranker(X[:, active], y)
-        weakest = active[int(np.argmin(importances))]
-        elimination_order.append(weakest)
-        active.remove(weakest)
-    elimination_order.extend(active)
-
-    survivors = elimination_order[-k:]
-    return [feature_names[c] for c in reversed(survivors)]

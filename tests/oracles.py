@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+import numpy as np
+
 from alloyforge.composition import Composition, l1_distance
 
 
@@ -57,3 +59,41 @@ def brute_force_assignment(extracted, truth, l1_match=0.05):
                 elif k == best_card and abs(total - best_cost) <= 1e-12:
                     optima.add(pairing)
     return best_card, best_cost, sorted(optima)
+
+
+def reference_lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None):
+    """Plain cyclic coordinate descent for (1/2n)||y - Xw||^2 + lam*||w||_1.
+
+    Given Gram = X'X/n and corr = X'y/n, it sweeps the coordinates in order
+    until no coordinate moves by more than ``tol`` or ``max_iter`` sweeps are
+    done, with no active-set finish. Returns w.
+    """
+    p = len(corr)
+    gram_rows = [[float(v) for v in row] for row in np.asarray(gram)]
+    corr_list = [float(v) for v in corr]
+    diag_list = [float(v) for v in diag]
+    w = [0.0] * p if w0 is None else [float(v) for v in w0]
+    gw = [sum(gram_rows[i][j] * w[j] for j in range(p)) for i in range(p)]
+    for _ in range(max_iter):
+        biggest = 0.0
+        for j in range(p):
+            dj = diag_list[j]
+            if dj <= 0.0:
+                continue
+            rho = corr_list[j] - gw[j] + dj * w[j]
+            if rho > lam:
+                new = (rho - lam) / dj
+            elif rho < -lam:
+                new = (rho + lam) / dj
+            else:
+                new = 0.0
+            delta = new - w[j]
+            if delta != 0.0:
+                col = gram_rows[j]
+                for i in range(p):
+                    gw[i] += col[i] * delta
+                w[j] = new
+                biggest = max(biggest, abs(delta))
+        if biggest <= tol:
+            break
+    return np.asarray(w)

@@ -116,7 +116,9 @@ def test_featurize_train_predict_flow(workspace, capsys):
         ]
     )
     assert rc == 0
-    assert "test R2" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "test R2" in out
+    assert "LASSO fits stopped at the sweep cap: 0" in out
 
     rc = main(["train", "--model", "esvr", "--data", str(work / "features.csv"),
                "--out", str(work / "esvr.json"), "--seed", "1"])

@@ -18,8 +18,6 @@ from alloyforge.engines import (
     TokenBucket,
     TranscriptStore,
     UnknownModel,
-    ZeroCost,
-    cost_effectiveness,
     cost_of,
     engine_from_config,
     transcript_key,
@@ -337,12 +335,6 @@ class TestCosts:
     def test_unknown_model(self):
         with pytest.raises(UnknownModel):
             cost_of([], PriceTable({}), "nope")
-
-    def test_cost_effectiveness(self):
-        assert cost_effectiveness(0.9, 10.0) == pytest.approx(0.09)
-        assert cost_effectiveness(0.0, 5.0) == 0.0
-        with pytest.raises(ZeroCost):
-            cost_effectiveness(0.5, 0.0)
 
     def test_price_table_csv(self, tmp_path):
         path = tmp_path / "prices.csv"

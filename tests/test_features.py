@@ -3,7 +3,6 @@ import pytest
 
 from alloyforge.composition import Composition, parse_formula
 from alloyforge.features import (
-    DegenerateDesign,
     ElementNotInTable,
     ElementPropertyTable,
     FEATURE_NAMES,
@@ -12,7 +11,6 @@ from alloyforge.features import (
     featurize,
     featurize_dataset,
     load_feature_csv,
-    rfe_select,
 )
 from alloyforge.records import DocumentId, make_record
 
@@ -140,42 +138,3 @@ class TestElementTable:
         path.write_text("symbol,atomic_volume\nFe,1\n", encoding="utf-8")
         with pytest.raises(ValueError):
             ElementPropertyTable.from_csv(path)
-
-
-class TestRfeSelect:
-    def test_single_informative_column(self):
-        rng = np.random.default_rng(31)
-        X = rng.normal(size=(80, 3))
-        y = 2.0 * X[:, 1] + rng.normal(0, 1e-6, 80)
-        assert rfe_select(X, y, k=1) == ["x1"]
-
-    def test_identity_selection(self):
-        rng = np.random.default_rng(32)
-        X = rng.normal(size=(40, 4))
-        y = X @ np.array([1.0, 2.0, 3.0, 4.0])
-        assert set(rfe_select(X, y, k=4)) == {"x0", "x1", "x2", "x3"}
-
-    def test_constant_column_dropped_first(self):
-        rng = np.random.default_rng(33)
-        X = rng.normal(size=(60, 3))
-        X[:, 2] = 7.0
-        y = X[:, 0] + 0.5 * X[:, 1]
-        with pytest.warns(DegenerateDesign):
-            chosen = rfe_select(X, y, k=2)
-        assert "x2" not in chosen
-
-    def test_resistance_order(self):
-        rng = np.random.default_rng(34)
-        X = rng.normal(size=(200, 3))
-        y = 5.0 * X[:, 0] + 1.0 * X[:, 1] + 0.1 * X[:, 2] + rng.normal(0, 1e-4, 200)
-        assert rfe_select(X, y, k=3) == ["x0", "x1", "x2"]
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            rfe_select(np.zeros((5, 2)), np.zeros(5), k=3)
-
-    def test_named_features(self):
-        rng = np.random.default_rng(35)
-        X = rng.normal(size=(50, 6))
-        y = X @ np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])
-        assert rfe_select(X, y, k=1) == ["meanMendeleev"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from alloyforge import ml
+from tests.oracles import reference_lasso_cd
 
 
 def standardize(x):
@@ -39,6 +40,24 @@ def assert_svr_kkt(K, y, beta, bias, hp, tol):
             assert abs(residual[i] - hp.epsilon) <= slack
         else:
             assert abs(residual[i] + hp.epsilon) <= slack
+
+
+def correlated_moments(rng, n=60, p=6, noise=0.05):
+    """Gram, corr and diag of a standardized problem whose columns share one factor."""
+    X = rng.normal(size=(n, 1)) + noise * rng.normal(size=(n, p))
+    y = X @ rng.normal(size=p) + rng.normal(0, 0.1, n)
+    _, _, gram, corr, diag = ml._centered_moments(standardize(X), (y - y.mean()) / y.std())
+    return gram, corr, diag
+
+
+def assert_lasso_kkt(gram, corr, w, lam, slack):
+    """Subgradient certificate: corr - gram w is lam*sign(w) on the support, within lam off it."""
+    grad = corr - gram @ w
+    for j in range(len(w)):
+        if w[j] == 0.0:
+            assert abs(grad[j]) <= lam + slack
+        else:
+            assert abs(grad[j] - lam * np.sign(w[j])) <= slack
 
 
 class TestSplit:
@@ -248,6 +267,100 @@ class TestLasso:
                     assert abs(grad[j]) <= lam + slack
                 else:
                     assert abs(grad[j] - lam * np.sign(coef[j])) <= slack
+
+
+class TestLassoActiveSetFinish:
+    """``_lasso_cd`` as the ELASSO path calls it: loose tolerance, 300-sweep cap."""
+
+    def test_certified_on_correlated_problems(self):
+        rng = np.random.default_rng(42)
+        for trial in range(20):
+            gram, corr, diag = correlated_moments(rng, n=int(rng.integers(30, 100)))
+            assert np.linalg.cond(gram) >= 500
+            lam = float(rng.uniform(0.001, 0.5)) * float(np.max(np.abs(corr)))
+            w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300)
+            assert not capped
+            assert_lasso_kkt(gram, corr, w, lam, 1e-9)
+
+    def test_certified_from_a_wrong_warm_start(self):
+        rng = np.random.default_rng(43)
+        for trial in range(20):
+            gram, corr, diag = correlated_moments(rng)
+            lam = float(rng.uniform(0.05, 0.5)) * float(np.max(np.abs(corr)))
+            exact, _ = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300)
+            # zero the true support and put flipped weight everywhere else
+            w0 = np.where(exact == 0.0, -rng.uniform(0.5, 2.0, 6), 0.0)
+            w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300, w0=w0)
+            assert not capped
+            assert_lasso_kkt(gram, corr, w, lam, 1e-9)
+            assert np.max(np.abs(w - exact)) <= 1e-9
+
+    def test_zero_variance_column(self):
+        rng = np.random.default_rng(44)
+        for trial in range(10):
+            X = rng.normal(size=(40, 1)) + 0.05 * rng.normal(size=(40, 5))
+            X = np.column_stack([X[:, :2], np.full(40, 3.0), X[:, 2:]])
+            y = X[:, [0, 1, 3, 4, 5]] @ rng.normal(size=5) + rng.normal(0, 0.1, 40)
+            _, _, gram, corr, diag = ml._centered_moments(X, y)
+            assert diag[2] == 0.0
+            lam = float(rng.uniform(0.01, 0.5)) * float(np.max(np.abs(corr)))
+            w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300)
+            assert not capped
+            assert w[2] == 0.0
+            assert_lasso_kkt(gram, corr, w, lam, 1e-9)
+
+    def test_duplicate_column_falls_back_to_descent(self):
+        # with both copies of a column in the support, gram[A, A] is singular:
+        # the finish must refuse it and leave the plain descent result
+        rng = np.random.default_rng(45)
+        X = rng.normal(size=(50, 4))
+        X = np.column_stack([X, X[:, 0]])
+        y = X[:, :4] @ np.array([1.5, -1.0, 0.5, 0.25]) + rng.normal(0, 0.1, 50)
+        _, _, gram, corr, diag = ml._centered_moments(X, y)
+        lam = 0.05 * float(np.max(np.abs(corr)))
+        w0 = np.array([0.7, 0.0, 0.0, 0.0, 0.7])
+        w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300, w0=w0)
+        assert not capped
+        assert w[0] > 0.0 and w[4] > 0.0
+        assert ml._active_set_solution(gram.tolist(), corr.tolist(), lam, w.tolist()) is None
+        assert np.array_equal(
+            w, reference_lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300, w0=w0))
+        assert_lasso_kkt(gram, corr, w, lam, 1e-4)
+
+    def test_sweep_cap_is_reported(self):
+        # one sweep from zero changes every sign, so no finish is tried yet
+        gram, corr, diag = correlated_moments(np.random.default_rng(47))
+        lam = 0.01 * float(np.max(np.abs(corr)))
+        w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 1)
+        assert capped
+        assert np.array_equal(w, reference_lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 1))
+
+    def test_elasso_same_penalties_as_plain_descent(self, monkeypatch):
+        # each resample must choose the penalty plain descent chooses; plain
+        # descent is slow on correlated columns, so the problem stays small
+        rng = np.random.default_rng(46)
+        X = rng.normal(size=(80, 1)) + 0.2 * rng.normal(size=(80, 6))
+        y = X @ np.array([0.5, 0.3, -0.2, 0.1, 0.0, 0.05]) + rng.normal(0, 0.05, 80)
+        assert np.linalg.cond(np.corrcoef(X.T)) >= 200
+        certified = ml.train_elasso(X, y, B=10, seed=3)
+        monkeypatch.setattr(
+            ml, "_lasso_cd", lambda *a, **k: (reference_lasso_cd(*a, **k), False))
+        plain = ml.train_elasso(X, y, B=10, seed=3)
+        assert [e.lam for e in certified.estimators] == [e.lam for e in plain.estimators]
+        for a, b in zip(certified.estimators, plain.estimators):
+            assert np.max(np.abs(a.coef - b.coef)) <= 1e-5
+            assert a.intercept == pytest.approx(b.intercept, abs=1e-5)
+        assert certified.extra["lasso_capped"] == 0
+
+    def test_elasso_counts_and_logs_capped_fits(self, monkeypatch, caplog):
+        X, y = vegard_data(n=40)
+        monkeypatch.setattr(ml, "_lasso_cd", lambda *a, **k: (np.zeros(6), True))
+        with caplog.at_level(logging.WARNING, "alloyforge.ml"):
+            model = ml.train_elasso(X, y, B=2, seed=2)
+        # all CV errors tie, so the first penalty wins: per resample 10 folds
+        # x 50 penalties, a one-penalty refit path and the final fit
+        assert model.extra["lasso_capped"] == 2 * (500 + 1 + 1)
+        assert "1004 of 1004 LASSO fits stopped at the sweep cap" in caplog.text
 
 
 class TestEnsembles:
