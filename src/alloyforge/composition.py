@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import combinations
 
 _SYMBOLS = """
@@ -123,8 +124,14 @@ class Composition:
         )
 
     def full_precision_formula(self) -> str:
-        """Alphabetical elements with full float precision (exact round-trip)."""
-        return "".join(f"{sym}{frac!r}" for sym, frac in sorted(self.fractions.items()))
+        """Alphabetical elements with full float precision (exact round-trip).
+
+        Each fraction is its shortest ``repr`` written positionally, because
+        the formula parser reads no exponent notation (``repr`` uses it below 1e-4).
+        """
+        return "".join(
+            f"{sym}{Decimal(repr(frac)):f}" for sym, frac in sorted(self.fractions.items())
+        )
 
     def __str__(self) -> str:
         return self.canonical_formula()

@@ -113,15 +113,6 @@ def transcript_key(request: EngineRequest) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """One recorded exchange; the key is a pure function of the request."""
-
-    key: str
-    request: dict
-    response: EngineResponse
-
-
 class TranscriptStore:
     """Directory of <key>.request / <key>.response files, UTF-8, write-once."""
 
@@ -132,9 +123,6 @@ class TranscriptStore:
 
     def _paths(self, key: str) -> tuple[Path, Path]:
         return self.root / f"{key}.request", self.root / f"{key}.response"
-
-    def __contains__(self, key: str) -> bool:
-        return self._paths(key)[1].exists()
 
     def get(self, key: str) -> EngineResponse | None:
         path = self._paths(key)[1]
@@ -147,14 +135,6 @@ class TranscriptStore:
             output_tokens=int(blob["output_tokens"]),
             latency_s=float(blob["latency_s"]),
         )
-
-    def load_transcript(self, key: str) -> Transcript | None:
-        response = self.get(key)
-        if response is None:
-            return None
-        req_path = self._paths(key)[0]
-        request = json.loads(req_path.read_text(encoding="utf-8")) if req_path.exists() else {}
-        return Transcript(key=key, request=request, response=response)
 
     def put(self, key: str, request: EngineRequest, response: EngineResponse) -> None:
         """Record a transcript; repeated puts for the same key are no-ops."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .composition import Composition, CompositionError, parse_formula
@@ -112,6 +112,9 @@ class LengthAngstrom:
 
 @dataclass(frozen=True)
 class AlloyRecord:
+    """One extracted or curated entry; ``raw_fields`` holds the exact text of
+    each present field, keyed by schema key, and is what serialization writes."""
+
     source: DocumentId
     alloy_name: str | None = None
     nominal_composition: Composition | None = None
@@ -224,149 +227,13 @@ def parse_length(text) -> LengthAngstrom:
     return LengthAngstrom(value=value, raw_value=raw_value, raw_unit=unit)
 
 
-# --- canonical rendering --------------------------------------------------------
-
-
-def render_composition(comp: Composition) -> str:
-    return comp.full_precision_formula()
-
-
-def render_phase(phase: PhaseLabel) -> str:
-    if phase.kind == "unknown":
-        return MISSING_SENTINEL
-    if phase.kind in ("multiphase", "other"):
-        return phase.detail
-    return phase.detail or phase.kind
-
-
-def render_processing(proc: ProcessingCondition) -> str:
-    if proc.kind == "unreported":
-        return MISSING_SENTINEL
-    if proc.detail:
-        return proc.detail
-    return {
-        "as_cast": "as-cast",
-        "annealed": "annealed",
-        "powder_processed": "powder processing",
-        "additive": "additive manufacturing",
-    }.get(proc.kind, proc.detail or proc.kind)
-
-
-def render_length(length: LengthAngstrom) -> str:
-    if length.raw_unit == "nm":
-        return f"{length.raw_value!r} nm"
-    if length.raw_unit == "pm":
-        return f"{length.raw_value!r} pm"
-    return repr(length.raw_value)
-
-
-def make_record(
-    source: DocumentId,
-    alloy_name: str | None = None,
-    nominal_composition=None,
-    measured_composition=None,
-    phase: PhaseLabel | str | None = None,
-    processing: ProcessingCondition | str | None = None,
-    lattice_constant=None,
-    raw_fields: dict[str, str] | None = None,
-) -> AlloyRecord:
-    """Build a valid record from convenient inputs, filling raw_fields as needed.
-
-    Compositions may be formula strings, phase/processing may be free text, and
-    the lattice constant may be a bare float (interpreted as angstroms).
-    Sentinel strings ("Not found", empty) mean the field is absent.
-    """
-    raws = dict(raw_fields or {})
-
-    def missing_to_none(value):
-        return None if isinstance(value, str) and is_missing(value) else value
-
-    alloy_name = missing_to_none(alloy_name)
-    nominal_composition = missing_to_none(nominal_composition)
-    measured_composition = missing_to_none(measured_composition)
-    phase = missing_to_none(phase)
-    processing = missing_to_none(processing)
-    lattice_constant = missing_to_none(lattice_constant)
-    if isinstance(nominal_composition, str):
-        raws.setdefault("nominal_composition", nominal_composition)
-        nominal_composition = parse_formula(nominal_composition)
-    if isinstance(measured_composition, str):
-        raws.setdefault("measured_composition", measured_composition)
-        measured_composition = parse_formula(measured_composition)
-    if isinstance(phase, str):
-        raws.setdefault("phase", phase)
-        phase = normalize_phase(phase)
-    if isinstance(processing, str):
-        raws.setdefault("processing_condition", processing)
-        processing = normalize_processing(processing)
-    if isinstance(lattice_constant, str):
-        raws.setdefault("lattice_constant_angstrom", lattice_constant)
-        lattice_constant = parse_length(lattice_constant)
-    elif isinstance(lattice_constant, (int, float)):
-        # a bare number carries no unit marker; the value is taken as printed
-        lattice_constant = LengthAngstrom(
-            value=float(lattice_constant), raw_value=float(lattice_constant), raw_unit="unknown"
-        )
-    record = AlloyRecord(
-        source=source,
-        alloy_name=alloy_name,
-        nominal_composition=nominal_composition,
-        measured_composition=measured_composition,
-        phase=phase or PhaseLabel(),
-        processing=processing or ProcessingCondition(),
-        lattice_constant=lattice_constant,
-        raw_fields=raws,
-    )
-    return replace(record, raw_fields=_fill_raw_fields(record))
-
-
-def _fill_raw_fields(record: AlloyRecord) -> dict[str, str]:
-    raws = dict(record.raw_fields)
-    if record.alloy_name is not None:
-        raws.setdefault("alloy_name", record.alloy_name)
-    if record.nominal_composition is not None:
-        raws.setdefault("nominal_composition", render_composition(record.nominal_composition))
-    if record.measured_composition is not None:
-        raws.setdefault("measured_composition", render_composition(record.measured_composition))
-    if record.phase.kind != "unknown":
-        raws.setdefault("phase", render_phase(record.phase))
-    if record.processing.kind != "unreported":
-        raws.setdefault("processing_condition", render_processing(record.processing))
-    if record.lattice_constant is not None:
-        raws.setdefault("lattice_constant_angstrom", render_length(record.lattice_constant))
-    return raws
-
-
 # --- record <-> JSON object -----------------------------------------------------
 
 
 def record_to_object(record: AlloyRecord) -> dict[str, str]:
-    """Render one record as the six-key JSON object, sentinel for absent fields."""
-    raws = record.raw_fields
-
-    def emit(key: str, present: bool, fallback) -> str:
-        if not present:
-            return MISSING_SENTINEL
-        return raws.get(key) or fallback()
-
-    return {
-        "alloy_name": emit("alloy_name", record.alloy_name is not None,
-                           lambda: record.alloy_name),
-        "nominal_composition": emit(
-            "nominal_composition", record.nominal_composition is not None,
-            lambda: render_composition(record.nominal_composition)),
-        "measured_composition": emit(
-            "measured_composition", record.measured_composition is not None,
-            lambda: render_composition(record.measured_composition)),
-        "phase": emit("phase", record.phase.kind != "unknown",
-                      lambda: render_phase(record.phase)),
-        "processing_condition": emit(
-            "processing_condition", record.processing.kind != "unreported",
-            lambda: render_processing(record.processing)),
-        "lattice_constant_angstrom": emit(
-            "lattice_constant_angstrom", record.lattice_constant is not None,
-            lambda: render_length(record.lattice_constant)),
-    }
+    """Render one record as the six-key JSON object: each present field as the
+    exact text it was read from, the sentinel for each absent one."""
+    return {key: record.raw_fields.get(key, MISSING_SENTINEL) for key in SCHEMA_KEYS}
 
 
 def record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
@@ -376,7 +243,7 @@ def record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
     for key in SCHEMA_KEYS:
         value = obj.get(key)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = repr(value)
+            value = str(value)  # repr of a NumPy float names its type
         if value is not None and not isinstance(value, str):
             issues.append(FieldParseIssue(entry_index, key, f"non-text value {value!r}"))
             continue
@@ -424,6 +291,35 @@ def record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
         raw_fields=dict(values),
     )
     return record, issues
+
+
+def make_record(
+    source: DocumentId,
+    alloy_name: str | None = None,
+    nominal_composition: Composition | str | None = None,
+    measured_composition: Composition | str | None = None,
+    phase: str | None = None,
+    processing: str | None = None,
+    lattice_constant: float | str | None = None,
+) -> AlloyRecord:
+    """Build a record through the parser that reads model output.
+
+    Fields are given as the text a model would write; a Composition stands
+    for its full-precision formula and a bare number for a lattice constant
+    without a unit. None and sentinel strings ("Not found", empty) mean the
+    field is absent. Raises RecordError when the entry would be dropped or
+    any field fails to parse.
+    """
+    def text(value):
+        return value.full_precision_formula() if isinstance(value, Composition) else value
+
+    obj = dict(zip(SCHEMA_KEYS, (alloy_name, text(nominal_composition),
+                                 text(measured_composition), phase, processing,
+                                 lattice_constant)))
+    record, issues = record_from_object(obj, source)
+    if record is None or issues:
+        raise RecordError("; ".join(issue.message for issue in issues))
+    return record
 
 
 # --- record-set operations -------------------------------------------------------

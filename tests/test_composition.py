@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from alloyforge.composition import (
+    Composition,
     ConsistencyReport,
     EmptyFormula,
     NothingToCompare,
@@ -82,6 +83,10 @@ class TestParseFormula:
         rng = np.random.default_rng(12)
         for _ in range(100):
             comp = random_composition(rng)
+            assert parse_formula(comp.full_precision_formula()) == comp
+        # repr switches to exponent notation below 1e-4
+        for tiny in (1e-5, 3.3e-7, 1e-12):
+            comp = Composition.from_coefficients({"Mo": 1, "Nb": 0.5, "W": tiny})
             assert parse_formula(comp.full_precision_formula()) == comp
 
 

@@ -1,3 +1,4 @@
+import json
 import threading
 
 import pytest
@@ -109,11 +110,14 @@ class TestReplayAndRecording:
         store = TranscriptStore(tmp_path)
         request = req("inspect me")
         RecordingEngine(_StaticEngine("answer"), store).complete(request)
-        transcript = store.load_transcript(transcript_key(request))
-        assert transcript.response.text == "answer"
-        assert transcript.request["user"] == "inspect me"
-        assert transcript.key == transcript_key(request)
-        assert store.load_transcript("0" * 64) is None
+        key = transcript_key(request)
+        request_blob, response_blob = (
+            json.loads((tmp_path / f"{key}.{suffix}").read_text(encoding="utf-8"))
+            for suffix in ("request", "response")
+        )
+        assert response_blob["text"] == "answer"
+        assert request_blob["user"] == "inspect me"
+        assert store.get("0" * 64) is None
 
 
 class _FakeTransport:

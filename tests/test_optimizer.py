@@ -1,6 +1,15 @@
+import re
+import time
+
 import pytest
 
-from alloyforge.engines import EngineResponse, RecordingEngine, ReplayEngine, TranscriptStore
+from alloyforge.engines import (
+    AuthError,
+    EngineResponse,
+    RecordingEngine,
+    ReplayEngine,
+    TranscriptStore,
+)
 from alloyforge.optimizer import (
     ALIGNED,
     MISALIGNED,
@@ -251,6 +260,31 @@ class TestOptimize:
         assert (tmp_path / "serial" / "history.jsonl").read_bytes() == (
             tmp_path / "parallel" / "history.jsonl"
         ).read_bytes()
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("error", [AuthError("denied"), TypeError("not an engine error")])
+    def test_batch_stops_after_a_fatal_error(self, corpus7, truth_by_doc, error, parallelism):
+        inner = ScriptedForwardEngine(truth_by_doc)
+        seen = []
+
+        class FailsOnSecond:
+            def complete(self, request):
+                doc_id = re.search(r"Document (\S+):", request.user_text).group(1)
+                seen.append(doc_id)
+                if doc_id == "d02":
+                    raise error
+                time.sleep(0.2)
+                return inner.complete(request)
+
+        config = OptimizationConfig(
+            forward_engine=FailsOnSecond(),
+            backward_engine=ScriptedBackwardEngine(),
+            evaluator_engine=ScriptedEvaluatorEngine(),
+            parallelism=parallelism,
+        )
+        with pytest.raises(type(error)):
+            optimize(Prompt(INITIAL_PROMPT_TEXT), corpus7, truth_by_doc, config)
+        assert "d02" in seen and set(seen) <= {"d01", "d02"}
 
     def test_history_save_layout(self, corpus7, truth_by_doc, tmp_path):
         history = optimize(

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -232,6 +233,26 @@ class TestRunExtraction:
         run_extraction(corpus8, FULL_PROMPT, again, run_dir, parallelism=2)
         assert again.docs == []
         assert (run_dir / "ledger.json").read_bytes() == (whole / "ledger.json").read_bytes()
+
+    def test_crash_stops_every_worker(self, corpus8, truth_by_doc, tmp_path):
+        inner = ScriptedForwardEngine(truth_by_doc)
+        seen = []
+
+        class CrashesOnSecond:
+            def complete(self, request):
+                doc_id = re.search(r"Document (\S+):", request.user_text).group(1)
+                seen.append(doc_id)
+                if doc_id == "d02":
+                    raise TypeError("not an engine error")
+                time.sleep(0.2)
+                return inner.complete(request)
+
+        # d01 is still running when d02 crashes, so the crash is not yet
+        # raised in the caller when the other worker looks for more work
+        with pytest.raises(TypeError):
+            run_extraction(corpus8, FULL_PROMPT, CrashesOnSecond(), tmp_path, parallelism=2)
+        assert "d02" in seen and set(seen) <= {"d01", "d02"}
+        assert not (tmp_path / "ledger.json").exists()
 
     def test_journal_folds_over_snapshot(self, corpus8, truth_by_doc, tmp_path):
         first = run_extraction(corpus8, FULL_PROMPT, ScriptedForwardEngine(truth_by_doc),

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alloyforge.composition import parse_formula
+from alloyforge.composition import Composition, parse_formula
 from alloyforge.records import (
+    MISSING_SENTINEL,
+    SCHEMA_KEYS,
     DocumentId,
     GroundTruthError,
     LengthAngstrom,
@@ -22,6 +26,8 @@ from alloyforge.records import (
     normalize_processing,
     parse_length,
     parse_record_set,
+    record_from_object,
+    record_to_object,
     serialize_record_set,
 )
 
@@ -200,6 +206,58 @@ class TestSerialization:
 
     def test_empty_set(self):
         assert parse_record_set(serialize_record_set([]), DOC).records == []
+
+
+_SENTINELS = st.sampled_from([None, "Not found", "NOT FOUND", "  not   found ", ""])
+_COEFFICIENTS = st.sampled_from(["", "1", "0.5", "1.25", "2", "0.05", "0.333"])
+_FORMULAS = st.lists(
+    st.tuples(st.sampled_from(["Al", "Co", "Cr", "Fe", "Mo", "Nb", "Ni", "Ta", "Ti", "W"]),
+              _COEFFICIENTS),
+    min_size=1, max_size=5,
+).map(lambda parts: "".join(sym + coefficient for sym, coefficient in parts))
+_LATTICES = st.builds(
+    lambda value, unit: f"{value}{unit}",
+    st.floats(0.01, 1000, allow_nan=False).map(lambda v: round(v, 4)),
+    st.sampled_from(["", " nm", " pm", " Å", " angstrom", "  Å", " +/- 0.02 Å"]),
+)
+_FIELD_TEXTS = {
+    "alloy_name": st.sampled_from(["MoNbTaW", "Cantor alloy", "HEA-1", " Alloy  B "]),
+    "nominal_composition": _FORMULAS,
+    "measured_composition": _FORMULAS,
+    "phase": st.sampled_from(["BCC", "fcc", "BCC  +  FCC", "amorphous", "C14 Laves",
+                              "body-centred cubic", "single-phase FCC solid solution"]),
+    "processing_condition": st.sampled_from(["as-cast", "annealed at 1200 C", "SLM",
+                                             "spark plasma sintering", "sputtered film"]),
+    "lattice_constant_angstrom": _LATTICES,
+}
+
+
+class TestRecordWritesBackItsText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({key: text | _SENTINELS for key, text in _FIELD_TEXTS.items()}))
+    def test_round_trip_is_verbatim(self, obj):
+        record, issues = record_from_object(obj, DOC)
+        if is_missing(obj["alloy_name"]) and is_missing(obj["nominal_composition"]):
+            assert record is None
+            return
+        assert not issues
+        written = record_to_object(record)
+        for key in SCHEMA_KEYS:
+            assert written[key] == (MISSING_SENTINEL if is_missing(obj[key]) else obj[key])
+
+    def test_make_record_rejects_a_bad_formula(self):
+        with pytest.raises(RecordError, match="symbolic subscript 'x'"):
+            make_record(DOC, alloy_name="CoCrNi", nominal_composition="Co1.1Cr0.9Nix")
+
+    def test_make_record_takes_a_tiny_fraction(self):
+        comp = Composition.from_coefficients({"Mo": 1, "W": 1e-5})
+        assert make_record(DOC, nominal_composition=comp).nominal_composition == comp
+
+    def test_make_record_writes_a_bare_number_as_printed(self):
+        for number, text in ((3, "3"), (3.2, "3.2"), (np.float64(3.2), "3.2")):
+            record = make_record(DOC, alloy_name="MoNbTaW", lattice_constant=number)
+            assert record.lattice_constant.value == float(text)
+            assert record_to_object(record)["lattice_constant_angstrom"] == text
 
 
 class TestGroundTruth:
