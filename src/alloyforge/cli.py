@@ -156,6 +156,7 @@ def cmd_optimize(args) -> int:
         f"forward calls {history.forward_calls}, rewrites {history.backward_engine_calls}"
     )
     print(f"per-epoch recall (nominal composition): {recalls}")
+    print(f"failed document attempts: {len(history.failures)}")
     print(f"history written to {args.out}")
     return 0
 

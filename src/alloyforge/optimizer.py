@@ -14,18 +14,15 @@ from __future__ import annotations
 import json
 import logging
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 from . import evaluation
 from .engines import AuthError, EngineError, EngineRequest
-from .pipeline import CorpusStore, build_document_request, is_rejection
+from .pipeline import CorpusStore, build_document_request, is_rejection, run_documents
 from .records import (
     AlloyRecord,
-    DocumentId,
     MalformedOutput,
     parse_record_set,
     serialize_record_set,
@@ -175,7 +172,7 @@ def forward_extract(
     if is_rejection(response.text):
         return []
     try:
-        result = parse_record_set(response.text, DocumentId(doc_id, corpus.kind(doc_id)))
+        result = parse_record_set(response.text, corpus.entry(doc_id).doc)
     except MalformedOutput as exc:
         logger.warning("document %s: %s", doc_id, exc)
         return []
@@ -280,8 +277,12 @@ def optimize(
     Per epoch, the corpus is partitioned into batches of ``batch_size`` in
     manifest order; each batch contributes one backward update. The history
     snapshot for an epoch scores the union of that epoch's per-document
-    outputs against the full expert reference. Per-document failures are
-    logged and counted; only authentication errors abort.
+    outputs against the full expert reference. Each document's forward and
+    evaluator calls run together, concurrently above parallelism 1. An engine
+    error from either call fails only that document: it is logged, recorded
+    in ``history.failures`` and left out of the epoch's outputs. Any other
+    exception, an authentication failure included, keeps the batch's later
+    documents from being called and propagates.
     """
     missing = [doc_id for doc_id in truth_by_doc if doc_id not in corpus]
     if missing:
@@ -296,28 +297,37 @@ def optimize(
         for start in range(0, len(doc_ids), config.batch_size)
     ]
 
+    def attempt(doc_id: str):
+        """Forward-extract one document under the batch's prompt and critique the
+        output when the document has expert data; an engine error other than an
+        authentication failure is returned, failing only this document."""
+        try:
+            output = forward_extract(
+                current, doc_id, config.forward_engine, corpus, config.forward_temperature
+            )
+            if doc_id not in truth_by_doc:
+                return output, None
+            return output, extraction_loss(current, doc_id, truth_by_doc[doc_id], output,
+                                           config.evaluator_engine, corpus, template)
+        except AuthError:
+            raise
+        except EngineError as exc:
+            return exc
+
     for epoch in range(1, config.epochs + 1):
         epoch_outputs: dict[str, list[AlloyRecord]] = {}
         for batch in batches:
-            outputs = _run_batch_forward(current, batch, config, corpus, history)
+            history.forward_calls += len(batch)  # one attempt per document per epoch
             feedbacks = []
-            for doc_id in batch:
-                if doc_id not in outputs:
-                    continue  # forward failure already recorded
-                epoch_outputs[doc_id] = outputs[doc_id]
-                if doc_id not in truth_by_doc:
+            for doc_id, result in zip(batch, run_documents(attempt, batch, config.parallelism)):
+                if isinstance(result, EngineError):
+                    history.failures.append((doc_id, current.version, str(result)))
+                    logger.warning("document %s failed under version %d: %s",
+                                   doc_id, current.version, result)
                     continue
-                feedbacks.append(
-                    extraction_loss(
-                        current,
-                        doc_id,
-                        truth_by_doc[doc_id],
-                        outputs[doc_id],
-                        config.evaluator_engine,
-                        corpus,
-                        template,
-                    )
-                )
+                epoch_outputs[doc_id], feedback = result
+                if feedback is not None:
+                    feedbacks.append(feedback)
             if feedbacks:
                 needs_rewrite = any(f.verdict == MISALIGNED for f in feedbacks)
                 current = backward_update(current, feedbacks, config.backward_engine)
@@ -335,44 +345,3 @@ def optimize(
             EpochSnapshot(epoch=epoch, final_version=current.version, metrics=report.metrics)
         )
     return history
-
-
-def _run_batch_forward(prompt, batch, config, corpus, history) -> dict[str, list[AlloyRecord]]:
-    """Forward-extract one batch, concurrently above parallelism 1, in document order.
-
-    An engine error fails only its document. Any other exception, an
-    authentication failure included, keeps the batch's later documents from
-    being called and propagates.
-    """
-    history.forward_calls += len(batch)  # one attempt per document per epoch
-    stop = threading.Event()
-
-    def run_one(doc_id: str):
-        if stop.is_set():
-            return None
-        try:
-            return forward_extract(
-                prompt, doc_id, config.forward_engine, corpus, config.forward_temperature
-            )
-        except BaseException as exc:
-            if isinstance(exc, EngineError) and not isinstance(exc, AuthError):
-                return exc
-            stop.set()
-            raise
-
-    if config.parallelism <= 1:
-        # a pool's thread start and hand-offs doubled the optimize stage of
-        # the perfbench curate workload
-        results = list(map(run_one, batch))
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(run_one, batch))
-    outputs: dict[str, list[AlloyRecord]] = {}
-    for doc_id, result in zip(batch, results):
-        if isinstance(result, EngineError):
-            history.failures.append((doc_id, prompt.version, str(result)))
-            logger.warning("document %s failed under version %d: %s",
-                           doc_id, prompt.version, result)
-        else:
-            outputs[doc_id] = result
-    return outputs

@@ -304,6 +304,33 @@ def _run_summary(entries: list[dict], engine_calls: int, wall_s: float) -> dict:
     }
 
 
+def run_documents(attempt, doc_ids, parallelism: int) -> list:
+    """Call ``attempt`` on each document id; return the results in input order.
+
+    At parallelism 1 or below the calls run inline, above it on a pool of
+    that many threads. The first exception a call raises keeps every later
+    call from starting and propagates.
+    """
+    if parallelism <= 1:
+        # a one-worker pool only adds thread hand-offs: on a 2-core host they
+        # cost ~14% of the perfbench extract replay stage and doubled the
+        # curate optimize stage
+        return [attempt(doc_id) for doc_id in doc_ids]
+    stop = threading.Event()
+
+    def guarded(doc_id):
+        if stop.is_set():
+            return None
+        try:
+            return attempt(doc_id)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(guarded, doc_ids))
+
+
 def run_extraction(
     corpus: CorpusStore,
     prompt_text: str,
@@ -322,16 +349,17 @@ def run_extraction(
     with the journal of an interrupted run folded in, and calls the engine
     only for pending documents, so documents already done, rejected or failed
     are never re-called; ``retry_failed`` returns failed documents to pending
-    first. Only an authentication failure aborts the run. Each run, aborted
-    or not, reports what it did in ``run_summary.json``. Any other exception
-    raised while attempting a document stops every worker from starting
-    another call and propagates, leaving the journal for a resume.
+    first. An engine error fails only its document. Any other exception
+    raised while attempting a document, an authentication failure included,
+    keeps every later call from starting and propagates; an authentication
+    failure still writes ``ledger.json``, any other exception leaves the
+    journal for a resume. Each run, aborted or not, reports what it did in
+    ``run_summary.json``.
     """
     started = time.perf_counter()
     out_dir = Path(out_dir)
     raw_dir = out_dir / RAW_DIRNAME
     raw_dir.mkdir(parents=True, exist_ok=True)
-    ledger_path = out_dir / LEDGER_FILENAME
     journal_path = out_dir / JOURNAL_FILENAME
 
     ledger = _load_ledger(out_dir)
@@ -341,7 +369,6 @@ def run_extraction(
             ledger.states[doc_id] = DocState(attempts=ledger.states[doc_id].attempts)
 
     lock = threading.Lock()
-    abort: list[Exception] = []
     calls = 0
     entries: list[dict] = []                        # this run's journal lines
     parsed: dict[str, RecordSetParseResult] = {}    # documents this run marked done
@@ -368,10 +395,7 @@ def run_extraction(
 
     def attempt_document(doc_id: str) -> None:
         nonlocal calls
-        state = ledger.states[doc_id]
-        if state.status != "pending" or abort:
-            return
-        attempt = state.attempts + 1
+        attempt = ledger.states[doc_id].attempts + 1
         request = build_document_request(prompt_text, doc_id, corpus, temperature)
         with lock:
             calls += 1
@@ -382,10 +406,8 @@ def run_extraction(
             finish(doc_id, DocState("rejected", attempt, None, f"context too long: {exc}"),
                    time.perf_counter() - called)
             return
-        except AuthError as exc:
-            with lock:
-                abort.append(exc)
-            return
+        except AuthError:
+            raise
         except EngineError as exc:
             finish(doc_id, DocState("failed", attempt, None, str(exc)),
                    time.perf_counter() - called)
@@ -399,53 +421,43 @@ def run_extraction(
             status, detail = "rejected", "model declared the document irrelevant"
         else:
             try:
-                result = parse_record_set(response.text, DocumentId(doc_id, corpus.kind(doc_id)))
+                result = parse_record_set(response.text, corpus.entry(doc_id).doc)
                 status, detail = "done", ""
             except MalformedOutput as exc:
                 status, detail = "failed", str(exc)
         finish(doc_id, DocState(status, attempt, raw_rel, detail), latency_s, response, result)
 
-    def work(doc_id: str) -> None:
-        try:
-            attempt_document(doc_id)
-        except BaseException as exc:
-            # a crash: no worker starts another call, and the error propagates
-            with lock:
-                abort.append(exc)
-            raise
-
     pending = [d for d in corpus.ids if ledger.states[d].status == "pending"]
-    with journal_path.open("ab") as journal:
-        if parallelism <= 1:
-            # a one-worker pool only adds thread hand-offs: ~14% of the replay
-            # stage of the perfbench extract workload on a 2-core host
-            for doc_id in pending:
-                work(doc_id)
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                list(pool.map(work, pending))
-    # journal lines carry absolute state, so a crash between these two steps
-    # leaves a journal that folds over the new snapshot to the same ledger
-    tmp = ledger_path.with_suffix(".tmp")
-    tmp.write_text(ledger.to_json(), encoding="utf-8")
-    tmp.replace(ledger_path)
-    journal_path.unlink()
-
-    dataset: dict[str, list[AlloyRecord]] = {}
-    issues: list[tuple[str, str]] = []
-    if not abort:
+    try:
+        with journal_path.open("ab") as journal:
+            run_documents(attempt_document, pending, parallelism)
+    except AuthError:
+        _save_ledger(ledger, out_dir)
+        raise
+    else:
+        _save_ledger(ledger, out_dir)
         dataset, issues = _rebuild_dataset(corpus, ledger, out_dir, parsed)
         write_dataset(dataset, out_dir / DATASET_FILENAME, corpus.ids)
         (out_dir / DATASET_CSV_FILENAME).write_text(
             dataset_to_csv(dataset, corpus.ids), encoding="utf-8"
         )
-    summary = _run_summary(entries, calls, time.perf_counter() - started)
-    (out_dir / SUMMARY_FILENAME).write_text(
-        json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    if abort:
-        raise abort[0]
+    finally:
+        summary = _run_summary(entries, calls, time.perf_counter() - started)
+        (out_dir / SUMMARY_FILENAME).write_text(
+            json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
     return ExtractionResult(dataset=dataset, ledger=ledger, issues=issues, engine_calls=calls)
+
+
+def _save_ledger(ledger: RunLedger, out_dir: Path) -> None:
+    """Write the ``ledger.json`` snapshot atomically, then remove the journal."""
+    # journal lines carry absolute state, so a crash between these two steps
+    # leaves a journal that folds over the new snapshot to the same ledger
+    ledger_path = out_dir / LEDGER_FILENAME
+    tmp = ledger_path.with_suffix(".tmp")
+    tmp.write_text(ledger.to_json(), encoding="utf-8")
+    tmp.replace(ledger_path)
+    (out_dir / JOURNAL_FILENAME).unlink()
 
 
 def _rebuild_dataset(corpus: CorpusStore, ledger: RunLedger, out_dir: Path,
@@ -465,7 +477,7 @@ def _rebuild_dataset(corpus: CorpusStore, ledger: RunLedger, out_dir: Path,
         result = parsed.get(doc_id)
         if result is None:
             text = (out_dir / state.raw_path).read_bytes().decode("utf-8")
-            result = parse_record_set(text, DocumentId(doc_id, corpus.kind(doc_id)))
+            result = parse_record_set(text, corpus.entry(doc_id).doc)
         dataset[doc_id] = result.records
         issues.extend((doc_id, issue.message) for issue in result.issues)
     return dataset, issues

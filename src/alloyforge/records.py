@@ -150,7 +150,10 @@ class RecordSetParseResult:
 # --- field-level normalization -------------------------------------------------
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
-_FLOAT_RE = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+]?\.\d+")
+_NUMBER = r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+]?\.\d+"
+# a number whose sign or first digit directly follows a letter belongs to a
+# symbol such as the space groups Fm-3m and P63/mmc, not to the value
+_LENGTH_VALUE_RE = re.compile(rf"(?<=[^\W\d_])(?:{_NUMBER})|(?P<value>{_NUMBER})")
 _MULTIPHASE_RE = re.compile(r"\+|&|\bdual\b|\bmulti|two[- ]phase|\bmixed\b", re.IGNORECASE)
 
 
@@ -211,10 +214,12 @@ def normalize_processing(text: str) -> ProcessingCondition:
 def parse_length(text) -> LengthAngstrom:
     """Parse a lattice-constant string; unit inferred from 'nm'/'pm'/angstrom marks."""
     raw = str(text)
-    m = _FLOAT_RE.search(raw)
-    if m is None:
+    value_text = next(
+        (m["value"] for m in _LENGTH_VALUE_RE.finditer(raw) if m["value"]), None
+    )
+    if value_text is None:
         raise RecordError(f"no numeric value in lattice field {raw!r}")
-    raw_value = float(m.group())
+    raw_value = float(value_text)
     low = raw.lower()
     if re.search(r"\bnm\b", low):
         unit, value = "nm", raw_value * 10.0

@@ -176,6 +176,7 @@ def test_optimize_command(workspace, truth_by_doc, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "forward calls 21" in out
+    assert "failed document attempts: 0" in out
     history_lines = (work / "history" / "history.jsonl").read_text().splitlines()
     assert len(history_lines) == 10
     final = json.loads(history_lines[-1])

@@ -5,6 +5,7 @@ import pytest
 
 from alloyforge.engines import (
     AuthError,
+    EngineError,
     EngineResponse,
     RecordingEngine,
     ReplayEngine,
@@ -285,6 +286,32 @@ class TestOptimize:
         with pytest.raises(type(error)):
             optimize(Prompt(INITIAL_PROMPT_TEXT), corpus7, truth_by_doc, config)
         assert "d02" in seen and set(seen) <= {"d01", "d02"}
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_evaluator_engine_error_fails_only_its_document(self, corpus7, truth_by_doc,
+                                                            parallelism):
+        inner = ScriptedEvaluatorEngine()
+        d02_text = corpus7.text("d02")
+
+        class FailsOnce:
+            failed = False
+
+            def complete(self, request):
+                if not self.failed and d02_text in request.user_text:
+                    self.failed = True
+                    raise EngineError("evaluator unavailable")
+                return inner.complete(request)
+
+        config = OptimizationConfig(
+            forward_engine=ScriptedForwardEngine(truth_by_doc),
+            backward_engine=ScriptedBackwardEngine(),
+            evaluator_engine=FailsOnce(),
+            parallelism=parallelism,
+        )
+        history = optimize(Prompt(INITIAL_PROMPT_TEXT), corpus7, truth_by_doc, config)
+        assert [(doc, version) for doc, version, _ in history.failures] == [("d02", 0)]
+        assert len(history.epochs) == 3
+        assert history.forward_calls == 21
 
     def test_history_save_layout(self, corpus7, truth_by_doc, tmp_path):
         history = optimize(

@@ -253,6 +253,9 @@ class TestRunExtraction:
             run_extraction(corpus8, FULL_PROMPT, CrashesOnSecond(), tmp_path, parallelism=2)
         assert "d02" in seen and set(seen) <= {"d01", "d02"}
         assert not (tmp_path / "ledger.json").exists()
+        # the crashed run still reports what it did
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["engine_calls"] == len(seen)
 
     def test_journal_folds_over_snapshot(self, corpus8, truth_by_doc, tmp_path):
         first = run_extraction(corpus8, FULL_PROMPT, ScriptedForwardEngine(truth_by_doc),

@@ -76,6 +76,10 @@ class TestFieldNormalization:
         assert parse_length("3.19 Å") == LengthAngstrom(3.19, 3.19, "angstrom")
         assert parse_length("3.19 angstrom").raw_unit == "angstrom"
         assert parse_length("3.19 +/- 0.02").raw_value == 3.19
+        # a space-group symbol before the value is not read as the number
+        assert parse_length("Fm-3m, 3.60 Å") == LengthAngstrom(3.60, 3.60, "angstrom")
+        assert parse_length("Im-3m 0.319 nm") == LengthAngstrom(3.19, 0.319, "nm")
+        assert parse_length("P63/mmc a=3.2 Å") == LengthAngstrom(3.2, 3.2, "angstrom")
         with pytest.raises(RecordError):
             parse_length("unreadable")
 
