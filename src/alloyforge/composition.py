@@ -28,7 +28,10 @@ DEFAULT_COSINE_THRESHOLD = 0.99
 
 # characters that merely separate constituents in formula strings
 _SEPARATORS = " \t-–—,·"
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?|\.\d+")
+_NUMBER = r"\d+(?:\.\d*)?|\.\d+"
+_NUMBER_RE = re.compile(_NUMBER)
+# an element symbol and its subscript in one match; the symbol is checked afterwards
+_ELEMENT_RE = re.compile(rf"([A-Z][a-z]?)({_NUMBER})?")
 _WT_PERCENT_RE = re.compile(r"wt\.?\s*%|\bwt\b", re.IGNORECASE)
 _AT_PERCENT_RE = re.compile(r"\(?\s*at\.?\s*%\s*\)?", re.IGNORECASE)
 
@@ -86,7 +89,7 @@ class Composition:
         Coefficients already summing to 1 (within 1e-9) are kept verbatim so
         that serialization round-trips are exact.
         """
-        coeffs = {sym: float(c) for sym, c in coefficients.items() if float(c) != 0.0}
+        coeffs = {sym: f for sym, c in coefficients.items() if (f := float(c)) != 0.0}
         if not coeffs:
             raise EmptyFormula("no nonzero coefficients")
         total = sum(coeffs.values())
@@ -157,9 +160,10 @@ def parse_formula(text: str) -> Composition:
     """
     if text is None:
         raise EmptyFormula("formula is None")
-    if _WT_PERCENT_RE.search(text):
+    # every match of either pattern contains its guard, so the guards skip no match
+    if "wt" in text.lower() and _WT_PERCENT_RE.search(text):
         raise UnsupportedUnits(f"weight-percent composition not supported: {text!r}")
-    cleaned = _AT_PERCENT_RE.sub(" ", text)
+    cleaned = _AT_PERCENT_RE.sub(" ", text) if "%" in text else text
     coeffs, pos = _parse_sequence(cleaned, 0, depth=0)
     if pos != len(cleaned):
         raise CompositionError(f"unbalanced bracket at position {pos} in {text!r}")
@@ -189,8 +193,13 @@ def _parse_sequence(s: str, i: int, depth: int) -> tuple[dict[str, float], int]:
                 raise CompositionError(f"stray {ch!r} at position {i} in {s!r}")
             return coeffs, i
         if ch.isupper():
-            sym, i = _parse_element(s, i)
-            coeff, i = _parse_coefficient(s, i)
+            m = _ELEMENT_RE.match(s, i)
+            if m and m[1] in ELEMENT_SYMBOLS:
+                sym, number, i = m[1], m[2], m.end()
+                coeff = 1.0 if number is None else float(number)
+            else:
+                sym, i = _parse_element(s, i)
+                coeff, i = _parse_coefficient(s, i)
             coeffs[sym] = coeffs.get(sym, 0.0) + coeff
             continue
         if ch.islower():
@@ -228,8 +237,9 @@ def l1_distance(a: Composition, b: Composition) -> float:
     the order in which the support set is walked (which follows string
     hashing and so changes between processes).
     """
-    support = a.elements | b.elements
-    return math.fsum(abs(a.get(sym) - b.get(sym)) for sym in support)
+    fa, fb = a.fractions, b.fractions
+    support = fa.keys() | fb.keys()
+    return math.fsum(abs(fa.get(sym, 0.0) - fb.get(sym, 0.0)) for sym in support)
 
 
 def cosine_similarity(a: Composition, b: Composition) -> float:

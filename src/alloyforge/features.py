@@ -99,14 +99,23 @@ class FeatureVector:
 
 
 def featurize(composition: Composition, table: ElementPropertyTable) -> FeatureVector:
-    """Fraction-weighted average of each elemental property."""
-    missing = sorted(sym for sym in composition.elements if sym not in table.values)
+    """Fraction-weighted average of each elemental property.
+
+    Each descriptor is accumulated in plain floats, one ``fraction * value``
+    term per element in ``composition.fractions`` order (alphabetical), so a
+    composition always gives the same bits and the feature CSVs and saved
+    models built from them are byte-stable. A compensated or reordered sum
+    (``sum``, ``math.fsum``, a BLAS dot product) would change the last bits.
+    """
+    values = table.values
+    missing = sorted(sym for sym in composition.fractions if sym not in values)
     if missing:
         raise ElementNotInTable(", ".join(missing))
-    acc = np.zeros(len(PROPERTY_COLUMNS))
+    acc = [0.0] * len(PROPERTY_COLUMNS)
     for symbol, fraction in composition.fractions.items():
-        acc += fraction * np.asarray(table.row(symbol))
-    return FeatureVector(*acc.tolist())
+        for k, v in enumerate(values[symbol]):
+            acc[k] += fraction * v
+    return FeatureVector(*acc)
 
 
 @dataclass

@@ -105,9 +105,6 @@ class CorpusStore:
         except KeyError:
             raise CorpusMiss(doc_id) from None
 
-    def kind(self, doc_id: str) -> str:
-        return self.entry(doc_id).doc.kind
-
     def text(self, doc_id: str) -> str:
         return self.entry(doc_id).path.read_text(encoding="utf-8")
 

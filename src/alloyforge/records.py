@@ -155,6 +155,12 @@ _NUMBER = r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+]?\.\d+"
 # symbol such as the space groups Fm-3m and P63/mmc, not to the value
 _LENGTH_VALUE_RE = re.compile(rf"(?<=[^\W\d_])(?:{_NUMBER})|(?P<value>{_NUMBER})")
 _MULTIPHASE_RE = re.compile(r"\+|&|\bdual\b|\bmulti|two[- ]phase|\bmixed\b", re.IGNORECASE)
+_BCC_RE = re.compile(r"bcc|body[- ]cent")
+_FCC_RE = re.compile(r"fcc|face[- ]cent")
+_HCP_RE = re.compile(r"hcp|hexagonal close")
+_ORDERED_RE = re.compile(r"\bb2\b|\bl12\b|\blaves\b|\bsigma\b")
+_NM_RE = re.compile(r"\bnm\b")
+_PM_RE = re.compile(r"\bpm\b")
 
 
 def is_missing(value) -> bool:
@@ -171,13 +177,13 @@ def normalize_phase(text: str) -> PhaseLabel:
     raw = " ".join(str(text).split())
     low = raw.lower()
     structures = set()
-    if re.search(r"bcc|body[- ]cent", low):
+    if _BCC_RE.search(low):
         structures.add("bcc")
-    if re.search(r"fcc|face[- ]cent", low):
+    if _FCC_RE.search(low):
         structures.add("fcc")
-    if re.search(r"hcp|hexagonal close", low):
+    if _HCP_RE.search(low):
         structures.add("hcp")
-    if re.search(r"\bb2\b|\bl12\b|\blaves\b|\bsigma\b", low):
+    if _ORDERED_RE.search(low):
         structures.add("ordered")
     if "amorphous" in low or "glass" in low:
         structures.add("amorphous")
@@ -221,9 +227,9 @@ def parse_length(text) -> LengthAngstrom:
         raise RecordError(f"no numeric value in lattice field {raw!r}")
     raw_value = float(value_text)
     low = raw.lower()
-    if re.search(r"\bnm\b", low):
+    if _NM_RE.search(low):
         unit, value = "nm", raw_value * 10.0
-    elif re.search(r"\bpm\b", low):
+    elif _PM_RE.search(low):
         unit, value = "pm", raw_value / 100.0
     elif "Å" in raw or "å" in low or "angstrom" in low:
         unit, value = "angstrom", raw_value

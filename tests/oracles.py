@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations
 
 import numpy as np
 
-from alloyforge.composition import Composition, l1_distance
+from alloyforge.composition import (
+    ELEMENT_SYMBOLS,
+    Composition,
+    CompositionError,
+    EmptyFormula,
+    UnknownElement,
+    UnresolvedVariable,
+    UnsupportedUnits,
+    l1_distance,
+)
+from alloyforge.features import PROPERTY_COLUMNS, ElementNotInTable
 
 
 def random_composition(rng, pool=None, max_elements=5) -> Composition:
@@ -97,3 +108,89 @@ def reference_lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None):
         if biggest <= tol:
             break
     return np.asarray(w)
+
+
+_REF_SEPARATORS = " \t-–—,·"
+_REF_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?|\.\d+")
+_REF_WT_PERCENT_RE = re.compile(r"wt\.?\s*%|\bwt\b", re.IGNORECASE)
+_REF_AT_PERCENT_RE = re.compile(r"\(?\s*at\.?\s*%\s*\)?", re.IGNORECASE)
+
+
+def reference_parse_formula(text: str) -> Composition:
+    """The formula parser as a plain character walk: both unit patterns scanned
+    over the whole string, each element read symbol first, then subscript."""
+    if text is None:
+        raise EmptyFormula("formula is None")
+    if _REF_WT_PERCENT_RE.search(text):
+        raise UnsupportedUnits(f"weight-percent composition not supported: {text!r}")
+    cleaned = _REF_AT_PERCENT_RE.sub(" ", text)
+    coeffs, pos = _ref_parse_sequence(cleaned, 0, depth=0)
+    if pos != len(cleaned):
+        raise CompositionError(f"unbalanced bracket at position {pos} in {text!r}")
+    return Composition.from_coefficients(coeffs)
+
+
+def _ref_parse_sequence(s: str, i: int, depth: int) -> tuple[dict[str, float], int]:
+    coeffs: dict[str, float] = {}
+    n = len(s)
+    while i < n:
+        ch = s[i]
+        if ch in _REF_SEPARATORS:
+            i += 1
+            continue
+        if ch in "([{":
+            inner, i = _ref_parse_sequence(s, i + 1, depth + 1)
+            if i >= n or s[i] not in ")]}":
+                raise CompositionError(f"unclosed group in formula {s!r}")
+            i += 1
+            mult, i = _ref_parse_coefficient(s, i)
+            for sym, c in inner.items():
+                coeffs[sym] = coeffs.get(sym, 0.0) + c * mult
+            continue
+        if ch in ")]}":
+            if depth == 0:
+                raise CompositionError(f"stray {ch!r} at position {i} in {s!r}")
+            return coeffs, i
+        if ch.isupper():
+            sym, i = _ref_parse_element(s, i)
+            coeff, i = _ref_parse_coefficient(s, i)
+            coeffs[sym] = coeffs.get(sym, 0.0) + coeff
+            continue
+        if ch.islower():
+            raise UnresolvedVariable(
+                f"symbolic subscript {ch!r} at position {i} in {s!r} has no numeric value"
+            )
+        raise CompositionError(f"unexpected character {ch!r} at position {i} in {s!r}")
+    if depth != 0:
+        raise CompositionError(f"unclosed group in formula {s!r}")
+    return coeffs, i
+
+
+def _ref_parse_element(s: str, i: int) -> tuple[str, int]:
+    two = s[i : i + 2]
+    if len(two) == 2 and two[1].islower() and two in ELEMENT_SYMBOLS:
+        return two, i + 2
+    one = s[i]
+    if one in ELEMENT_SYMBOLS:
+        return one, i + 1
+    bad = two if len(two) == 2 and two[1].islower() else one
+    raise UnknownElement(f"unknown element symbol {bad!r} at position {i} in {s!r}")
+
+
+def _ref_parse_coefficient(s: str, i: int) -> tuple[float, int]:
+    m = _REF_NUMBER_RE.match(s, i)
+    if m:
+        return float(m.group()), m.end()
+    return 1.0, i
+
+
+def reference_featurize(composition: Composition, table) -> np.ndarray:
+    """Descriptor vector accumulated as 6-wide numpy adds, one per element in
+    ``fractions`` order."""
+    missing = sorted(sym for sym in composition.elements if sym not in table.values)
+    if missing:
+        raise ElementNotInTable(", ".join(missing))
+    acc = np.zeros(len(PROPERTY_COLUMNS))
+    for symbol, fraction in composition.fractions.items():
+        acc += fraction * np.asarray(table.row(symbol))
+    return acc

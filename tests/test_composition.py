@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alloyforge.composition import (
     Composition,
@@ -21,7 +23,7 @@ from alloyforge.composition import (
 )
 from alloyforge.records import DocumentId, make_record
 
-from tests.oracles import random_composition
+from tests.oracles import random_composition, reference_parse_formula
 
 
 class TestParseFormula:
@@ -88,6 +90,62 @@ class TestParseFormula:
         for tiny in (1e-5, 3.3e-7, 1e-12):
             comp = Composition.from_coefficients({"Mo": 1, "Nb": 0.5, "W": tiny})
             assert parse_formula(comp.full_precision_formula()) == comp
+
+
+# one- and two-letter symbols sharing a first letter, non-symbols, subscripts,
+# groups, separators, unit marks and lowercase variables
+_FORMULA_TOKENS = (
+    "C", "Co", "N", "Nb", "Al", "Fe", "Ni", "W", "Ta", "At",
+    "J", "Xx", "Cµ", "Q",
+    "2", "0.5", ".5", "10", "1.", "0.25", "3.333",
+    "(", ")", "[", "]", "{", "}", ")2", "]0.5", "}.5",
+    " ", "-", "–", "—", ",", "·", "\t",
+    "at.%", "(at%)", "at %", "AT%", "%", "wt%", "wt.%", "WT", "Wt", " wt ", "x", "y", "at",
+)
+_SUBSCRIPTS = st.sampled_from(("", "", "2", "0.5", ".5", "1.", "10", "3.333"))
+_formula_part = st.recursive(
+    st.tuples(st.sampled_from(("C", "Co", "N", "Nb", "Al", "Fe", "W")), _SUBSCRIPTS).map("".join),
+    lambda inner: st.tuples(
+        st.sampled_from("([{"),
+        st.lists(inner, min_size=1, max_size=3).map("".join),
+        st.sampled_from(")]}"),
+        _SUBSCRIPTS,
+    ).map("".join),
+    max_leaves=6,
+)
+_well_formed = st.lists(
+    st.tuples(_formula_part, st.sampled_from(("", " ", "-", "·", ", "))).map("".join),
+    min_size=1,
+    max_size=5,
+).map("".join)
+_formula_texts = st.one_of(
+    _well_formed,
+    st.lists(st.sampled_from(_FORMULA_TOKENS), max_size=14).map("".join),
+    st.text(alphabet="CoNbJXxµW0123456789.()[]{} -–—,·at%T", max_size=16),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return list(parse(text).fractions.items())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestParseFormulaAgainstReference:
+    """The parser gives the reference parser's fractions, or its error class and message."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_formula_texts)
+    @example("Cµ2")
+    @example("NbCoC(NNb)2[Co{Xx}]")
+    @example("(Al0.5Co)2 at.% Ni")
+    @example("FeNi WT")
+    @example("Fe50Ni50 (AT%)")
+    @example("Co.5N)")
+    @example("[CoNi")
+    def test_same_result(self, text):
+        assert _outcome(parse_formula, text) == _outcome(reference_parse_formula, text)
 
 
 class TestDistances:

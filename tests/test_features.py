@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alloyforge.composition import Composition, parse_formula
 from alloyforge.features import (
@@ -13,6 +15,8 @@ from alloyforge.features import (
     load_feature_csv,
 )
 from alloyforge.records import DocumentId, make_record
+
+from tests.oracles import reference_featurize
 
 DOC = DocumentId("docF")
 
@@ -76,6 +80,26 @@ class TestFeaturize:
         assert featurize(parse_formula("AlCoCrFeNi"), table) == featurize(
             parse_formula("NiFeCrCoAl"), table
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_numpy_accumulation(self, table, data):
+        symbols = data.draw(st.lists(
+            st.sampled_from(sorted(table.values)), min_size=1, max_size=15, unique=True))
+        coefficients = data.draw(st.lists(
+            st.floats(1e-4, 100.0), min_size=len(symbols), max_size=len(symbols)))
+        comp = Composition.from_coefficients(dict(zip(symbols, coefficients)))
+        assert np.array_equal(featurize(comp, table).as_array(), reference_featurize(comp, table))
+
+    def test_missing_elements_listed_sorted(self):
+        custom = ElementPropertyTable(values={"Fe": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)})
+        comp = parse_formula("NiFeAl")
+        with pytest.raises(ElementNotInTable) as caught:
+            featurize(comp, custom)
+        assert caught.value.args[0] == "Al, Ni"
+        with pytest.raises(ElementNotInTable) as caught:
+            reference_featurize(comp, custom)
+        assert caught.value.args[0] == "Al, Ni"
 
 
 class TestFeaturizeDataset:

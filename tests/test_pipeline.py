@@ -102,8 +102,8 @@ class TestIngestCorpus:
             f"doc_id,path,kind\nd1,{text},plain_text\nd2,{pdf},pdf\n", encoding="utf-8"
         )
         corpus = CorpusStore(ingest_corpus(manifest))
-        assert corpus.kind("d1") == "plain_text"
-        assert corpus.kind("d2") == "pdf"
+        assert corpus.entry("d1").doc.kind == "plain_text"
+        assert corpus.entry("d2").doc.kind == "pdf"
         assert corpus.content("d2") == b"%PDF-1.4 fake"
 
 

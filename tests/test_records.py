@@ -54,6 +54,11 @@ class TestFieldNormalization:
         assert multi.kind == "multiphase" and multi.detail == "BCC + FCC"
         assert normalize_phase("dual-phase BCC").kind == "multiphase"
         assert normalize_phase("BCC with B2 ordering").kind == "multiphase"
+        for ordered in ("B2", "L12", "Laves phase", "sigma"):
+            assert normalize_phase(ordered) == PhaseLabel("other", ordered)
+        assert normalize_phase("face-centred cubic") == PhaseLabel("FCC", "face-centred cubic")
+        assert normalize_phase("metallic glass") == PhaseLabel("amorphous", "metallic glass")
+        assert normalize_phase("BCC + B2") == PhaseLabel("multiphase", "BCC + B2")
         other = normalize_phase("C14 structure")
         assert other.kind == "other" and other.detail
 
@@ -75,6 +80,9 @@ class TestFieldNormalization:
         assert parse_length("319 pm") == LengthAngstrom(3.19, 319.0, "pm")
         assert parse_length("3.19 Å") == LengthAngstrom(3.19, 3.19, "angstrom")
         assert parse_length("3.19 angstrom").raw_unit == "angstrom"
+        assert parse_length("0.360 nm").value == pytest.approx(3.60, abs=1e-12)
+        assert parse_length("360 pm").value == pytest.approx(3.60, abs=1e-12)
+        assert parse_length("3.60 angstrom") == LengthAngstrom(3.60, 3.60, "angstrom")
         assert parse_length("3.19 +/- 0.02").raw_value == 3.19
         # a space-group symbol before the value is not read as the number
         assert parse_length("Fm-3m, 3.60 Å") == LengthAngstrom(3.60, 3.60, "angstrom")
