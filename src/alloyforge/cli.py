@@ -14,7 +14,7 @@ from pathlib import Path
 from . import config as config_mod
 from . import evaluation, features, ml, optimizer, pipeline, quality
 from .composition import parse_formula
-from .engines import engine_from_config
+from .engines import EngineError, engine_from_config
 from .records import group_by_doc, load_ground_truth
 
 
@@ -199,23 +199,33 @@ def cmd_audit(args) -> int:
     corpus = pipeline.CorpusStore(pipeline.ingest_corpus(args.corpus))
     engine = engine_from_config(cfg, args.engine)
     questions = quality.default_audit_questions()
-    flat = [r for doc in sorted(dataset) for r in dataset[doc]]
+    # (document, 1-based position in it, record), in dataset order
+    entries = [(doc, position, record) for doc in sorted(dataset)
+               for position, record in enumerate(dataset[doc], 1)]
+    partition = quality.filter_plausible([record for _, _, record in entries])
     if not args.all_records:
-        part = quality.filter_plausible(flat)
-        flat = part.rejected_low + part.rejected_high
-    reports = [
-        quality.faithfulness_audit(record, record.source, questions, engine, corpus)
-        for record in flat
-    ]
-    counts = quality.classify_errors(quality.PlausibilityPartition(), reports)
+        implausible = {id(r) for r in partition.rejected_low + partition.rejected_high}
+        entries = [entry for entry in entries if id(entry[2]) in implausible]
+
+    def attempt(entry):
+        record = entry[2]
+        return quality.faithfulness_audit(record, record.source, questions, engine, corpus)
+
+    results = pipeline.run_documents(attempt, entries, cfg["pipeline.parallelism"])
+    reports = [result for result in results if not isinstance(result, EngineError)]
+    counts = quality.classify_errors(partition, reports)
     lines = []
-    for report in reports:
-        lines.append(f"document {report.doc.id}: flags={sorted(report.flags) or 'none'}")
-        for question, answer in report.answers:
+    for (doc, position, record), result in zip(entries, results):
+        head = f"document {doc} record {position} ({quality.record_label(record)})"
+        if isinstance(result, EngineError):
+            lines.append(f"{head}: failed: {result}")
+            continue
+        lines.append(f"{head}: flags={sorted(result.flags) or 'none'}")
+        for question, answer in result.answers:
             lines.append(f"  Q: {question}")
             lines.append(f"  A: {answer}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"audited {len(reports)} record(s): {counts}")
+    print(f"audited {len(entries)} record(s), {len(entries) - len(reports)} failed: {counts}")
     print(f"report written to {args.out}")
     return 0
 

@@ -27,7 +27,6 @@ KEYS = {
     "engine.*.model": (str, ""),
     "engine.*.record": (_boolean, False),
     "engine.*.transcript_dir": (str, None),
-    "engine.*.parallelism": (int, 4),
     "engine.*.rate_limit_per_s": (float, None),
     "engine.*.max_context_chars": (int, None),
     "engine.*.max_retries": (int, 5),

@@ -1,10 +1,11 @@
 """Uniform interface to language-model backends.
 
 Three engine flavors share one ``complete(request)`` surface: a remote HTTP
-engine with retry, rate limiting, and bounded concurrency; a replay engine
-that serves recorded transcripts byte-for-byte for offline runs; and a
-recording wrapper that captures any engine's traffic into a transcript store.
-Forward, backward, and evaluator roles are just separately configured handles.
+engine with retry and rate limiting; a replay engine that serves recorded
+transcripts byte-for-byte for offline runs; and a recording wrapper that
+captures any engine's traffic into a transcript store. Forward, backward, and
+evaluator roles are just separately configured handles. How many calls are in
+flight is up to the caller (``pipeline.run_documents``).
 """
 
 from __future__ import annotations
@@ -275,7 +276,6 @@ class HttpEngine:
         backoff_base_s: float = 0.5,
         backoff_cap_s: float = 30.0,
         timeout_s: float = 120.0,
-        parallelism: int = 4,
         rate_limit: TokenBucket | None = None,
         max_context_chars: int | None = None,
         transport=None,
@@ -290,8 +290,6 @@ class HttpEngine:
         self.timeout_s = timeout_s
         self.rate_limit = rate_limit
         self.max_context_chars = max_context_chars
-        self.parallelism = max(1, parallelism)
-        self._semaphore = threading.Semaphore(self.parallelism)
         self._transport = transport or _requests_transport
         self._sleep = sleep
 
@@ -334,15 +332,12 @@ class HttpEngine:
         for attempt in range(self.max_retries + 1):
             if self.rate_limit is not None:
                 self.rate_limit.acquire()
-            with self._semaphore:
-                started = time.monotonic()
-                try:
-                    status, body = self._transport(
-                        self.endpoint, payload, headers, self.timeout_s
-                    )
-                except OSError as exc:
-                    status, body = None, {"error": str(exc)}
-                elapsed = time.monotonic() - started
+            started = time.monotonic()
+            try:
+                status, body = self._transport(self.endpoint, payload, headers, self.timeout_s)
+            except OSError as exc:
+                status, body = None, {"error": str(exc)}
+            elapsed = time.monotonic() - started
             if status == 200:
                 return _response_from_body(body, elapsed)
             error = (str(body.get("error", f"status {status}")) if isinstance(body, dict)
@@ -417,7 +412,6 @@ def engine_from_config(cfg, role: str):
         model_name=cfg[prefix + "model"],
         name=role,
         max_retries=cfg[prefix + "max_retries"],
-        parallelism=cfg[prefix + "parallelism"],
         rate_limit=TokenBucket(rate) if rate is not None else None,
         max_context_chars=cfg[prefix + "max_context_chars"],
     )

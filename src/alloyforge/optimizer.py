@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import evaluation
-from .engines import AuthError, EngineError, EngineRequest
+from .engines import EngineError, EngineRequest
 from .pipeline import CorpusStore, build_document_request, is_rejection, run_documents
 from .records import (
     AlloyRecord,
@@ -108,9 +108,6 @@ class PromptHistory:
 
     def recalls(self, field_name: str = "nominal_composition") -> list[float]:
         return [snap.metrics[field_name].recall for snap in self.epochs]
-
-    def final_prompt(self) -> Prompt:
-        return self.prompts[-1]
 
     def save(self, out_dir) -> None:
         """Persist prompt_v<N>.txt files plus a history.jsonl metric trail."""
@@ -299,20 +296,14 @@ def optimize(
 
     def attempt(doc_id: str):
         """Forward-extract one document under the batch's prompt and critique the
-        output when the document has expert data; an engine error other than an
-        authentication failure is returned, failing only this document."""
-        try:
-            output = forward_extract(
-                current, doc_id, config.forward_engine, corpus, config.forward_temperature
-            )
-            if doc_id not in truth_by_doc:
-                return output, None
-            return output, extraction_loss(current, doc_id, truth_by_doc[doc_id], output,
-                                           config.evaluator_engine, corpus, template)
-        except AuthError:
-            raise
-        except EngineError as exc:
-            return exc
+        output when the document has expert data."""
+        output = forward_extract(
+            current, doc_id, config.forward_engine, corpus, config.forward_temperature
+        )
+        if doc_id not in truth_by_doc:
+            return output, None
+        return output, extraction_loss(current, doc_id, truth_by_doc[doc_id], output,
+                                       config.evaluator_engine, corpus, template)
 
     for epoch in range(1, config.epochs + 1):
         epoch_outputs: dict[str, list[AlloyRecord]] = {}

@@ -304,15 +304,14 @@ def _run_summary(entries: list[dict], engine_calls: int, wall_s: float) -> dict:
 def run_documents(attempt, doc_ids, parallelism: int) -> list:
     """Call ``attempt`` on each document id; return the results in input order.
 
-    At parallelism 1 or below the calls run inline, above it on a pool of
-    that many threads. The first exception a call raises keeps every later
-    call from starting and propagates.
+    This is the one place that bounds how many engine calls are in flight
+    and decides what an engine error does. At parallelism 1 or below the
+    calls run inline, above it on a pool of that many threads. An
+    ``EngineError`` other than an ``AuthError`` fails only its document: the
+    exception is that document's result and the others keep running. Any
+    other exception, an ``AuthError`` included, keeps every later call from
+    starting and propagates.
     """
-    if parallelism <= 1:
-        # a one-worker pool only adds thread hand-offs: on a 2-core host they
-        # cost ~14% of the perfbench extract replay stage and doubled the
-        # curate optimize stage
-        return [attempt(doc_id) for doc_id in doc_ids]
     stop = threading.Event()
 
     def guarded(doc_id):
@@ -320,10 +319,20 @@ def run_documents(attempt, doc_ids, parallelism: int) -> list:
             return None
         try:
             return attempt(doc_id)
+        except AuthError:
+            stop.set()
+            raise
+        except EngineError as exc:
+            return exc
         except BaseException:
             stop.set()
             raise
 
+    if parallelism <= 1:
+        # a one-worker pool only adds thread hand-offs: on a 2-core host they
+        # cost ~14% of the perfbench extract replay stage and doubled the
+        # curate optimize stage
+        return [guarded(doc_id) for doc_id in doc_ids]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(guarded, doc_ids))
 

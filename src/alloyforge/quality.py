@@ -182,6 +182,11 @@ def classify_errors(
     return counts
 
 
+def record_label(record: AlloyRecord) -> str:
+    """The alloy name, else the nominal-composition text, naming a record in reports."""
+    return record.alloy_name or record_to_object(record)["nominal_composition"]
+
+
 def quality_report_rows(
     partition: PlausibilityPartition,
     consistency_flags: list[tuple[AlloyRecord, object]] | None = None,
@@ -196,7 +201,7 @@ def quality_report_rows(
             rows.append(
                 {
                     "doc_id": record.source.id,
-                    "alloy": record.alloy_name or record_to_object(record)["nominal_composition"],
+                    "alloy": record_label(record),
                     "field": "lattice_constant_angstrom",
                     "issue": label,
                     "original": repr(value),
@@ -209,7 +214,7 @@ def quality_report_rows(
         rows.append(
             {
                 "doc_id": record.source.id,
-                "alloy": record.alloy_name or record_to_object(record)["nominal_composition"],
+                "alloy": record_label(record),
                 "field": " vs ".join(report.compared_pair),
                 "issue": "composition_inconsistent",
                 "original": f"l1={report.l1:.4f} cosine={report.cosine:.4f}",

@@ -143,9 +143,6 @@ class RecordSetParseResult:
     issues: list[FieldParseIssue]
     entry_count: int
 
-    def dropped_entries(self) -> set[int]:
-        return {i.entry_index for i in self.issues if i.entry_dropped}
-
 
 # --- field-level normalization -------------------------------------------------
 

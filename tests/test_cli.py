@@ -1,11 +1,21 @@
 import json
 import shutil
+import threading
+import time
 
 import pytest
 
+from alloyforge import cli
 from alloyforge.cli import main
-from alloyforge.engines import RecordingEngine, TranscriptStore
-from alloyforge.pipeline import CorpusStore, ingest_corpus, run_extraction
+from alloyforge.engines import (
+    AuthError,
+    EngineError,
+    EngineResponse,
+    RecordingEngine,
+    TranscriptStore,
+)
+from alloyforge.pipeline import CorpusStore, ingest_corpus, run_extraction, write_dataset
+from alloyforge.records import DocumentId, make_record
 
 from tests.conftest import FIXTURES
 from tests.scripted import (
@@ -230,6 +240,138 @@ def test_audit_command(tmp_path, capsys):
     report_text = (tmp_path / "audit.txt").read_text()
     assert "document d01" in report_text
     assert "contextual_hallucination" in report_text
+
+
+def _audit_workspace(tmp_path, records_by_doc, parallelism=1):
+    """Corpus, dataset and config for an audit run; returns the base argv."""
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(FIXTURES / "docs", corpus_dir / "docs")
+    shutil.copy(FIXTURES / "manifest.csv", corpus_dir / "manifest.csv")
+    dataset_path = tmp_path / "dataset.jsonl"
+    write_dataset(records_by_doc, dataset_path)
+    cfg = tmp_path / f"audit_p{parallelism}.cfg"
+    cfg.write_text(f"pipeline.parallelism = {parallelism}\n", encoding="utf-8")
+    return ["audit", "--config", str(cfg), "--dataset", str(dataset_path),
+            "--corpus", str(corpus_dir / "manifest.csv"), "--out", str(tmp_path / "audit.txt")]
+
+
+def _audited_record(request) -> str:
+    """The record JSON an audit request embeds, without the document text."""
+    return request.user_text.split("EXTRACTED RECORD:")[1].split("DOCUMENT (")[0]
+
+
+class ScriptedAuditor:
+    """Answers NO to every question about a record naming ``doubted``, YES
+    otherwise; raises ``error`` for a record naming ``failing``. Tracks the
+    most calls it saw in flight at once."""
+
+    def __init__(self, doubted="MoNbTaW", failing=None, error=None, delay_s=0.0):
+        self.doubted, self.failing, self.error, self.delay_s = doubted, failing, error, delay_s
+        self.in_flight = self.max_in_flight = 0
+        self.records = []
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        record = _audited_record(request)
+        with self._lock:
+            self.records.append(record)
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            time.sleep(self.delay_s)
+            if self.failing and self.failing in record:
+                raise self.error
+            if self.doubted in record:
+                return EngineResponse(text="No, the document does not say so.")
+            return EngineResponse(text="Yes, the document states it.")
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _record(doc, name=None, composition=None, lattice=None):
+    return make_record(DocumentId(doc), alloy_name=name, nominal_composition=composition,
+                       lattice_constant=lattice)
+
+
+def test_audit_counts_unit_errors_from_repairs(tmp_path, monkeypatch, capsys):
+    argv = _audit_workspace(tmp_path, {"d01": [_record("d01", composition="HfNbTaTiZr",
+                                                       lattice=0.319)]})
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: ScriptedAuditor())
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    # every answer is YES, so the count comes from the 0.319 nm -> 3.19 A repair
+    assert "'unit_error': 1" in out
+    assert "flags=none" in (tmp_path / "audit.txt").read_text()
+
+
+def test_audit_report_heads_name_each_record(tmp_path, monkeypatch):
+    argv = _audit_workspace(tmp_path, {"d01": [
+        _record("d01", name="HfNbTaTiZr", lattice=3.4),
+        _record("d01", composition="Mo25Nb25Ta25W25", lattice=3.2),
+    ]})
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: ScriptedAuditor())
+    assert main(argv + ["--all-records"]) == 0
+    heads = [line for line in (tmp_path / "audit.txt").read_text().splitlines()
+             if line.startswith("document")]
+    assert heads == ["document d01 record 1 (HfNbTaTiZr): flags=none",
+                     "document d01 record 2 (Mo25Nb25Ta25W25): flags=none"]
+
+
+AUDIT_DATASET = {
+    "d01": [("HfNbTaTiZr", 3.38), ("MoNbTaW", 3.216), ("NbTaTiV", 0.325)],
+    "d02": [("CoCrFeMnNi", 3.59), ("AlCoCrFeNi", 28.7)],
+    "d03": [("MoNbTaVW", 3.18)],
+}
+
+
+def _audit_dataset():
+    return {doc: [_record(doc, name=name, composition=name, lattice=lattice)
+                  for name, lattice in rows]
+            for doc, rows in AUDIT_DATASET.items()}
+
+
+def test_audit_report_and_stdout_byte_equal_across_parallelism(tmp_path, monkeypatch, capsys):
+    outputs = []
+    for parallelism in (1, 4):
+        argv = _audit_workspace(tmp_path / f"p{parallelism}", _audit_dataset(), parallelism)
+        argv[argv.index("--out") + 1] = str(tmp_path / "audit.txt")
+        auditor = ScriptedAuditor(delay_s=0.02)
+        monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: auditor)
+        assert main(argv + ["--all-records"]) == 0
+        outputs.append(((tmp_path / "audit.txt").read_bytes(), capsys.readouterr().out))
+        assert (auditor.max_in_flight > 1) == (parallelism > 1)
+    assert outputs[0] == outputs[1]
+    assert "audited 6 record(s), 0 failed" in outputs[0][1]
+    assert b"document d01 record 2 (MoNbTaW): flags=['contextual_hallucination'," in outputs[0][0]
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_audit_engine_error_fails_only_its_record(tmp_path, monkeypatch, capsys, parallelism):
+    argv = _audit_workspace(tmp_path, _audit_dataset(), parallelism) + ["--all-records"]
+    auditor = ScriptedAuditor(failing="CoCrFeMnNi", error=EngineError("evaluator unavailable"))
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: auditor)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "audited 6 record(s), 1 failed" in out
+    # the NO answers about MoNbTaW flag it; NbTaTiV at 0.325 nm is a unit repair
+    assert ("{'contextual_hallucination': 1, 'semantic_misinterpretation': 1, "
+            "'unit_error': 2}") in out
+    heads = [line for line in (tmp_path / "audit.txt").read_text().splitlines()
+             if line.startswith("document")]
+    assert len(heads) == 6
+    assert heads[3] == "document d02 record 1 (CoCrFeMnNi): failed: evaluator unavailable"
+    assert all("failed" not in head for head in heads[:3] + heads[4:])
+
+    # an authentication failure stops the command: nothing after it is asked
+    (tmp_path / "audit.txt").unlink()
+    auditor = ScriptedAuditor(failing="HfNbTaTiZr", error=AuthError("denied"))
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: auditor)
+    assert main(argv) == 1
+    assert "denied" in capsys.readouterr().err
+    assert not (tmp_path / "audit.txt").exists()
+    if parallelism == 1:
+        assert len(auditor.records) == 1
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):

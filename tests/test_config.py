@@ -30,7 +30,6 @@ def test_readme_example_loads_verbatim(tmp_path, monkeypatch):
     assert http.rate_limit.rate == 2
     assert http.max_context_chars == 400000
     assert http.max_retries == 5
-    assert http.parallelism == 4
     assert cfg["thresholds.l1"] == 0.1
     assert engine.store.root == Path("transcripts/forward")
 
@@ -74,3 +73,14 @@ def test_rejections_name_path_line_and_key(tmp_path, lines, bad_line, key):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert str(info.value).startswith(f"{path}:{bad_line}: {key}")
+
+
+def test_engine_parallelism_is_not_a_key(tmp_path):
+    # the runner's pool is the one concurrency bound; a config still setting
+    # the old per-engine bound must drop the line
+    path = tmp_path / "old.cfg"
+    path.write_text("engine.forward.kind = http\nengine.forward.parallelism = 4\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:2: engine.forward.parallelism: unknown key"

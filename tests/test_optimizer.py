@@ -196,7 +196,7 @@ class TestOptimize:
             epochs=1,
         )
         history = optimize(Prompt(INITIAL_PROMPT_TEXT), corpus7, truth_by_doc, config)
-        assert history.final_prompt().text == INITIAL_PROMPT_TEXT
+        assert history.prompts[-1].text == INITIAL_PROMPT_TEXT
         assert history.backward_engine_calls == 0
         assert history.recalls() == [1.0]
 

@@ -23,6 +23,7 @@ from alloyforge.pipeline import (
     load_dataset,
     percent,
     quality_report_csv,
+    run_documents,
     run_extraction,
     summarize,
     write_dataset,
@@ -331,6 +332,32 @@ class TestRunExtraction:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
             ).read_bytes(), name
+
+
+class TestRunDocuments:
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_engine_error_fails_its_document_and_auth_error_stops_the_rest(self, parallelism):
+        ids = ["a", "engine", "b", "auth", "c", "d"]
+        unavailable = EngineError("unavailable")
+        started = []
+
+        def attempt(doc_id, fatal=False):
+            started.append(doc_id)
+            if doc_id == "engine":
+                raise unavailable
+            if doc_id == "auth" and fatal:
+                raise AuthError("denied")
+            return doc_id.upper()
+
+        results = run_documents(attempt, ids, parallelism)
+        assert results == ["A", unavailable, "B", "AUTH", "C", "D"]
+
+        started.clear()
+        with pytest.raises(AuthError):
+            run_documents(lambda doc_id: attempt(doc_id, fatal=True), ids, parallelism)
+        assert "auth" in started
+        if parallelism == 1:
+            assert started == ["a", "engine", "b", "auth"]
 
 
 class TestDatasetFiles:

@@ -162,7 +162,8 @@ class TestParseRecordSet:
         ]
         result = parse_record_set(json.dumps(entries), DOC)
         assert result.entry_count == 4
-        assert len(result.records) + len(result.dropped_entries()) == 4
+        dropped = {i.entry_index for i in result.issues if i.entry_dropped}
+        assert len(result.records) + len(dropped) == 4
         assert len(result.records) == 2
         # the unresolved subscript surfaced as a field issue, record kept via name
         fields = {(i.entry_index, i.field) for i in result.issues}
@@ -173,7 +174,7 @@ class TestParseRecordSet:
             json.dumps([{"nominal_composition": "wt% stuff"}]), DOC
         )
         assert not result.records
-        assert result.dropped_entries() == {0}
+        assert {i.entry_index for i in result.issues if i.entry_dropped} == {0}
 
 
 class TestSerialization:
