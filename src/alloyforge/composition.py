@@ -244,10 +244,11 @@ def l1_distance(a: Composition, b: Composition) -> float:
 
 def cosine_similarity(a: Composition, b: Composition) -> float:
     """Cosine of the two fraction vectors over the union support, in [0, 1]."""
-    support = sorted(a.elements | b.elements)
-    dot = sum(a.get(sym) * b.get(sym) for sym in support)
-    norm_a = math.sqrt(sum(a.get(sym) ** 2 for sym in support))
-    norm_b = math.sqrt(sum(b.get(sym) ** 2 for sym in support))
+    fa, fb = a.fractions, b.fractions
+    support = sorted(fa.keys() | fb.keys())
+    dot = sum(fa.get(sym, 0.0) * fb.get(sym, 0.0) for sym in support)
+    norm_a = math.sqrt(sum(fa.get(sym, 0.0) ** 2 for sym in support))
+    norm_b = math.sqrt(sum(fb.get(sym, 0.0) ** 2 for sym in support))
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVector("cosine similarity undefined for a zero composition vector")
     return min(1.0, max(0.0, dot / (norm_a * norm_b)))

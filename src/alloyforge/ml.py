@@ -200,63 +200,69 @@ def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 def _smo_epsilon_svr(K, y, cost, epsilon, tol, max_iter, beta0=None):
     """Solve the epsilon-SVR dual by SMO with second-order working-set selection.
 
-    Each sample has an upper-tube and a lower-tube multiplier (rows 0 and 1
-    of ``alpha``; beta = alpha[0] - alpha[1]), whose -y*grad f values are
-    r - epsilon and r + epsilon for the residual r = y - K @ beta. Each step
-    takes i, the maximal violator of the "up" set, and j from the "low" set by
-    the second-order rule of Fan, Chen & Lin (2005, JMLR 6:1889), as LIBSVM
-    does; it stops when the maximal violation drops to ``tol``. ``K`` must be
+    Each sample has an upper-tube and a lower-tube multiplier (``up`` and
+    ``low``; beta = up - low), whose -y*grad f values are r - epsilon and
+    r + epsilon for the residual r = y - K @ beta. Each step takes i, the
+    maximal violator of the "up" set, and j from the "low" set by the
+    second-order rule of Fan, Chen & Lin (2005, JMLR 6:1889), as LIBSVM does;
+    it stops when the maximal violation drops to ``tol``. ``K`` must be
     symmetric. ``beta0``, a solution for a cost no larger than ``cost``, is a
     feasible start in place of zero. Returns (beta, bias, n_iterations,
     converged).
+
+    The step runs on Python floats: the multipliers are two lists, scalars
+    are read with ``item``, and the vector work writes into preallocated
+    buffers. Every value comes from the same IEEE operations, in the same
+    order, as in the plain numpy transcription kept in ``tests/oracles.py``.
     """
     n = len(y)
     if beta0 is None:
-        alpha = np.zeros((2, n))
+        up, low = [0.0] * n, [0.0] * n
         resid = np.array(y, dtype=float)
     else:
-        alpha = np.stack([np.maximum(beta0, 0.0), np.maximum(-beta0, 0.0)])
+        up, low = np.maximum(beta0, 0.0).tolist(), np.maximum(-beta0, 0.0).tolist()
         resid = y - K @ beta0
     kdiag = np.diag(K).copy()
+    kd, k_rows = kdiag.tolist(), list(K)
     scale_rows = {}  # sample -> 1/sqrt(max(K_ii + K_tt - 2 K_it, tau)) over t
 
     # per sample, the best -y*grad f among its variables in "up" and in "low"
     # is resid + up_off and resid + low_off; an infinite offset means none
-    up_off = np.where(alpha[1] > 0.0, epsilon,
-                      np.where(alpha[0] < cost, -epsilon, -np.inf))
-    low_off = np.where(alpha[0] > 0.0, -epsilon,
-                       np.where(alpha[1] < cost, epsilon, np.inf))
-
-    def refresh(s):
-        a_up, a_low = alpha[0, s], alpha[1, s]
-        up_off[s] = epsilon if a_low > 0.0 else (-epsilon if a_up < cost else -np.inf)
-        low_off[s] = -epsilon if a_up > 0.0 else (epsilon if a_low < cost else np.inf)
+    up_arr, low_arr = np.array(up), np.array(low)
+    up_off = np.where(low_arr > 0.0, epsilon, np.where(up_arr < cost, -epsilon, -np.inf))
+    low_off = np.where(up_arr > 0.0, -epsilon, np.where(low_arr < cost, epsilon, np.inf))
+    up_val, gap, step = np.empty(n), np.empty(n), np.empty(n)
 
     iterations = 0
     converged = False
     while iterations < max_iter:
-        up_val = resid + up_off
+        np.add(resid, up_off, out=up_val)
         ii = int(up_val.argmax())
-        m = up_val[ii]
-        low_val = resid + low_off
-        if m - low_val.min() <= tol:
+        m = up_val.item(ii)
+        # gap = m - (resid + low_off); rounding is monotone, so its max is
+        # m - min(resid + low_off), the maximal violation
+        np.add(resid, low_off, out=gap)
+        np.subtract(m, gap, out=gap)
+        if gap.item(gap.argmax()) <= tol:   # max(), without its Python wrapper
             converged = True
             break
         row = scale_rows.get(ii)
         if row is None:
-            quad = np.maximum(kdiag + kdiag[ii] - 2.0 * K[ii], _TAU)
+            quad = np.maximum(kdiag + kd[ii] - 2.0 * k_rows[ii], _TAU)
             row = scale_rows[ii] = 1.0 / np.sqrt(quad)
-        # argmax of b / sqrt(a) over b = m - low_val > 0 is argmin of -b^2 / a;
-        # a positive b exists, since m - min(low_val) > tol
-        jj = int(((m - low_val) * row).argmax())
+        # argmax of b / sqrt(a) over b = gap > 0 is argmin of -b^2 / a; a
+        # positive b exists, since max(gap) > tol
+        np.multiply(gap, row, out=gap)
+        jj = int(gap.argmax())
 
-        hi = 1 if alpha[1, ii] > 0.0 else 0
-        hj = 0 if alpha[0, jj] > 0.0 else 1
+        hi = 1 if low[ii] > 0.0 else 0
+        hj = 0 if up[jj] > 0.0 else 1
         si, sj = 1 - 2 * hi, 1 - 2 * hj
-        quad = max(kdiag[ii] + kdiag[jj] - 2.0 * K[ii, jj], _TAU)
-        old_i, old_j = alpha[hi, ii], alpha[hj, jj]
-        g_i = epsilon - si * resid[ii]   # grad f of the two variables
-        g_j = epsilon - sj * resid[jj]
+        quad = max(kd[ii] + kd[jj] - 2.0 * K.item(ii, jj), _TAU)
+        old_i = low[ii] if hi else up[ii]
+        old_j = low[jj] if hj else up[jj]
+        g_i = epsilon - si * resid.item(ii)   # grad f of the two variables
+        g_j = epsilon - sj * resid.item(jj)
         if si != sj:
             delta = (-g_i - g_j) / quad
             diff = old_i - old_j
@@ -293,13 +299,19 @@ def _smo_epsilon_svr(K, y, cost, epsilon, tol, max_iter, beta0=None):
         if d_i == 0.0 and d_j == 0.0:
             converged = True  # numerically stalled at the optimum
             break
-        alpha[hi, ii], alpha[hj, jj] = ai, aj
-        resid -= K[ii] * (si * d_i)
-        resid -= K[jj] * (sj * d_j)
-        refresh(ii)
-        refresh(jj)
+        (low if hi else up)[ii] = ai
+        (low if hj else up)[jj] = aj
+        np.multiply(k_rows[ii], si * d_i, out=step)
+        np.subtract(resid, step, out=resid)
+        np.multiply(k_rows[jj], sj * d_j, out=step)
+        np.subtract(resid, step, out=resid)
+        for s in (ii, jj):
+            a_up, a_low = up[s], low[s]
+            up_off[s] = epsilon if a_low > 0.0 else (-epsilon if a_up < cost else -np.inf)
+            low_off[s] = -epsilon if a_up > 0.0 else (epsilon if a_low < cost else np.inf)
         iterations += 1
 
+    alpha = np.array([up, low])
     minus_yg = np.stack([resid - epsilon, resid + epsilon])
     free = (alpha > 0.0) & (alpha < cost)
     if free.any():
@@ -479,14 +491,28 @@ def _soft_threshold(z: float, lam: float) -> float:
     return 0.0
 
 
-def _solve_on_support(gram_rows, rhs, active):
-    """Solve gram[A, A] v = rhs by Cholesky for the support A = ``active``.
+class _LassoPath:
+    """One LASSO problem's moments as Python lists, and the Cholesky factors
+    of gram[A, A] built so far for the supports A met along its penalty path.
 
-    Returns v as a list aligned with ``active``, or None when a pivot is at or
-    below ``_PIVOT_RTOL`` of its diagonal entry (gram[A, A] near-singular).
+    The fits along one path share it: consecutive penalties usually keep the
+    support, so its factor is built once. A singular support maps to None.
     """
-    m = len(active)
-    chol = []   # lower-triangular rows of the Cholesky factor
+
+    def __init__(self, gram, corr, diag):
+        self.gram_rows = np.asarray(gram, dtype=float).tolist()
+        self.corr = np.asarray(corr, dtype=float).tolist()
+        self.diag = np.asarray(diag, dtype=float).tolist()
+        self.factors = {}   # support tuple -> lower-triangular rows, or None
+
+
+def _cholesky(gram_rows, active):
+    """Lower-triangular rows of the Cholesky factor of gram[A, A] for A = ``active``.
+
+    None when a pivot is at or below ``_PIVOT_RTOL`` of its diagonal entry
+    (gram[A, A] near-singular).
+    """
+    chol = []
     for a, j in enumerate(active):
         row = gram_rows[j]
         lrow = []
@@ -498,6 +524,12 @@ def _solve_on_support(gram_rows, rhs, active):
             return None
         lrow.append(math.sqrt(pivot))
         chol.append(lrow)
+    return chol
+
+
+def _cholesky_solve(chol, rhs):
+    """Solve L L' v = rhs by forward and back substitution; v as a list."""
+    m = len(chol)
     z = []
     for a in range(m):
         la = chol[a]
@@ -518,7 +550,7 @@ def _lasso_objective(gram_rows, corr, lam, x):
     return total
 
 
-def _active_set_solution(gram_rows, corr, lam, w):
+def _active_set_solution(gram_rows, corr, lam, w, factors=None):
     """Finish a coordinate-descent iterate ``w`` exactly, or return None.
 
     Feature-sign search (Lee, Battle, Raina & Ng 2007, NIPS 19), an active-set
@@ -531,8 +563,12 @@ def _active_set_solution(gram_rows, corr, lam, w):
     times max(lam, max|corr|): corr - gram w = lam * sign(w) where w != 0, and
     |corr - gram w| <= lam where w = 0. A near-singular gram[A, A] or
     ``_FEATURE_SIGN_STEPS`` steps without a certificate give None.
+    ``factors`` caches the Cholesky factor of each support (a
+    ``_LassoPath.factors``); without it the call keeps its own.
     """
     p = len(corr)
+    if factors is None:
+        factors = {}
     slack = _KKT_RTOL * max(lam, max(map(abs, corr), default=0.0))
     for _ in range(_FEATURE_SIGN_STEPS):
         grad = [c - sum(map(operator.mul, row, w)) for c, row in zip(corr, gram_rows)]
@@ -544,15 +580,22 @@ def _active_set_solution(gram_rows, corr, lam, w):
                 return w
             signs[j_add] = 1 if grad[j_add] > 0.0 else -1
         active = [j for j in range(p) if signs[j]]
-        v = _solve_on_support(gram_rows, [corr[j] - lam * signs[j] for j in active], active)
-        if v is None:
+        support = tuple(active)
+        if support not in factors:
+            factors[support] = _cholesky(gram_rows, active)
+        chol = factors[support]
+        if chol is None:
             return None
+        v = _cholesky_solve(chol, [corr[j] - lam * signs[j] for j in active])
         target = [0.0] * p
         for j, vj in zip(active, v):
             target[j] = vj
-        best, best_f = target, _lasso_objective(gram_rows, corr, lam, target)
-        for j in active:
-            if w[j] * target[j] < 0.0:   # the segment crosses zero on coordinate j
+        best = target
+        # the points where the segment from w to target crosses zero
+        crossing = [j for j in active if w[j] * target[j] < 0.0]
+        if crossing:
+            best_f = _lasso_objective(gram_rows, corr, lam, target)
+            for j in crossing:
                 t = w[j] / (w[j] - target[j])
                 x = [a + t * (b - a) for a, b in zip(w, target)]
                 x[j] = 0.0
@@ -563,7 +606,7 @@ def _active_set_solution(gram_rows, corr, lam, w):
     return None
 
 
-def _lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None):
+def _lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None, path=None):
     """Minimize (1/2n)||y - Xw||^2 + lam*||w||_1 given Gram = X'X/n, corr = X'y/n.
 
     Cyclic coordinate descent with an exact active-set finish. Once a sweep
@@ -575,13 +618,17 @@ def _lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None):
     sweeps reached ``max_iter`` with neither a certified solution nor a sweep
     below ``tol``, and w is then the last iterate, as plain descent leaves it.
 
+    ``path``, a ``_LassoPath`` of the same gram, corr and diag, is shared by
+    the fits along one penalty path: it holds their list forms and the
+    Cholesky factors built so far. Without one, the call makes its own.
+
     The sweep loop runs on plain Python floats; for the handful of features
     used here that is severalfold faster than numpy scalar indexing.
     """
-    p, lam = len(corr), float(lam)
-    gram_rows = np.asarray(gram, dtype=float).tolist()
-    corr_list = np.asarray(corr, dtype=float).tolist()
-    diag_list = np.asarray(diag, dtype=float).tolist()
+    if path is None:
+        path = _LassoPath(gram, corr, diag)
+    gram_rows, corr_list, diag_list = path.gram_rows, path.corr, path.diag
+    p, lam = len(corr_list), float(lam)
     w = [0.0] * p if w0 is None else np.asarray(w0, dtype=float).tolist()
     gw = [sum(map(operator.mul, row, w)) for row in gram_rows]
     signs = [(x > 0.0) - (x < 0.0) for x in w]
@@ -606,7 +653,7 @@ def _lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None):
                     biggest = delta
         found, signs = signs, [(x > 0.0) - (x < 0.0) for x in w]
         if (signs == found or biggest <= tol) and signs != failed:
-            exact = _active_set_solution(gram_rows, corr_list, lam, w)
+            exact = _active_set_solution(gram_rows, corr_list, lam, w, path.factors)
             if exact is not None:
                 return np.asarray(exact), False
             failed = signs
@@ -687,21 +734,31 @@ def train_elasso(
             val_mask = fold_ids == fold
             Zv, uv = Zb[val_mask], ub[val_mask]
             fxm, fym, fgram, fcorr, fdiag = _centered_moments(Zb[~val_mask], ub[~val_mask])
-            w = None
-            for g_idx, lam in enumerate(grid):
+            fold_path, Zc = _LassoPath(fgram, fcorr, fdiag), Zv - fxm
+            preds, w = [], None
+            for lam in grid:
                 # scoring fits ride the warm-started path; loose tolerance and a
                 # small sweep cap keep ill-conditioned resamples from stalling
-                w, hit_cap = _lasso_cd(fgram, fcorr, fdiag, lam, _PATH_TOL, 300, w0=w)
+                w, hit_cap = _lasso_cd(fgram, fcorr, fdiag, lam, _PATH_TOL, 300, w0=w,
+                                       path=fold_path)
                 capped += hit_cap
-                pred = (Zv - fxm) @ w + fym
-                cv_errors[g_idx] += float(np.mean((pred - uv) ** 2))
+                preds.append(Zc @ w)
+            # one (penalty, sample) array scores the fold: each row's mean sums
+            # in the order a one-penalty mean would. A stacked Zc @ W.T would
+            # save the matrix-vector products but round them differently.
+            err = np.array(preds)
+            err += fym
+            err -= uv
+            cv_errors += np.mean(np.square(err, out=err), axis=1)
         best_idx = int(np.argmin(cv_errors))
         best_lam = float(grid[best_idx])
-        w = None
+        full_path, w = _LassoPath(gram, corr, diag), None
         for lam in grid[: best_idx + 1]:
-            w, hit_cap = _lasso_cd(gram, corr, diag, float(lam), _PATH_TOL, 300, w0=w)
+            w, hit_cap = _lasso_cd(gram, corr, diag, float(lam), _PATH_TOL, 300, w0=w,
+                                   path=full_path)
             capped += hit_cap
-        w, hit_cap = _lasso_cd(gram, corr, diag, best_lam, LASSO_TOL, 5_000, w0=w)
+        w, hit_cap = _lasso_cd(gram, corr, diag, best_lam, LASSO_TOL, 5_000, w0=w,
+                               path=full_path)
         capped += hit_cap
         fits += CV_FOLDS * len(grid) + best_idx + 2
         intercept = ym - float(xm @ w)

@@ -69,6 +69,7 @@ class AuditReport:
     answers: list[tuple[str, str]]
     flags: set[str] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
+    record: AlloyRecord | None = None   # the audited record
 
 
 def filter_plausible(records: list[AlloyRecord]) -> PlausibilityPartition:
@@ -139,7 +140,7 @@ def faithfulness_audit(
     """
     document_text = corpus.text(doc.id)
     record_json = serialize_record_set([record])
-    report = AuditReport(doc=doc, answers=[])
+    report = AuditReport(doc=doc, answers=[], record=record)
     for question in questions:
         request = EngineRequest(
             system_text=AUDIT_SYSTEM_TEXT,
@@ -167,19 +168,21 @@ def classify_errors(
 ) -> dict[str, int]:
     """Count records per error category.
 
-    Out-of-band records with a successful unit repair count as unit errors;
-    audit flags are tallied per tag. A record may carry several tags.
+    Out-of-band records with a successful unit repair count as unit errors,
+    and each audit flag counts its report's record under that tag. A record
+    may carry several tags but counts once per tag, however many sources
+    name it; a report without a record stands for a record of its own.
     """
-    counts = {tag: 0 for tag in ERROR_TAGS}
+    tagged = {tag: set() for tag in ERROR_TAGS}   # tag -> ids of the records counted
     for record in partition.rejected_low + partition.rejected_high:
         if record.lattice_constant is None:
             continue
         if suggest_unit_repair(record.lattice_constant.value) is not None:
-            counts[UNIT_ERROR] += 1
+            tagged[UNIT_ERROR].add(id(record))
     for report in audits:
         for tag in report.flags:
-            counts[tag] += 1
-    return counts
+            tagged[tag].add(id(report if report.record is None else report.record))
+    return {tag: len(ids) for tag, ids in tagged.items()}
 
 
 def record_label(record: AlloyRecord) -> str:

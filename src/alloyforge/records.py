@@ -171,6 +171,11 @@ def is_missing(value) -> bool:
 def normalize_phase(text: str) -> PhaseLabel:
     if is_missing(text):
         return PhaseLabel("unknown")
+    return _phase_of(text)
+
+
+def _phase_of(text: str) -> PhaseLabel:
+    """The phase label of text already known not to be missing."""
     raw = " ".join(str(text).split())
     low = raw.lower()
     structures = set()
@@ -200,6 +205,11 @@ def normalize_phase(text: str) -> PhaseLabel:
 def normalize_processing(text: str) -> ProcessingCondition:
     if is_missing(text):
         return ProcessingCondition("unreported")
+    return _processing_of(text)
+
+
+def _processing_of(text: str) -> ProcessingCondition:
+    """The processing condition of text already known not to be missing."""
     raw = " ".join(str(text).split())
     low = raw.lower()
     if any(p in low for p in ("anneal", "homogeniz", "heat treat", "heat-treat", "aged", "aging")):
@@ -293,8 +303,10 @@ def record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
         alloy_name=alloy_name,
         nominal_composition=nominal,
         measured_composition=measured,
-        phase=normalize_phase(values.get("phase")),
-        processing=normalize_processing(values.get("processing_condition")),
+        # values holds present text only, so the missing checks are not repeated
+        phase=_phase_of(values["phase"]) if "phase" in values else PhaseLabel("unknown"),
+        processing=(_processing_of(values["processing_condition"])
+                    if "processing_condition" in values else ProcessingCondition("unreported")),
         lattice_constant=lattice,
         raw_fields=dict(values),
     )

@@ -305,6 +305,19 @@ def test_audit_counts_unit_errors_from_repairs(tmp_path, monkeypatch, capsys):
     assert "flags=none" in (tmp_path / "audit.txt").read_text()
 
 
+def test_audit_counts_a_record_once_per_tag(tmp_path, monkeypatch, capsys):
+    # 0.3216 nm repairs to 3.216 A and the units question is answered NO: both
+    # name the same record, which counts once as a unit error
+    argv = _audit_workspace(tmp_path, {"d01": [_record("d01", composition="MoNbTaW",
+                                                       lattice=0.3216)]})
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: ScriptedAuditor())
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "audited 1 record(s), 0 failed" in out
+    assert ("{'contextual_hallucination': 1, 'semantic_misinterpretation': 1, "
+            "'unit_error': 1}") in out
+
+
 def test_audit_report_heads_name_each_record(tmp_path, monkeypatch):
     argv = _audit_workspace(tmp_path, {"d01": [
         _record("d01", name="HfNbTaTiZr", lattice=3.4),

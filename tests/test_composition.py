@@ -23,7 +23,11 @@ from alloyforge.composition import (
 )
 from alloyforge.records import DocumentId, make_record
 
-from tests.oracles import random_composition, reference_parse_formula
+from tests.oracles import (
+    random_composition,
+    reference_cosine_similarity,
+    reference_parse_formula,
+)
 
 
 class TestParseFormula:
@@ -187,6 +191,14 @@ class TestDistances:
             assert 0.0 <= cos <= 1.0
         for comp in comps[:20]:
             assert l1_distance(comp, comp) == 0.0
+
+    def test_cosine_similarity_same_bits_as_reference(self):
+        rng = np.random.default_rng(2024)
+        comps = [random_composition(rng, max_elements=7) for _ in range(80)]
+        comps += [parse_formula(text) for text in ("Al", "Ni", "Al0.5Ni0.5", "CoCrFeMnNi")]
+        for _ in range(3000):
+            a, b = (comps[int(i)] for i in rng.integers(0, len(comps), 2))
+            assert cosine_similarity(a, b) == reference_cosine_similarity(a, b)
 
     def test_l1_distance_is_independent_of_string_hashing(self):
         # element sets iterate in hash order, which PYTHONHASHSEED changes

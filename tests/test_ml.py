@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from alloyforge import ml
-from tests.oracles import reference_lasso_cd
+from tests.oracles import (
+    reference_lasso_cd,
+    reference_smo_epsilon_svr,
+    reference_train_elasso,
+)
 
 
 def standardize(x):
@@ -344,7 +348,7 @@ class TestLassoActiveSetFinish:
         assert np.linalg.cond(np.corrcoef(X.T)) >= 200
         certified = ml.train_elasso(X, y, B=10, seed=3)
         monkeypatch.setattr(
-            ml, "_lasso_cd", lambda *a, **k: (reference_lasso_cd(*a, **k), False))
+            ml, "_lasso_cd", lambda *a, path=None, **k: (reference_lasso_cd(*a, **k), False))
         plain = ml.train_elasso(X, y, B=10, seed=3)
         assert [e.lam for e in certified.estimators] == [e.lam for e in plain.estimators]
         for a, b in zip(certified.estimators, plain.estimators):
@@ -467,6 +471,92 @@ class TestEnsembles:
         split_b = ml.train_test_split(X, y, ml.SplitConfig(0.8, 77))
         assert np.array_equal(split_a[0], split_b[0])
         assert np.array_equal(split_a[1], split_b[1])
+
+
+def assert_same_smo(K, y, cost, epsilon, tol, max_iter, beta0=None):
+    got = ml._smo_epsilon_svr(K, y, cost, epsilon, tol, max_iter, beta0)
+    want = reference_smo_epsilon_svr(K, y, cost, epsilon, tol, max_iter, beta0)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]   # bias, iterations, converged
+
+
+def assert_same_elasso(X, y, B, seed):
+    got = ml.train_elasso(X, y, B=B, seed=seed)
+    want = reference_train_elasso(X, y, B=B, seed=seed)
+    assert got.extra == want.extra
+    assert len(got.estimators) == len(want.estimators) == B
+    for a, b in zip(got.estimators, want.estimators):
+        assert a.lam == b.lam
+        assert a.coef.tobytes() == b.coef.tobytes()
+        assert a.intercept == b.intercept
+
+
+class TestSameBitsAsReference:
+    """The solvers against the reference copies in ``tests.oracles``: every bit."""
+
+    def test_smo_cold_and_warm_starts(self):
+        rng = np.random.default_rng(60)
+        for trial in range(12):
+            n = int(rng.integers(3, 60))
+            X, y = rng.normal(size=(n, 3)), rng.normal(size=n)
+            K = ml._rbf_kernel(X, X, float(rng.uniform(0.05, 2.0)))
+            cost, eps = float(rng.uniform(0.5, 50.0)), float(rng.uniform(0.01, 0.3))
+            assert_same_smo(K, y, cost / 4, eps, ml.SVR_TOL, 100_000)
+            start = reference_smo_epsilon_svr(K, y, cost / 4, eps, ml.SVR_TOL, 100_000)[0]
+            assert_same_smo(K, y, cost, eps, ml.SVR_TOL, 100_000, beta0=start)
+
+    def test_smo_iteration_cap(self):
+        rng = np.random.default_rng(61)
+        X, y = rng.normal(size=(30, 2)), rng.normal(size=30)
+        K = ml._rbf_kernel(X, X, 1.0)
+        for max_iter in (1, 2, 7, 25):
+            assert_same_smo(K, y, 100.0, ml.DEFAULT_EPSILON, ml.SVR_TOL, max_iter)
+            start = reference_smo_epsilon_svr(K, y, 10.0, ml.DEFAULT_EPSILON, ml.SVR_TOL, 50)[0]
+            assert_same_smo(K, y, 100.0, ml.DEFAULT_EPSILON, ml.SVR_TOL, max_iter, start)
+
+    def test_smo_duplicated_rows(self):
+        rng = np.random.default_rng(62)
+        X = np.repeat(rng.normal(size=(20, 3)), 2, axis=0)
+        y = np.repeat(rng.normal(size=20), 2)
+        K = ml._rbf_kernel(X, X, 0.5)
+        for cost in (0.5, 10.0, 200.0):
+            assert_same_smo(K, y, cost, ml.DEFAULT_EPSILON, ml.SVR_TOL, 100_000)
+
+    def test_smo_one_and_two_samples(self):
+        rng = np.random.default_rng(63)
+        for n in (1, 2):
+            for trial in range(5):
+                X, y = rng.normal(size=(n, 2)), rng.normal(size=n) * 3.0
+                K = ml._rbf_kernel(X, X, float(rng.uniform(0.05, 2.0)))
+                assert_same_smo(K, y, float(rng.uniform(0.1, 20.0)), 0.1, ml.SVR_TOL, 1000)
+
+    def test_esvr_model_bytes(self, tmp_path, monkeypatch):
+        X, y = vegard_data(n=60)
+        kwargs = dict(gamma_grid=(0.2, 1.0, 4.0), cost_grid=(1.0, 10.0, 100.0),
+                      ensemble_sizes=(3,), seed=5)
+        ml.save_model(ml.train_esvr(X, y, **kwargs), tmp_path / "tuned.json")
+        monkeypatch.setattr(ml, "_smo_epsilon_svr", reference_smo_epsilon_svr)
+        ml.save_model(ml.train_esvr(X, y, **kwargs), tmp_path / "reference.json")
+        assert (tmp_path / "tuned.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+    def test_elasso_correlated_problem(self):
+        # the problem of test_elasso_same_penalties_as_plain_descent
+        rng = np.random.default_rng(46)
+        X = rng.normal(size=(80, 1)) + 0.2 * rng.normal(size=(80, 6))
+        y = X @ np.array([0.5, 0.3, -0.2, 0.1, 0.0, 0.05]) + rng.normal(0, 0.05, 80)
+        assert_same_elasso(X, y, B=10, seed=3)
+
+    def test_elasso_duplicate_column(self):
+        # supports holding both copies are singular: their cached factor is None
+        rng = np.random.default_rng(45)
+        X = rng.normal(size=(50, 4))
+        X = np.column_stack([X, X[:, 0]])
+        y = X[:, :4] @ np.array([1.5, -1.0, 0.5, 0.25]) + rng.normal(0, 0.1, 50)
+        assert_same_elasso(X, y, B=6, seed=1)
+
+    def test_elasso_vegard_problem(self):
+        X, y = vegard_data(n=60)
+        assert_same_elasso(X, y, B=5, seed=4)
 
 
 def _two_constant_estimators(values):

@@ -74,6 +74,18 @@ class TestFieldNormalization:
         other = normalize_processing("magnetron sputtered film")
         assert other.kind == "other" and other.detail
 
+    def test_record_fields_normalize_as_the_public_functions(self):
+        # record_from_object normalizes only text it found present; sentinel and
+        # empty fields must still come out as the public functions map them
+        texts = [None, "", "  ", "Not found", " not   FOUND ", "bcc", "BCC + FCC",
+                 "metallic glass", "as-cast", "annealed at 1200 C", "spark plasma sintering",
+                 "magnetron sputtered film"]
+        for text in texts:
+            obj = {"alloy_name": "HfNbTaTiZr", "phase": text, "processing_condition": text}
+            record, _ = record_from_object(obj, DocumentId("d01"))
+            assert record.phase == normalize_phase(text)
+            assert record.processing == normalize_processing(text)
+
     def test_length_units(self):
         assert parse_length("3.19") == LengthAngstrom(3.19, 3.19, "unknown")
         assert parse_length("0.319 nm") == LengthAngstrom(3.19, 0.319, "nm")
