@@ -84,10 +84,12 @@ class Composition:
 
     @classmethod
     def from_coefficients(cls, coefficients) -> "Composition":
-        """Normalize raw coefficients to atomic fractions.
+        """Normalize raw coefficients to atomic fractions, keyed alphabetically.
 
-        Coefficients already summing to 1 (within 1e-9) are kept verbatim so
-        that serialization round-trips are exact.
+        Zero coefficients are dropped and each of the rest is divided by their
+        sum, in one pass over the sorted symbols. Coefficients already summing
+        to 1 (within 1e-9) are kept verbatim so that serialization round-trips
+        are exact.
         """
         coeffs = {sym: f for sym, c in coefficients.items() if (f := float(c)) != 0.0}
         if not coeffs:
@@ -96,8 +98,8 @@ class Composition:
         if not math.isfinite(total) or total <= 0:
             raise CompositionError(f"coefficients sum to {total!r}")
         if abs(total - 1.0) > 1e-9:
-            coeffs = {sym: c / total for sym, c in coeffs.items()}
-        return cls(dict(sorted(coeffs.items())))
+            return cls({sym: coeffs[sym] / total for sym in sorted(coeffs)})
+        return cls({sym: coeffs[sym] for sym in sorted(coeffs)})
 
     @property
     def elements(self) -> frozenset[str]:

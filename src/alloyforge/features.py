@@ -40,12 +40,23 @@ TARGET_COLUMN = "lattice_constant_angstrom"
 
 
 class ElementNotInTable(KeyError):
-    pass
+    """``args[0]`` is the sorted, comma-joined list of missing symbols."""
+
+    def __str__(self) -> str:
+        return f"element(s) not in table: {self.args[0]}"
 
 
 @dataclass(frozen=True)
 class ElementPropertyTable:
     values: dict[str, tuple[float, ...]]  # symbol -> values in PROPERTY_COLUMNS order
+
+    def __post_init__(self):
+        for symbol, row in self.values.items():
+            if len(row) != len(PROPERTY_COLUMNS):
+                raise ValueError(
+                    f"element {symbol!r} has {len(row)} value(s), "
+                    f"expected {len(PROPERTY_COLUMNS)} ({', '.join(PROPERTY_COLUMNS)})"
+                )
 
     @classmethod
     def from_csv(cls, path) -> "ElementPropertyTable":
@@ -61,7 +72,25 @@ class ElementPropertyTable:
         values = {}
         for row in reader:
             symbol = row["symbol"].strip()
-            values[symbol] = tuple(float(row[c]) for c in PROPERTY_COLUMNS)
+            if None in row:  # DictReader files the fields beyond the header under None
+                raise ValueError(
+                    f"{origin}: line {reader.line_num} has {len(header) + len(row[None])} "
+                    f"field(s), the header has {len(header)}"
+                )
+            if symbol in values:
+                raise ValueError(
+                    f"{origin}: line {reader.line_num}: element {symbol!r} listed twice"
+                )
+            parsed = []
+            for column in PROPERTY_COLUMNS:
+                try:
+                    parsed.append(float(row[column]))
+                except (TypeError, ValueError):  # a short row leaves None
+                    raise ValueError(
+                        f"{origin}: line {reader.line_num}, column {column}: "
+                        f"{row[column]!r} is not a number"
+                    ) from None
+            values[symbol] = tuple(parsed)
         return cls(values=values)
 
     def row(self, symbol: str) -> tuple[float, ...]:
@@ -101,21 +130,32 @@ class FeatureVector:
 def featurize(composition: Composition, table: ElementPropertyTable) -> FeatureVector:
     """Fraction-weighted average of each elemental property.
 
-    Each descriptor is accumulated in plain floats, one ``fraction * value``
-    term per element in ``composition.fractions`` order (alphabetical), so a
-    composition always gives the same bits and the feature CSVs and saved
-    models built from them are byte-stable. A compensated or reordered sum
-    (``sum``, ``math.fsum``, a BLAS dot product) would change the last bits.
+    Each descriptor has its own plain-float accumulator, ``a0`` to ``a5`` in
+    ``PROPERTY_COLUMNS`` order, starting at 0.0. Each table row is unpacked
+    once, and one ``fraction * value`` term per element is added in
+    ``composition.fractions`` order (alphabetical). So a composition always
+    gives the same bits, and the feature CSVs and saved models built from
+    them are byte-stable. A compensated or reordered sum (``sum``,
+    ``math.fsum``, a BLAS dot product) would change the last bits.
+
+    Missing elements are listed (sorted, comma-joined) only once a lookup has
+    failed, so the common path does no scan of its own.
     """
     values = table.values
-    missing = sorted(sym for sym in composition.fractions if sym not in values)
-    if missing:
-        raise ElementNotInTable(", ".join(missing))
-    acc = [0.0] * len(PROPERTY_COLUMNS)
-    for symbol, fraction in composition.fractions.items():
-        for k, v in enumerate(values[symbol]):
-            acc[k] += fraction * v
-    return FeatureVector(*acc)
+    a0 = a1 = a2 = a3 = a4 = a5 = 0.0
+    try:
+        for symbol, fraction in composition.fractions.items():
+            v0, v1, v2, v3, v4, v5 = values[symbol]
+            a0 += fraction * v0
+            a1 += fraction * v1
+            a2 += fraction * v2
+            a3 += fraction * v3
+            a4 += fraction * v4
+            a5 += fraction * v5
+    except KeyError:
+        missing = sorted(sym for sym in composition.fractions if sym not in values)
+        raise ElementNotInTable(", ".join(missing)) from None
+    return FeatureVector(a0, a1, a2, a3, a4, a5)
 
 
 @dataclass
@@ -154,7 +194,7 @@ def featurize_dataset(
         try:
             vector = featurize(record.nominal_composition, table)
         except ElementNotInTable as exc:
-            issues.append((index, f"element(s) not in table: {exc.args[0]}"))
+            issues.append((index, str(exc)))
             continue
         rows.append(vector.as_array())
         targets.append(record.lattice_constant.value)
@@ -165,14 +205,33 @@ def featurize_dataset(
 
 
 def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Read a feature matrix CSV produced by ``FeaturizedDataset.export_csv``."""
+    """Read a feature matrix CSV produced by ``FeaturizedDataset.export_csv``.
+
+    Raises ``ValueError`` naming the path for a file with no header, and the
+    path and line for a row whose field count differs from the header's or
+    that holds a non-numeric cell.
+    """
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}: no header row (expected one ending in {TARGET_COLUMN})")
         if header[-1] != TARGET_COLUMN:
             raise ValueError(f"{path}: last column must be {TARGET_COLUMN}")
         names = tuple(header[:-1])
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} field(s), "
+                    f"the header has {len(header)}"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         return np.empty((0, len(names))), np.empty(0), names

@@ -204,6 +204,20 @@ def _ref_parse_coefficient(s: str, i: int) -> tuple[float, int]:
     return 1.0, i
 
 
+def reference_from_coefficients(coefficients) -> Composition:
+    """``Composition.from_coefficients`` as it was before it sorted once:
+    normalize in input order, then sort the items."""
+    coeffs = {sym: f for sym, c in coefficients.items() if (f := float(c)) != 0.0}
+    if not coeffs:
+        raise EmptyFormula("no nonzero coefficients")
+    total = sum(coeffs.values())
+    if not math.isfinite(total) or total <= 0:
+        raise CompositionError(f"coefficients sum to {total!r}")
+    if abs(total - 1.0) > 1e-9:
+        coeffs = {sym: c / total for sym, c in coeffs.items()}
+    return Composition(dict(sorted(coeffs.items())))
+
+
 def reference_featurize(composition: Composition, table) -> np.ndarray:
     """Descriptor vector accumulated as 6-wide numpy adds, one per element in
     ``fractions`` order."""

@@ -391,3 +391,33 @@ def test_error_paths_return_nonzero(tmp_path, capsys):
     rc = main(["report", "--dataset", str(tmp_path / "missing.jsonl")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_on_bad_feature_csv_names_the_problem(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    short = tmp_path / "short.csv"
+    short.write_text("a,b,lattice_constant_angstrom\n1,2\n", encoding="utf-8")
+    for path, message in ((empty, "no header row"), (short, "line 2 has 2 field(s)")):
+        rc = main(["train", "--model", "elasso", "--data", str(path),
+                   "--out", str(tmp_path / "model.json")])
+        assert rc == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_predict_names_elements_missing_from_the_table(tmp_path, capsys):
+    import numpy as np
+
+    from alloyforge import ml
+
+    model = ml.EnsembleModel(
+        kind="elasso",
+        estimators=[ml.LassoEstimator(coef=np.zeros(6), intercept=0.0, lam=0.1)],
+        standardization=ml.Standardizer(np.zeros(6), np.ones(6), 3.0, 0.1),
+        seed=0,
+    )
+    ml.save_model(model, tmp_path / "model.json")
+    rc = main(["predict", "--model", str(tmp_path / "model.json"), "--composition", "FeNiPu"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: element(s) not in table: Pu\n"

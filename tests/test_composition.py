@@ -26,6 +26,7 @@ from alloyforge.records import DocumentId, make_record
 from tests.oracles import (
     random_composition,
     reference_cosine_similarity,
+    reference_from_coefficients,
     reference_parse_formula,
 )
 
@@ -150,6 +151,61 @@ class TestParseFormulaAgainstReference:
     @example("[CoNi")
     def test_same_result(self, text):
         assert _outcome(parse_formula, text) == _outcome(reference_parse_formula, text)
+
+
+# symbols in and out of the periodic table, and coefficient values float()
+# reads or refuses: ints, floats (zeros, negatives, NaN, inf, subnormals),
+# numbers near overflow, numeric and non-numeric strings, and None
+_COEFFICIENT_SYMBOLS = st.sampled_from(("Al", "Co", "Fe", "Nb", "Ni", "W", "Zr", "Xx", "fe", "Q"))
+_NEAR_OVERFLOW = st.sampled_from((1e308, 1.7976931348623157e308, -1e308, 9e307, 1e-320))
+_coefficient_values = st.one_of(
+    st.integers(-3, 1000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 10.0),
+    _NEAR_OVERFLOW,
+    st.one_of(st.floats(-10.0, 1e6), st.integers(-5, 100), _NEAR_OVERFLOW).map(str),
+    st.sampled_from(("", "x", " 2 ", "nan", "-inf", "1e309", "0", "0.0", None)),
+)
+
+
+@st.composite
+def _coefficients_summing_to_one(draw):
+    symbols = draw(st.lists(_COEFFICIENT_SYMBOLS, min_size=1, max_size=7, unique=True))
+    raw = draw(st.lists(st.floats(1e-6, 1e3), min_size=len(symbols), max_size=len(symbols)))
+    # a sum just inside or just outside the 1e-9 tolerance
+    total = sum(raw) * draw(st.sampled_from((1.0, 1 + 1e-12, 1 - 5e-10, 1 + 2e-9, 1 - 2e-9)))
+    return {sym: c / total for sym, c in zip(symbols, raw)}
+
+
+def _coefficients_outcome(build, coefficients):
+    try:
+        return [(sym, frac.hex()) for sym, frac in build(coefficients).fractions.items()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFromCoefficientsAgainstReference:
+    """``from_coefficients`` gives the reference's fraction bytes and key order,
+    or its error class and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.dictionaries(_COEFFICIENT_SYMBOLS, _coefficient_values, max_size=7),
+        _coefficients_summing_to_one(),
+    ))
+    @example({"Ni": "x", "Fe": None})
+    @example({"Fe": 1e308, "Ni": 1e308})
+    @example({"Fe": 1.7976931348623157e308})
+    @example({"W": 0.25, "Al": 0.75})
+    @example({"W": 0.25, "Al": 0.7500000005})
+    @example({"Zr": 0.1, "Co": 0.2, "Al": 0.3, "Nb": 0.4})
+    @example({"Xx": 1, "Q": 2, "Fe": 1})
+    @example({"Ni": 3, "Fe": -1})
+    @example({"Fe": 0, "Ni": 0.0, "W": "0"})
+    def test_same_result(self, coefficients):
+        assert _coefficients_outcome(Composition.from_coefficients, coefficients) == (
+            _coefficients_outcome(reference_from_coefficients, coefficients)
+        )
 
 
 class TestDistances:

@@ -19,6 +19,10 @@ from alloyforge.records import DocumentId, make_record
 from tests.oracles import reference_featurize
 
 DOC = DocumentId("docF")
+_SCREENING_ELEMENTS = ("Al", "Co", "Cr", "Cu", "Fe", "Hf", "Mn", "Mo", "Nb", "Ni",
+                       "Ta", "Ti", "V", "W", "Zr")
+_TABLE_HEADER = ("symbol,atomic_volume,covalent_radius,mendeleev_number,"
+                 "electronegativity,nd_valence,n_unfilled\n")
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +105,34 @@ class TestFeaturize:
             reference_featurize(comp, custom)
         assert caught.value.args[0] == "Al, Ni"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_benchmark_shaped_same_bytes_as_reference(self, table, data):
+        # 3-6 elements in integer thousandths summing to 1000, each at least 50
+        symbols = data.draw(st.lists(st.sampled_from(_SCREENING_ELEMENTS),
+                                     min_size=3, max_size=6, unique=True))
+        spare = 1000 - 50 * len(symbols)
+        cuts = sorted(data.draw(st.lists(st.integers(0, spare), min_size=len(symbols) - 1,
+                                         max_size=len(symbols) - 1)))
+        shares = [b - a for a, b in zip([0] + cuts, cuts + [spare])]
+        comp = Composition.from_coefficients(
+            {sym: 50 + share for sym, share in zip(symbols, shares)})
+        assert featurize(comp, table).as_array().tobytes() == (
+            reference_featurize(comp, table).tobytes())
+
+    def test_missing_element_sorting_after_present_ones(self):
+        custom = ElementPropertyTable(values={
+            "Fe": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), "Ni": (6.0, 5.0, 4.0, 3.0, 2.0, 1.0)})
+        for text, missing in (("FeNiZr", "Zr"), ("AlFeNiZr", "Al, Zr"), ("NiW", "W")):
+            comp = parse_formula(text)
+            with pytest.raises(ElementNotInTable) as caught:
+                featurize(comp, custom)
+            assert caught.value.args[0] == missing
+            assert str(caught.value) == f"element(s) not in table: {missing}"
+            with pytest.raises(ElementNotInTable) as caught:
+                reference_featurize(comp, custom)
+            assert caught.value.args[0] == missing
+
 
 class TestFeaturizeDataset:
     def test_rows_match_unit_op(self, table, truth_records):
@@ -134,6 +166,27 @@ class TestFeaturizeDataset:
         assert names == FEATURE_NAMES
         assert np.array_equal(X, data.X) and np.array_equal(y, data.y)
 
+    def test_load_empty_file_names_path(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="empty.csv: no header row"):
+            load_feature_csv(path)
+
+    def test_load_non_numeric_cell_names_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("a,b,lattice_constant_angstrom\n1,2,3\n1,x,3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="features.csv: line 3: could not convert"):
+            load_feature_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,2", "1,2,3,4"])
+    def test_load_wrong_field_count_names_line(self, tmp_path, row):
+        path = tmp_path / "features.csv"
+        path.write_text(f"a,b,lattice_constant_angstrom\n1,2,3\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_feature_csv(path)
+        assert str(caught.value) == (
+            f"{path}: line 4 has {row.count(',') + 1} field(s), the header has 3")
+
 
 class TestElementTable:
     def test_covers_common_alloying_elements(self, table):
@@ -162,3 +215,22 @@ class TestElementTable:
         path.write_text("symbol,atomic_volume\nFe,1\n", encoding="utf-8")
         with pytest.raises(ValueError):
             ElementPropertyTable.from_csv(path)
+
+    def test_row_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="element 'Ni' has 5 value"):
+            ElementPropertyTable(values={
+                "Fe": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), "Ni": (1.0, 2.0, 3.0, 4.0, 5.0)})
+
+    @pytest.mark.parametrize("row, message", [
+        ("Ni,1,,3,4,5,6", "line 3, column covalent_radius: '' is not a number"),
+        ("Ni,1,2,3,x,5,6", "line 3, column electronegativity: 'x' is not a number"),
+        ("Ni,1,2,3,4", "line 3, column nd_valence: None is not a number"),
+        ("Ni,1,2,3,4,5,6,7", "line 3 has 8 field(s), the header has 7"),
+        ("Fe,9,9,9,9,9,9", "line 3: element 'Fe' listed twice"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "table.csv"
+        path.write_text(_TABLE_HEADER + "Fe,1,2,3,4,5,6\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            ElementPropertyTable.from_csv(path)
+        assert str(caught.value) == f"{path}: {message}"
