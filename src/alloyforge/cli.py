@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", help="prompt text file (default: packaged starting prompt)")
     p.add_argument("--out", required=True)
     p.add_argument("--engine", default="forward", help="config engine role to use")
-    p.add_argument("--parallelism", type=int, default=None)
+    p.add_argument("--parallelism", type=_positive_int, default=None,
+                   help="documents in flight (default: pipeline.parallelism)")
     p.add_argument("--retry-failed", action="store_true")
     p.set_defaults(handler=cmd_extract)
 
@@ -105,6 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_prompt_text(path: str | None) -> str:
     if path:
         return Path(path).read_text(encoding="utf-8")
@@ -120,7 +128,8 @@ def cmd_extract(args) -> int:
         _load_prompt_text(args.prompt),
         engine,
         args.out,
-        parallelism=args.parallelism or cfg["pipeline.parallelism"],
+        parallelism=(cfg["pipeline.parallelism"] if args.parallelism is None
+                     else args.parallelism),
         temperature=cfg["pipeline.extract_temperature"],
         retry_failed=args.retry_failed,
     )
@@ -208,8 +217,7 @@ def cmd_audit(args) -> int:
         entries = [entry for entry in entries if id(entry[2]) in implausible]
 
     def attempt(entry):
-        record = entry[2]
-        return quality.faithfulness_audit(record, record.source, questions, engine, corpus)
+        return quality.faithfulness_audit(entry[2], questions, engine, corpus)
 
     results = pipeline.run_documents(attempt, entries, cfg["pipeline.parallelism"])
     reports = [result for result in results if not isinstance(result, EngineError)]
@@ -247,7 +255,10 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    X, y, _ = features.load_feature_csv(args.data)
+    X, y, names = features.load_feature_csv(args.data)
+    if names != features.FEATURE_NAMES:
+        header = ",".join(features.FEATURE_NAMES + (features.TARGET_COLUMN,))
+        raise ValueError(f"{args.data}: header must be {header} ('featurize' writes it)")
     cfg = ml.SplitConfig(train_fraction=args.train_fraction, seed=args.seed)
     X_train, X_test, y_train, y_test = ml.train_test_split(X, y, cfg)
     if args.model == "esvr":

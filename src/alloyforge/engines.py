@@ -18,6 +18,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import quote
 
 
 class EngineError(Exception):
@@ -50,15 +51,11 @@ class EngineRequest:
     user_text: str
     attachments: tuple = ()        # ((DocumentId, bytes | str), ...)
     temperature: float = 0.0
-    model_name: str = ""
-    options: tuple = ()            # opaque engine options, ((key, value), ...)
 
     def __post_init__(self):
         object.__setattr__(
             self, "attachments", tuple((doc, content) for doc, content in self.attachments)
         )
-        options = self.options.items() if isinstance(self.options, dict) else self.options
-        object.__setattr__(self, "options", tuple(sorted(tuple(pair) for pair in options)))
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
         if self.temperature < 0:
@@ -89,25 +86,27 @@ def _content_digest(content) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _attachment_digests(request: EngineRequest) -> list[dict]:
+    return [{"id": doc.id, "kind": doc.kind, "sha256": _content_digest(content)}
+            for doc, content in request.attachments]
+
+
 def transcript_key(request: EngineRequest) -> str:
     """Content hash of the canonicalized request.
 
     Insensitive to attachment ordering and to whitespace-only differences in
     the user text, so trivially reformatted requests replay the same entry.
+    ``model`` and ``options`` stay as constants from when requests carried
+    them, so recorded keys still replay; ``engine_from_config`` gives each
+    model a store of its own instead.
     """
-    attachments = sorted(
-        (
-            {"id": doc.id, "kind": doc.kind, "sha256": _content_digest(content)}
-            for doc, content in request.attachments
-        ),
-        key=lambda a: a["id"],
-    )
+    attachments = sorted(_attachment_digests(request), key=lambda a: a["id"])
     canonical = {
-        "model": request.model_name,
+        "model": "",
         "system": request.system_text,
         "user": _normalize_whitespace(request.user_text),
         "temperature": repr(float(request.temperature)),
-        "options": list(request.options),
+        "options": [],
         "attachments": attachments,
     }
     blob = json.dumps(canonical, sort_keys=True, ensure_ascii=False)
@@ -143,16 +142,14 @@ class TranscriptStore:
         with self._lock:
             if resp_path.exists():
                 return
+            # constant "model" and "options" for the reason given in transcript_key
             request_blob = {
-                "model": request.model_name,
+                "model": "",
                 "system": request.system_text,
                 "user": request.user_text,
                 "temperature": request.temperature,
-                "options": list(request.options),
-                "attachments": [
-                    {"id": doc.id, "kind": doc.kind, "sha256": _content_digest(content)}
-                    for doc, content in request.attachments
-                ],
+                "options": [],
+                "attachments": _attachment_digests(request),
             }
             response_blob = {
                 "text": response.text,
@@ -172,10 +169,8 @@ class TranscriptStore:
 class ReplayEngine:
     """Serves recorded responses only; any novel request is a ReplayMiss."""
 
-    supports_attachments = True
-
-    def __init__(self, store: TranscriptStore | str):
-        self.store = store if isinstance(store, TranscriptStore) else TranscriptStore(store)
+    def __init__(self, store: TranscriptStore):
+        self.store = store
 
     def complete(self, request: EngineRequest) -> EngineResponse:
         key = transcript_key(request)
@@ -195,9 +190,9 @@ class RecordingEngine:
 
     supports_attachments = True
 
-    def __init__(self, inner, store: TranscriptStore | str):
+    def __init__(self, inner, store: TranscriptStore):
         self.inner = inner
-        self.store = store if isinstance(store, TranscriptStore) else TranscriptStore(store)
+        self.store = store
 
     def complete(self, request: EngineRequest) -> EngineResponse:
         key = transcript_key(request)
@@ -308,12 +303,12 @@ class HttpEngine:
                 entry["bytes"] = content.hex()
             attachments.append(entry)
         return {
-            "model": request.model_name or self.model_name,
+            "model": self.model_name,
             "system": request.system_text,
             "user": request.user_text,
             "temperature": request.temperature,
             "attachments": attachments,
-            "options": dict(request.options),
+            "options": {},
         }
 
     def complete(self, request: EngineRequest) -> EngineResponse:
@@ -399,17 +394,22 @@ def engine_from_config(cfg, role: str):
     """Build an engine handle for a role from a loaded ``config.Config``."""
     prefix = f"engine.{role}."
     kind, store_dir = cfg[prefix + "kind"], cfg[prefix + "transcript_dir"]
-    record = cfg[prefix + "record"]
+    record, model = cfg[prefix + "record"], cfg[prefix + "model"]
     if kind not in ("http", "replay"):
         raise ValueError(f"unknown engine kind {kind!r} for role {role!r}")
     if (kind == "replay" or record) and not store_dir:
         raise ValueError(f"{prefix}transcript_dir is required to replay or record")
+    if store_dir and model:
+        # keys do not name the model, so each model gets a store of its own:
+        # percent-encoding is one-to-one and leaves no "/", and the prefix
+        # keeps "." and ".." from naming transcript_dir or its parent
+        store_dir = Path(store_dir) / ("model=" + quote(model, safe=""))
     if kind == "replay":
         return ReplayEngine(TranscriptStore(store_dir))
     rate = cfg[prefix + "rate_limit_per_s"]
     engine = HttpEngine(
         endpoint=cfg[prefix + "endpoint"],
-        model_name=cfg[prefix + "model"],
+        model_name=model,
         name=role,
         max_retries=cfg[prefix + "max_retries"],
         rate_limit=TokenBucket(rate) if rate is not None else None,

@@ -20,7 +20,13 @@ from pathlib import Path
 
 from . import evaluation
 from .engines import EngineError, EngineRequest
-from .pipeline import CorpusStore, build_document_request, is_rejection, run_documents
+from .pipeline import (
+    CorpusStore,
+    build_document_request,
+    is_rejection,
+    request_document,
+    run_documents,
+)
 from .records import (
     AlloyRecord,
     MalformedOutput,
@@ -189,21 +195,21 @@ def extraction_loss(
 ) -> Feedback:
     """Ask the evaluator engine to critique one document's output.
 
-    The evaluation request embeds the prompt, the document, the expert data,
-    and the model output; the critique's closing ALIGNED/MISALIGNED statement
-    becomes the verdict. An unparseable verdict is conservatively treated as
-    misaligned.
+    The evaluation request embeds the prompt, the document (a PDF as a
+    reference to its attachment), the expert data, and the model output; the
+    critique's closing ALIGNED/MISALIGNED statement becomes the verdict. An
+    unparseable verdict is conservatively treated as misaligned.
     """
     template = template or default_evaluation_template()
+    document, attachments = request_document(corpus, doc_id)
     filled = (
         template.replace("<<PROMPT>>", prompt.text)
-        .replace("<<DOCUMENT>>", corpus.text(doc_id))
+        .replace("<<DOCUMENT>>", document)
         .replace("<<EXPERT_DATA>>", serialize_record_set(truth))
         .replace("<<MODEL_OUTPUT>>", serialize_record_set(output))
     )
-    response = evaluator.complete(
-        EngineRequest(system_text="", user_text=filled, temperature=0.0)
-    )
+    request = EngineRequest(system_text="", user_text=filled, attachments=attachments)
+    response = evaluator.complete(request)
     verdicts = _VERDICT_RE.findall(response.text)
     if verdicts:
         verdict = ALIGNED if verdicts[-1].upper() == "ALIGNED" else MISALIGNED

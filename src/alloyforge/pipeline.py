@@ -73,28 +73,15 @@ class ManifestEntry:
     path: Path
 
 
-@dataclass
-class CorpusManifest:
-    entries: list[ManifestEntry]
-
-    @property
-    def ids(self) -> list[str]:
-        return [entry.doc.id for entry in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class CorpusStore:
-    """Content access over a manifest, keyed by document id."""
+    """Content access over manifest entries, keyed by document id, in manifest order."""
 
-    def __init__(self, manifest: CorpusManifest):
-        self.manifest = manifest
-        self._by_id = {entry.doc.id: entry for entry in manifest.entries}
+    def __init__(self, entries: list[ManifestEntry]):
+        self._by_id = {entry.doc.id: entry for entry in entries}
 
     @property
     def ids(self) -> list[str]:
-        return self.manifest.ids
+        return list(self._by_id)
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
@@ -105,18 +92,15 @@ class CorpusStore:
         except KeyError:
             raise CorpusMiss(doc_id) from None
 
-    def text(self, doc_id: str) -> str:
-        return self.entry(doc_id).path.read_text(encoding="utf-8")
-
-    def content(self, doc_id: str):
+    def content(self, doc_id: str) -> str | bytes:
         entry = self.entry(doc_id)
         if entry.doc.kind == "pdf":
             return entry.path.read_bytes()
         return entry.path.read_text(encoding="utf-8")
 
 
-def ingest_corpus(manifest_path) -> CorpusManifest:
-    """Load and validate a ``doc_id,path,kind`` manifest CSV."""
+def ingest_corpus(manifest_path) -> list[ManifestEntry]:
+    """Load and validate a ``doc_id,path,kind`` manifest CSV; entries in manifest order."""
     manifest_path = Path(manifest_path)
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
@@ -143,33 +127,29 @@ def ingest_corpus(manifest_path) -> CorpusManifest:
             except RecordError as exc:
                 raise PipelineError(f"{where}: {exc}") from None
             entries.append(ManifestEntry(doc=doc, path=path))
-    return CorpusManifest(entries=entries)
+    return entries
+
+
+def request_document(corpus: CorpusStore, doc_id: str) -> tuple[str, tuple]:
+    """``(text, attachments)`` a request carries of a document: a plain-text
+    document's text and none, or a one-line reference and the PDF."""
+    doc, content = corpus.entry(doc_id).doc, corpus.content(doc_id)
+    if doc.kind == "pdf":
+        return f"(document {doc_id} is attached as a PDF)", ((doc, content),)
+    return content, ()
 
 
 def build_document_request(
     prompt_text: str, doc_id: str, corpus: CorpusStore, temperature: float = 0.0
 ) -> EngineRequest:
-    """Assemble the extraction request for one document.
-
-    Plain-text documents are inlined into the user text; PDFs ride along as
-    opaque attachments.
-    """
-    entry = corpus.entry(doc_id)
-    if entry.doc.kind == "plain_text":
-        return EngineRequest(
-            system_text=prompt_text,
-            user_text=(
-                f"Document {doc_id}:\n\n{corpus.text(doc_id)}\n\n"
-                "Extract the alloy data now."
-            ),
-            temperature=temperature,
-        )
-    return EngineRequest(
-        system_text=prompt_text,
-        user_text=f"Extract the alloy data from the attached document ({doc_id}).",
-        attachments=((entry.doc, corpus.content(doc_id)),),
-        temperature=temperature,
+    """Assemble the extraction request for one document."""
+    text, attachments = request_document(corpus, doc_id)
+    user_text = (
+        f"Extract the alloy data from the attached document ({doc_id})." if attachments
+        else f"Document {doc_id}:\n\n{text}\n\nExtract the alloy data now."
     )
+    return EngineRequest(system_text=prompt_text, user_text=user_text,
+                         attachments=attachments, temperature=temperature)
 
 
 def is_rejection(completion_text: str) -> bool:

@@ -11,8 +11,9 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from . import pipeline  # which imports this module: read its names at call time
 from .engines import EngineRequest
-from .records import AlloyRecord, DocumentId, record_to_object, serialize_record_set
+from .records import AlloyRecord, record_to_object, serialize_record_set
 
 CONTEXTUAL_HALLUCINATION = "contextual_hallucination"
 SEMANTIC_MISINTERPRETATION = "semantic_misinterpretation"
@@ -65,11 +66,10 @@ class AuditQuestion:
 
 @dataclass
 class AuditReport:
-    doc: DocumentId
+    record: AlloyRecord               # the audited record
     answers: list[tuple[str, str]]
     flags: set[str] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
-    record: AlloyRecord | None = None   # the audited record
 
 
 def filter_plausible(records: list[AlloyRecord]) -> PlausibilityPartition:
@@ -128,27 +128,28 @@ def default_audit_questions() -> list[AuditQuestion]:
 
 def faithfulness_audit(
     record: AlloyRecord,
-    doc: DocumentId,
     questions: list[AuditQuestion],
     engine,
     corpus,
 ) -> AuditReport:
-    """Ask the evaluator engine each audit question about one record.
+    """Ask the evaluator engine each audit question about one record and its source.
 
     Answers are parsed for a leading YES/NO; a NO raises that question's error
     flag. Unparseable answers are kept verbatim with a warning and no flag.
     """
-    document_text = corpus.text(doc.id)
+    doc_id = record.source.id
+    document, attachments = pipeline.request_document(corpus, doc_id)
     record_json = serialize_record_set([record])
-    report = AuditReport(doc=doc, answers=[], record=record)
+    report = AuditReport(record=record, answers=[])
     for question in questions:
         request = EngineRequest(
             system_text=AUDIT_SYSTEM_TEXT,
             user_text=(
                 f"QUESTION: {question.text}\n\n"
                 f"EXTRACTED RECORD:\n{record_json}\n\n"
-                f"DOCUMENT ({doc.id}):\n{document_text}"
+                f"DOCUMENT ({doc_id}):\n{document}"
             ),
+            attachments=attachments,
             temperature=0.0,
         )
         response = engine.complete(request)
@@ -171,7 +172,7 @@ def classify_errors(
     Out-of-band records with a successful unit repair count as unit errors,
     and each audit flag counts its report's record under that tag. A record
     may carry several tags but counts once per tag, however many sources
-    name it; a report without a record stands for a record of its own.
+    name it.
     """
     tagged = {tag: set() for tag in ERROR_TAGS}   # tag -> ids of the records counted
     for record in partition.rejected_low + partition.rejected_high:
@@ -181,7 +182,7 @@ def classify_errors(
             tagged[UNIT_ERROR].add(id(record))
     for report in audits:
         for tag in report.flags:
-            tagged[tag].add(id(report if report.record is None else report.record))
+            tagged[tag].add(id(report.record))
     return {tag: len(ids) for tag, ids in tagged.items()}
 
 

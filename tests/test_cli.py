@@ -216,9 +216,7 @@ def test_audit_command(tmp_path, capsys):
     store_dir = tmp_path / "audit_transcripts"
     corpus = CorpusStore(ingest_corpus(corpus_dir / "manifest.csv"))
     recorder = RecordingEngine(NaysayingAuditor(), TranscriptStore(store_dir))
-    quality.faithfulness_audit(
-        suspicious, suspicious.source, quality.default_audit_questions(), recorder, corpus
-    )
+    quality.faithfulness_audit(suspicious, quality.default_audit_questions(), recorder, corpus)
 
     cfg = tmp_path / "audit.cfg"
     cfg.write_text(
@@ -421,3 +419,119 @@ def test_predict_names_elements_missing_from_the_table(tmp_path, capsys):
     rc = main(["predict", "--model", str(tmp_path / "model.json"), "--composition", "FeNiPu"])
     assert rc == 1
     assert capsys.readouterr().err == "error: element(s) not in table: Pu\n"
+
+
+PDF_BYTES = b"%PDF-1.4\n%\xe2\xe3\xcf\xd3\n1 0 obj\n<<>>\nendobj\n%%EOF\n"
+PDF_ATTACHMENT = ((DocumentId("p01", "pdf"), PDF_BYTES),)
+
+
+def _pdf_manifest(tmp_path):
+    """A manifest of one PDF, ``p01``, holding bytes above 127 (so not UTF-8)."""
+    (tmp_path / "p01.pdf").write_bytes(PDF_BYTES)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("doc_id,path,kind\np01,p01.pdf,pdf\n", encoding="utf-8")
+    return manifest
+
+
+class Capturing:
+    """Keeps every request and answers each with ``text``."""
+
+    def __init__(self, text):
+        self.text, self.requests = text, []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return EngineResponse(text=self.text)
+
+
+def test_optimize_sends_a_pdf_to_the_evaluator_as_its_attachment(tmp_path, monkeypatch, capsys):
+    from alloyforge.records import load_ground_truth, serialize_record_set
+
+    truth = tmp_path / "truth.csv"
+    truth.write_text(
+        "doc_id,alloy_name,nominal_composition,measured_composition,phase,"
+        "processing_condition,lattice_constant_angstrom\n"
+        "p01,MoNbTaW,MoNbTaW,Not found,BCC,as-cast,3.216\n"
+        "p01,HfNbTaTiZr,HfNbTaTiZr,Not found,BCC,as-cast,3.404\n",
+        encoding="utf-8",
+    )
+    roles = {
+        "forward": Capturing(serialize_record_set(load_ground_truth(truth)[:1])),
+        "evaluator": Capturing("Missing entry: HfNbTaTiZr\nVERDICT: MISALIGNED"),
+        "backward": Capturing("<IMPROVED_PROMPT>\nReport every alloy.\n</IMPROVED_PROMPT>"),
+    }
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: roles[role])
+    cfg = tmp_path / "optimize.cfg"
+    cfg.write_text("optimizer.epochs = 2\n", encoding="utf-8")
+    rc = main(["optimize", "--config", str(cfg), "--corpus", str(_pdf_manifest(tmp_path)),
+               "--truth", str(truth), "--out", str(tmp_path / "history")])
+    assert rc == 0, capsys.readouterr().err
+    assert "failed document attempts: 0" in capsys.readouterr().out
+    evaluator_requests = roles["evaluator"].requests
+    assert len(evaluator_requests) == 2
+    for request in evaluator_requests + roles["forward"].requests:
+        assert request.attachments == PDF_ATTACHMENT
+    assert len(roles["backward"].requests) == 2
+
+
+def test_audit_sends_a_pdf_as_each_questions_attachment(tmp_path, monkeypatch, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset({"p01": [_record("p01", composition="MoNbTaW", lattice=0.3216)]}, dataset)
+    auditor = Capturing("Yes, the document states it.")
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: auditor)
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text("pipeline.parallelism = 1\n", encoding="utf-8")
+    rc = main(["audit", "--config", str(cfg), "--dataset", str(dataset),
+               "--corpus", str(_pdf_manifest(tmp_path)), "--out", str(tmp_path / "audit.txt")])
+    assert rc == 0, capsys.readouterr().err
+    assert "audited 1 record(s), 0 failed" in capsys.readouterr().out
+    assert len(auditor.requests) == 3
+    for request in auditor.requests:
+        assert request.attachments == PDF_ATTACHMENT
+        assert "DOCUMENT (p01):" in request.user_text
+
+
+@pytest.mark.parametrize("names", ["reversed", "letters"])
+def test_train_refuses_a_header_other_than_the_descriptors(tmp_path, capsys, names):
+    from alloyforge.features import FEATURE_NAMES, TARGET_COLUMN
+
+    columns = {"reversed": FEATURE_NAMES[::-1], "letters": tuple("abcdef")}[names]
+    path = tmp_path / "features.csv"
+    rows = [",".join(columns + (TARGET_COLUMN,))]
+    rows += [",".join(str(1.0 + 0.1 * ((i * 7 + j * 3) % 11)) for j in range(7))
+             for i in range(20)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc = main(["train", "--model", "elasso", "--data", str(path), "--bootstrap", "2",
+               "--out", str(tmp_path / "model.json")])
+    assert rc == 1
+    expected = ",".join(FEATURE_NAMES + (TARGET_COLUMN,))
+    assert f"error: {path}: header must be {expected}" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_extract_parallelism_flag_overrides_the_config_and_is_at_least_one(
+        tmp_path, monkeypatch, capsys):
+    from alloyforge import pipeline
+
+    seen = []
+
+    def run_extraction(*args, parallelism, **kwargs):
+        seen.append(parallelism)
+        return pipeline.ExtractionResult({}, pipeline.RunLedger(), [], 0)
+
+    monkeypatch.setattr(pipeline, "run_extraction", run_extraction)
+    cfg = tmp_path / "extract.cfg"
+    cfg.write_text(f"engine.forward.transcript_dir = {tmp_path / 'store'}\n"
+                   "pipeline.parallelism = 3\n", encoding="utf-8")
+    argv = ["extract", "--config", str(cfg), "--corpus", str(FIXTURES / "manifest.csv"),
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert main(argv + ["--parallelism", "1"]) == 0
+    assert seen == [3, 1]
+    capsys.readouterr()
+    for value in ("0", "-2"):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--parallelism", value])
+        assert info.value.code == 2
+        assert f"--parallelism: must be at least 1, got {value}" in capsys.readouterr().err
+    assert seen == [3, 1]

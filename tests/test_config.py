@@ -31,7 +31,7 @@ def test_readme_example_loads_verbatim(tmp_path, monkeypatch):
     assert http.max_context_chars == 400000
     assert http.max_retries == 5
     assert cfg["thresholds.l1"] == 0.1
-    assert engine.store.root == Path("transcripts/forward")
+    assert engine.store.root == Path("transcripts/forward/model=my-model")
 
 
 def test_every_key_is_in_the_readme():

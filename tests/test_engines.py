@@ -3,7 +3,8 @@ import threading
 
 import pytest
 
-from alloyforge.config import load_config
+from alloyforge import engines
+from alloyforge.config import Config, load_config
 from alloyforge.engines import (
     AuthError,
     ContextTooLong,
@@ -60,7 +61,6 @@ class TestTranscriptKey:
     def test_sensitive_to_content(self):
         assert transcript_key(req("one")) != transcript_key(req("two"))
         assert transcript_key(req(temperature=0.0)) != transcript_key(req(temperature=1.0))
-        assert transcript_key(req(model_name="m1")) != transcript_key(req(model_name="m2"))
         a = (DocumentId("a"), "alpha")
         a2 = (DocumentId("a"), "ALPHA")
         assert transcript_key(req(attachments=(a,))) != transcript_key(req(attachments=(a2,)))
@@ -285,11 +285,10 @@ class TestHttpEngine:
         request = req(
             attachments=((DocumentId("doc", "pdf"), b"\x00\x01"),
                          (DocumentId("txt"), "inline text")),
-            options={"reasoning_budget": "1024"},
         )
         engine.complete(request)
-        assert captured["model"] == "default-model"  # request had no model override
-        assert captured["options"] == {"reasoning_budget": "1024"}
+        assert captured["model"] == "default-model"
+        assert captured["options"] == {}
         by_id = {a["id"]: a for a in captured["attachments"]}
         assert by_id["doc"]["bytes"] == "0001" and "sha256" in by_id["doc"]
         assert by_id["txt"]["text"] == "inline text"
@@ -379,3 +378,55 @@ class TestEngineFromConfig:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError):
             engine_from_config(loaded(tmp_path, {"engine.x.kind": "carrier-pigeon"}), "x")
+
+    @pytest.mark.parametrize("kind", ["replay", "http"])
+    def test_without_a_model_the_store_is_transcript_dir(self, tmp_path, kind):
+        # a store recorded before stores were kept per model replays unchanged
+        RecordingEngine(_StaticEngine("recorded"), TranscriptStore(tmp_path)).complete(req())
+        cfg = Config({"engine.forward.kind": kind, "engine.forward.record": True,
+                      "engine.forward.transcript_dir": str(tmp_path)})
+        engine = engine_from_config(cfg, "forward")
+        assert engine.store.root == tmp_path
+        assert engine.complete(req()).text == "recorded"
+
+    @pytest.mark.parametrize("kind", ["replay", "http"])
+    def test_with_a_model_the_store_is_its_subdirectory(self, tmp_path, kind):
+        cfg = Config({"engine.forward.kind": kind, "engine.forward.record": True,
+                      "engine.forward.model": "claude-3.5-sonnet",
+                      "engine.forward.transcript_dir": str(tmp_path)})
+        engine = engine_from_config(cfg, "forward")
+        assert engine.store.root == tmp_path / "model=claude-3.5-sonnet"
+        assert engine.store.root.is_dir()
+
+    def test_model_stores_stay_inside_and_are_never_shared(self, tmp_path):
+        models = ["..", ".", "../up", "a/b", "a_b", "a%2Fb", "a%252Fb", "/abs", "a b",
+                  "model=x", "x", "gemini-2.5-flash", "ünï"]
+        roots = []
+        for model in models:
+            cfg = Config({"engine.forward.model": model,
+                          "engine.forward.transcript_dir": str(tmp_path)})
+            root = engine_from_config(cfg, "forward").store.root
+            assert root.resolve().parent == tmp_path.resolve(), model
+            roots.append(root.resolve())
+        assert len(set(roots)) == len(models)
+        assert sorted(path.resolve() for path in tmp_path.iterdir()) == sorted(roots)
+
+    def test_a_model_never_answers_from_another_models_store(self, tmp_path, monkeypatch):
+        calls = []
+
+        def transport(url, payload, headers, timeout):
+            calls.append(payload["model"])
+            return 200, {"text": f"answer from {payload['model']}"}
+
+        monkeypatch.setattr(engines, "_requests_transport", transport)
+
+        def engine_for(model):
+            return engine_from_config(Config({
+                "engine.forward.kind": "http", "engine.forward.model": model,
+                "engine.forward.record": True, "engine.forward.transcript_dir": str(tmp_path),
+            }), "forward")
+
+        assert engine_for("model-A").complete(req()).text == "answer from model-A"
+        assert engine_for("model-B").complete(req()).text == "answer from model-B"
+        assert engine_for("model-A").complete(req()).text == "answer from model-A"
+        assert calls == ["model-A", "model-B"]

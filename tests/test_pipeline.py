@@ -57,9 +57,9 @@ class DocsSeen:
 
 class TestIngestCorpus:
     def test_fixture_manifest(self):
-        manifest = ingest_corpus(FIXTURES / "manifest.csv")
-        assert len(manifest) == 7
-        assert manifest.ids == [f"d0{i}" for i in range(1, 8)]
+        entries = ingest_corpus(FIXTURES / "manifest.csv")
+        assert len(entries) == 7
+        assert [entry.doc.id for entry in entries] == [f"d0{i}" for i in range(1, 8)]
 
     def test_duplicate_id(self, tmp_path):
         doc = tmp_path / "a.txt"

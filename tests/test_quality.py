@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from alloyforge.quality import (
     quality_report_rows,
     suggest_unit_repair,
 )
+from alloyforge.pipeline import ManifestEntry
 from alloyforge.records import DocumentId, make_record
 
 DOC = DocumentId("docQ")
@@ -100,7 +103,10 @@ class _ScriptedAuditEngine:
 
 
 class _OneDocCorpus:
-    def text(self, doc_id):
+    def entry(self, doc_id):
+        return ManifestEntry(DOC, Path("docQ.txt"))
+
+    def content(self, doc_id):
         return "The alloy was studied; details omitted."
 
 
@@ -121,7 +127,7 @@ class TestFaithfulnessAudit:
             }
         )
         report = faithfulness_audit(
-            rec(2.55), DOC, default_audit_questions(), engine, _OneDocCorpus()
+            rec(2.55), default_audit_questions(), engine, _OneDocCorpus()
         )
         assert report.flags == {SEMANTIC_MISINTERPRETATION}
 
@@ -134,13 +140,13 @@ class TestFaithfulnessAudit:
             }
         )
         report = faithfulness_audit(
-            rec(10.9), DOC, default_audit_questions(), engine, _OneDocCorpus()
+            rec(10.9), default_audit_questions(), engine, _OneDocCorpus()
         )
         assert report.flags == {CONTEXTUAL_HALLUCINATION}
 
     def test_all_yes_no_flags(self):
         report = faithfulness_audit(
-            rec(3.2), DOC, default_audit_questions(), _ScriptedAuditEngine({}),
+            rec(3.2), default_audit_questions(), _ScriptedAuditEngine({}),
             _OneDocCorpus(),
         )
         assert report.flags == set()
@@ -151,7 +157,7 @@ class TestFaithfulnessAudit:
             {"really a lattice constant": "The question is hard to answer."}
         )
         report = faithfulness_audit(
-            rec(3.2), DOC, default_audit_questions(), engine, _OneDocCorpus()
+            rec(3.2), default_audit_questions(), engine, _OneDocCorpus()
         )
         assert report.flags == set()
         assert report.warnings
@@ -175,8 +181,8 @@ class TestClassifyErrors:
         from alloyforge.quality import AuditReport
 
         reports = [
-            AuditReport(doc=DOC, answers=[], flags={SEMANTIC_MISINTERPRETATION}),
-            AuditReport(doc=DOC, answers=[],
+            AuditReport(record=rec(3.2), answers=[], flags={SEMANTIC_MISINTERPRETATION}),
+            AuditReport(record=rec(3.3), answers=[],
                         flags={SEMANTIC_MISINTERPRETATION, UNIT_ERROR}),
         ]
         counts = classify_errors(PlausibilityPartition(), reports)
