@@ -312,8 +312,10 @@ class HttpEngine:
         }
 
     def complete(self, request: EngineRequest) -> EngineResponse:
-        size = len(request.user_text) + sum(
-            len(c) for _, c in request.attachments
+        payload = self._payload(request)
+        # count what the payload carries: a PDF goes out hex-encoded
+        size = len(payload["system"]) + len(payload["user"]) + sum(
+            len(a["text"] if "text" in a else a["bytes"]) for a in payload["attachments"]
         )
         if self.max_context_chars is not None and size > self.max_context_chars:
             raise ContextTooLong(
@@ -321,7 +323,6 @@ class HttpEngine:
             )
         api_key = os.environ.get(self.api_key_env, "")
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-        payload = self._payload(request)
 
         last_status = None
         for attempt in range(self.max_retries + 1):

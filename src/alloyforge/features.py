@@ -163,13 +163,11 @@ class FeaturizedDataset:
     X: np.ndarray                       # (n, 6) in input order
     y: np.ndarray                       # lattice constants, angstrom
     issues: list[tuple[int, str]]       # (input row index, reason) for dropped rows
-    kept_indices: list[int]
-    feature_names: tuple = FEATURE_NAMES
 
     def export_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(list(self.feature_names) + [TARGET_COLUMN])
+        writer.writerow(FEATURE_NAMES + (TARGET_COLUMN,))
         for row, target in zip(self.X, self.y):
             writer.writerow([repr(v) for v in row.tolist()] + [repr(float(target))])
         return out.getvalue()
@@ -183,7 +181,7 @@ def featurize_dataset(
     Rows needing an element missing from the table, or lacking a nominal
     composition or lattice constant, are dropped and reported.
     """
-    rows, targets, issues, kept = [], [], [], []
+    rows, targets, issues = [], [], []
     for index, record in enumerate(records):
         if record.nominal_composition is None:
             issues.append((index, "no nominal composition"))
@@ -198,10 +196,9 @@ def featurize_dataset(
             continue
         rows.append(vector.as_array())
         targets.append(record.lattice_constant.value)
-        kept.append(index)
     X = np.vstack(rows) if rows else np.empty((0, len(FEATURE_NAMES)))
     y = np.asarray(targets, dtype=float)
-    return FeaturizedDataset(X=X, y=y, issues=issues, kept_indices=kept)
+    return FeaturizedDataset(X=X, y=y, issues=issues)
 
 
 def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:

@@ -5,8 +5,8 @@ forward engine extracts records with the current prompt, the evaluator engine
 critiques each document's output against the expert reference (a textual
 gradient with an ALIGNED/MISALIGNED verdict), and the backward engine rewrites
 the prompt once per batch from the batch's concatenated critiques. A batch
-whose critiques are all aligned skips the rewrite call and only bumps the
-version, so the lineage stays a single chain.
+whose critiques are all aligned, or that has none, skips the rewrite call and
+only bumps the version, so the lineage stays a single chain.
 """
 
 from __future__ import annotations
@@ -55,16 +55,16 @@ REWRITE_SYSTEM_TEXT = (
 class Prompt:
     text: str
     version: int = 0
-    parent_version: int | None = None
     epoch: int = 0
 
     def __post_init__(self):
         if self.version < 0 or self.epoch < 0:
             raise ValueError("version and epoch must be nonnegative")
-        if self.version == 0 and self.parent_version is not None:
-            raise ValueError("version 0 has no parent")
-        if self.version > 0 and self.parent_version != self.version - 1:
-            raise ValueError("versions must form a consecutive chain")
+
+    @property
+    def parent_version(self) -> int | None:
+        """The version this one was derived from; versions form a single chain."""
+        return self.version - 1 if self.version else None
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class Feedback:
     doc: str
     prompt_version: int
     verdict: str                      # aligned | misaligned
-    verdict_parsed: bool = True
 
     def __post_init__(self):
         if not self.text:
@@ -213,16 +212,14 @@ def extraction_loss(
     verdicts = _VERDICT_RE.findall(response.text)
     if verdicts:
         verdict = ALIGNED if verdicts[-1].upper() == "ALIGNED" else MISALIGNED
-        parsed = True
     else:
         logger.warning("document %s: no verdict statement in critique", doc_id)
-        verdict, parsed = MISALIGNED, False
+        verdict = MISALIGNED
     return Feedback(
         text=response.text,
         doc=doc_id,
         prompt_version=prompt.version,
         verdict=verdict,
-        verdict_parsed=parsed,
     )
 
 
@@ -230,19 +227,15 @@ def backward_update(prompt: Prompt, feedbacks: list[Feedback], engine) -> Prompt
     """Produce the next prompt version from a batch of critiques.
 
     Critiques are concatenated in the order given (document order). When all
-    of them are aligned the rewrite call is skipped and only the version is
-    bumped.
+    of them are aligned, or there are none, the rewrite call is skipped and
+    only the version is bumped.
     """
-    if not feedbacks:
-        raise ValueError("backward_update needs at least one feedback")
     stale = [f.doc for f in feedbacks if f.prompt_version != prompt.version]
     if stale:
         raise ValueError(
             f"feedback for documents {stale} does not reference prompt version {prompt.version}"
         )
-    bumped = replace(
-        prompt, version=prompt.version + 1, parent_version=prompt.version
-    )
+    bumped = replace(prompt, version=prompt.version + 1)
     if all(f.verdict == ALIGNED for f in feedbacks):
         return bumped
     blocks = "\n\n".join(
@@ -325,16 +318,10 @@ def optimize(
                 epoch_outputs[doc_id], feedback = result
                 if feedback is not None:
                     feedbacks.append(feedback)
-            if feedbacks:
-                needs_rewrite = any(f.verdict == MISALIGNED for f in feedbacks)
-                current = backward_update(current, feedbacks, config.backward_engine)
-                if needs_rewrite:
-                    history.backward_engine_calls += 1
-            else:
-                current = replace(
-                    current, version=current.version + 1, parent_version=current.version
-                )
-            current = replace(current, epoch=epoch)
+            if any(f.verdict == MISALIGNED for f in feedbacks):
+                history.backward_engine_calls += 1
+            current = replace(backward_update(current, feedbacks, config.backward_engine),
+                              epoch=epoch)
             history.prompts.append(current)
         scored = {doc_id: epoch_outputs.get(doc_id, []) for doc_id in truth_by_doc}
         report = evaluation.evaluate_run(scored, truth_by_doc)

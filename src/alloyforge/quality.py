@@ -49,7 +49,6 @@ class PlausibilityPartition:
 
 @dataclass(frozen=True)
 class RepairSuggestion:
-    original: float
     repaired: float
     assumed_unit: str                 # nm | pm
 
@@ -69,7 +68,6 @@ class AuditReport:
     record: AlloyRecord               # the audited record
     answers: list[tuple[str, str]]
     flags: set[str] = field(default_factory=set)
-    warnings: list[str] = field(default_factory=list)
 
 
 def filter_plausible(records: list[AlloyRecord]) -> PlausibilityPartition:
@@ -106,9 +104,9 @@ def suggest_unit_repair(value: float) -> RepairSuggestion | None:
     if lo <= value <= hi:
         return None
     if lo <= value * 10.0 <= hi:
-        return RepairSuggestion(original=value, repaired=value * 10.0, assumed_unit="nm")
+        return RepairSuggestion(repaired=value * 10.0, assumed_unit="nm")
     if lo <= value * 0.01 <= hi:
-        return RepairSuggestion(original=value, repaired=value * 0.01, assumed_unit="pm")
+        return RepairSuggestion(repaired=value * 0.01, assumed_unit="pm")
     return None
 
 
@@ -135,7 +133,7 @@ def faithfulness_audit(
     """Ask the evaluator engine each audit question about one record and its source.
 
     Answers are parsed for a leading YES/NO; a NO raises that question's error
-    flag. Unparseable answers are kept verbatim with a warning and no flag.
+    flag. An unparseable answer is kept verbatim and raises no flag.
     """
     doc_id = record.source.id
     document, attachments = pipeline.request_document(corpus, doc_id)
@@ -156,10 +154,7 @@ def faithfulness_audit(
         answer = response.text.strip()
         report.answers.append((question.text, answer))
         lead = _ANSWER_LEAD_RE.match(answer)
-        if lead is None:
-            report.warnings.append(f"unparseable answer to {question.text!r}")
-            continue
-        if lead.group(1).lower() == "no" and question.flag_on_no:
+        if lead is not None and lead.group(1).lower() == "no" and question.flag_on_no:
             report.flags.add(question.flag_on_no)
     return report
 

@@ -32,7 +32,6 @@ PHASE_KINDS = frozenset({"BCC", "FCC", "HCP", "amorphous", "multiphase", "other"
 PROCESSING_KINDS = frozenset(
     {"as_cast", "annealed", "powder_processed", "additive", "other", "unreported"}
 )
-LENGTH_UNITS = frozenset({"angstrom", "nm", "pm", "unknown"})
 
 GROUND_TRUTH_COLUMNS = ("doc_id",) + SCHEMA_KEYS
 
@@ -53,10 +52,6 @@ class MissingColumn(GroundTruthError):
     pass
 
 
-class UnknownDocument(GroundTruthError):
-    pass
-
-
 @dataclass(frozen=True)
 class DocumentId:
     id: str
@@ -72,42 +67,31 @@ class DocumentId:
 @dataclass(frozen=True)
 class PhaseLabel:
     kind: str = "unknown"
-    detail: str | None = None
 
     def __post_init__(self):
         if self.kind not in PHASE_KINDS:
             raise RecordError(f"unknown phase kind {self.kind!r}")
-        if self.kind in ("multiphase", "other") and not self.detail:
-            raise RecordError(f"phase kind {self.kind!r} requires a detail string")
 
 
 @dataclass(frozen=True)
 class ProcessingCondition:
     kind: str = "unreported"
-    detail: str | None = None
 
     def __post_init__(self):
         if self.kind not in PROCESSING_KINDS:
             raise RecordError(f"unknown processing kind {self.kind!r}")
-        if self.kind == "other" and not self.detail:
-            raise RecordError("processing kind 'other' requires a detail string")
 
 
 @dataclass(frozen=True)
 class LengthAngstrom:
-    """A length stored in angstroms alongside the value as printed in the source."""
+    """A positive length in angstroms; the text it was read from stays in the
+    record's ``raw_fields``."""
 
     value: float
-    raw_value: float
-    raw_unit: str = "unknown"
 
     def __post_init__(self):
-        if self.raw_unit not in LENGTH_UNITS:
-            raise RecordError(f"unknown length unit {self.raw_unit!r}")
         if not self.value > 0:
             raise RecordError(f"length must be positive, got {self.value!r}")
-        if self.raw_unit == "angstrom" and self.value != self.raw_value:
-            raise RecordError("angstrom lengths must keep value == raw_value")
 
 
 @dataclass(frozen=True)
@@ -141,7 +125,6 @@ class FieldParseIssue:
 class RecordSetParseResult:
     records: list[AlloyRecord]
     issues: list[FieldParseIssue]
-    entry_count: int
 
 
 # --- field-level normalization -------------------------------------------------
@@ -176,8 +159,7 @@ def normalize_phase(text: str) -> PhaseLabel:
 
 def _phase_of(text: str) -> PhaseLabel:
     """The phase label of text already known not to be missing."""
-    raw = " ".join(str(text).split())
-    low = raw.lower()
+    low = " ".join(str(text).split()).lower()
     structures = set()
     if _BCC_RE.search(low):
         structures.add("bcc")
@@ -190,16 +172,16 @@ def _phase_of(text: str) -> PhaseLabel:
     if "amorphous" in low or "glass" in low:
         structures.add("amorphous")
     if _MULTIPHASE_RE.search(low) or len(structures) > 1:
-        return PhaseLabel("multiphase", raw)
+        return PhaseLabel("multiphase")
     if structures == {"bcc"}:
-        return PhaseLabel("BCC", raw if raw.upper() != "BCC" else None)
+        return PhaseLabel("BCC")
     if structures == {"fcc"}:
-        return PhaseLabel("FCC", raw if raw.upper() != "FCC" else None)
+        return PhaseLabel("FCC")
     if structures == {"hcp"}:
-        return PhaseLabel("HCP", raw if raw.upper() != "HCP" else None)
+        return PhaseLabel("HCP")
     if structures == {"amorphous"}:
-        return PhaseLabel("amorphous", raw if low != "amorphous" else None)
-    return PhaseLabel("other", raw)
+        return PhaseLabel("amorphous")
+    return PhaseLabel("other")
 
 
 def normalize_processing(text: str) -> ProcessingCondition:
@@ -210,39 +192,35 @@ def normalize_processing(text: str) -> ProcessingCondition:
 
 def _processing_of(text: str) -> ProcessingCondition:
     """The processing condition of text already known not to be missing."""
-    raw = " ".join(str(text).split())
-    low = raw.lower()
+    low = " ".join(str(text).split()).lower()
     if any(p in low for p in ("anneal", "homogeniz", "heat treat", "heat-treat", "aged", "aging")):
-        return ProcessingCondition("annealed", raw if low != "annealed" else None)
+        return ProcessingCondition("annealed")
     if any(p in low for p in ("additive", "laser melt", "slm", "lpbf", "3d print",
                               "electron beam melt", "directed energy")):
-        return ProcessingCondition("additive", raw)
+        return ProcessingCondition("additive")
     if any(p in low for p in ("powder", "sinter", "mechanical alloy", "spark plasma", "milling")):
-        return ProcessingCondition("powder_processed", raw)
+        return ProcessingCondition("powder_processed")
     if any(p in low for p in ("as-cast", "as cast", "cast", "arc melt", "arc-melt", "solidif")):
-        return ProcessingCondition("as_cast", raw if low != "as-cast" else None)
-    return ProcessingCondition("other", raw)
+        return ProcessingCondition("as_cast")
+    return ProcessingCondition("other")
 
 
 def parse_length(text) -> LengthAngstrom:
-    """Parse a lattice-constant string; unit inferred from 'nm'/'pm'/angstrom marks."""
+    """Parse a lattice-constant string into angstroms; a value marked 'nm' or
+    'pm' is scaled, any other is taken as angstroms."""
     raw = str(text)
     value_text = next(
         (m["value"] for m in _LENGTH_VALUE_RE.finditer(raw) if m["value"]), None
     )
     if value_text is None:
         raise RecordError(f"no numeric value in lattice field {raw!r}")
-    raw_value = float(value_text)
+    value = float(value_text)
     low = raw.lower()
     if _NM_RE.search(low):
-        unit, value = "nm", raw_value * 10.0
+        value *= 10.0
     elif _PM_RE.search(low):
-        unit, value = "pm", raw_value / 100.0
-    elif "Å" in raw or "å" in low or "angstrom" in low:
-        unit, value = "angstrom", raw_value
-    else:
-        unit, value = "unknown", raw_value
-    return LengthAngstrom(value=value, raw_value=raw_value, raw_unit=unit)
+        value /= 100.0
+    return LengthAngstrom(value)
 
 
 # --- record <-> JSON object -----------------------------------------------------
@@ -367,7 +345,7 @@ def parse_record_set(text: str, source: DocumentId | None = None) -> RecordSetPa
         issues.extend(entry_issues)
         if record is not None:
             records.append(record)
-    return RecordSetParseResult(records=records, issues=issues, entry_count=len(entries))
+    return RecordSetParseResult(records=records, issues=issues)
 
 
 def serialize_record_set(records: list[AlloyRecord]) -> str:
@@ -418,7 +396,7 @@ def _coerce_entries(value) -> list | None:
     return None
 
 
-def load_ground_truth(path, known_ids=None) -> list[AlloyRecord]:
+def load_ground_truth(path) -> list[AlloyRecord]:
     """Load an expert-curated CSV into records, one per row, strictly validated."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -432,8 +410,6 @@ def load_ground_truth(path, known_ids=None) -> list[AlloyRecord]:
             doc_id = (row.get("doc_id") or "").strip()
             if not doc_id:
                 raise GroundTruthError(f"{path}:{row_index}: empty doc_id")
-            if known_ids is not None and doc_id not in known_ids:
-                raise UnknownDocument(f"{path}:{row_index}: unknown document {doc_id!r}")
             obj = {key: row.get(key) for key in SCHEMA_KEYS}
             record, issues = record_from_object(obj, DocumentId(doc_id), row_index)
             if record is None or issues:

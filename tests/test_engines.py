@@ -221,6 +221,19 @@ class TestHttpEngine:
         with pytest.raises(ContextTooLong):
             engine.complete(req(attachments=(attachment,)))
 
+    @pytest.mark.parametrize("request_", [
+        # the system text is the whole extraction prompt
+        EngineRequest(system_text="s" * 95, user_text="u" * 10),
+        # a 90-byte PDF goes out as 180 hex characters
+        EngineRequest(system_text="", user_text="u",
+                      attachments=((DocumentId("p", "pdf"), b"\xff" * 90),)),
+    ])
+    def test_context_guard_counts_what_the_payload_carries(self, request_):
+        engine, transport = http_engine([(200, OK)], max_context_chars=100)
+        with pytest.raises(ContextTooLong):
+            engine.complete(request_)
+        assert transport.calls == 0
+
     def test_generic_failure(self):
         engine, _ = http_engine([(500, {"error": "boom"})] * 2, max_retries=1)
         with pytest.raises(EngineError):

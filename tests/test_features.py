@@ -150,7 +150,7 @@ class TestFeaturizeDataset:
         exotic = make_record(DOC, nominal_composition="FeOg", lattice_constant=3.2)
         data = featurize_dataset([good, no_lattice, exotic], table)
         assert data.X.shape == (1, 6)
-        assert data.kept_indices == [0]
+        assert data.y.tolist() == [3.2]
         assert [i for i, _ in data.issues] == [1, 2]
 
     def test_empty(self, table):

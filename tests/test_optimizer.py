@@ -94,7 +94,6 @@ class TestExtractionLoss:
             Prompt("p"), "d01", truth_by_doc["d01"], [], MumblingEvaluator(), corpus7
         )
         assert feedback.verdict == MISALIGNED
-        assert not feedback.verdict_parsed
 
     def test_template_embeds_all_four_inputs(self, corpus7, truth_by_doc):
         captured = {}
@@ -134,9 +133,12 @@ class TestBackwardUpdate:
         assert updated.version == 1
         assert engine.calls == 0
 
-    def test_empty_feedback_rejected(self):
-        with pytest.raises(ValueError):
-            backward_update(Prompt("p"), [], ScriptedBackwardEngine())
+    def test_empty_batch_bumps_the_version_only(self):
+        prompt = Prompt(INITIAL_PROMPT_TEXT, version=4, epoch=2)
+        engine = ScriptedBackwardEngine()
+        bumped = backward_update(prompt, [], engine)
+        assert bumped == Prompt(INITIAL_PROMPT_TEXT, version=5, epoch=2)
+        assert engine.calls == 0
 
     def test_stale_feedback_rejected(self):
         feedback = Feedback(text="x", doc="d01", prompt_version=3, verdict=MISALIGNED)
@@ -146,10 +148,10 @@ class TestBackwardUpdate:
 
 class TestPromptLineage:
     def test_version_chain_validation(self):
+        assert Prompt("p").parent_version is None
+        assert Prompt("p", version=2).parent_version == 1
         with pytest.raises(ValueError):
-            Prompt("p", version=0, parent_version=0)
-        with pytest.raises(ValueError):
-            Prompt("p", version=2, parent_version=0)
+            Prompt("p", version=-1)
 
 
 class TestOptimize:
@@ -208,6 +210,19 @@ class TestOptimize:
         assert len(history.prompts) == 1 + 3 * 3              # ceil(8/3) batches per epoch
         assert all(doc != "d08" for doc, _, _ in history.failures)
         assert history.recalls()[-1] >= 0.9
+
+    def test_truth_less_batch_keeps_the_chain_consecutive(self, corpus8, truth_by_doc):
+        # batches of 7 leave d08, which has no expert data, alone in each
+        # epoch's second batch: that batch bumps the version without a rewrite
+        config = scripted_config(truth_by_doc, batch_size=7)
+        history = optimize(Prompt(INITIAL_PROMPT_TEXT), corpus8, truth_by_doc, config)
+        assert [p.version for p in history.prompts] == list(range(7))
+        assert [p.parent_version for p in history.prompts] == [None] + list(range(6))
+        assert [p.epoch for p in history.prompts] == [0, 1, 1, 2, 2, 3, 3]
+        texts = [p.text for p in history.prompts]
+        assert texts[2::2] == texts[1::2]
+        assert config.backward_engine.calls == history.backward_engine_calls == 3
+        assert config.evaluator_engine.calls == 3 * 7
 
     def test_missing_truth_doc_rejected(self, corpus7, truth_by_doc):
         config = scripted_config(truth_by_doc)
