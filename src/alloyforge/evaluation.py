@@ -97,9 +97,9 @@ def match_entries(extracted: list[AlloyRecord], truth: list[AlloyRecord]) -> Mat
     A pair is admissible when both nominal compositions exist, have identical
     element sets, and differ by L1 at most ``L1_MATCH``. Among admissible
     assignments the maximum-cardinality, minimum-total-L1 one is chosen; ties
-    prefer pairings with earlier truth (then extracted) indices. Every
-    element-set group goes through one polynomial assignment solver, whatever
-    its size.
+    prefer pairings with earlier truth (then extracted) indices. An element-set
+    group goes through the assignment solver only when a record in it has two
+    admissible partners; otherwise its admissible pairs are the one optimum.
     """
     groups: dict[frozenset, tuple[list[int], list[int]]] = {}
     for idx, record in enumerate(extracted):
@@ -113,15 +113,14 @@ def match_entries(extracted: list[AlloyRecord], truth: list[AlloyRecord]) -> Mat
 
     pairs: list[tuple[int, int]] = []
     for e_idxs, t_idxs in groups.values():
-        if not e_idxs or not t_idxs:
-            continue
-        distance = np.array([
-            [l1_distance(extracted[e].nominal_composition, truth[t].nominal_composition)
-             for t in t_idxs]
-            for e in e_idxs
-        ])
-        local = _assign(distance, distance <= L1_MATCH)
-        pairs.extend((e_idxs[le], t_idxs[lt]) for lt, le in local.items())
+        distance = [[l1_distance(extracted[e].nominal_composition, truth[t].nominal_composition)
+                     for t in t_idxs] for e in e_idxs]
+        local = [(le, lt) for le, row in enumerate(distance)
+                 for lt, d in enumerate(row) if d <= L1_MATCH]
+        # contested: some record has two admissible partners
+        if len({le for le, _ in local}) < len(local) or len({lt for _, lt in local}) < len(local):
+            local = [(le, lt) for lt, le in _assign(np.array(distance)).items()]
+        pairs.extend((e_idxs[le], t_idxs[lt]) for le, lt in local)
 
     matched_e = {e for e, _ in pairs}
     matched_t = {t for _, t in pairs}
@@ -132,7 +131,7 @@ def match_entries(extracted: list[AlloyRecord], truth: list[AlloyRecord]) -> Mat
     )
 
 
-def _assign(distance: np.ndarray, admissible: np.ndarray) -> dict[int, int]:
+def _assign(distance: np.ndarray) -> dict[int, int]:
     """Optimal assignment as truth index -> extracted index, ties broken exactly.
 
     One ``linear_sum_assignment`` solve finds the optimal (cardinality, cost).
@@ -145,6 +144,7 @@ def _assign(distance: np.ndarray, admissible: np.ndarray) -> dict[int, int]:
     that keeps the pairs fixed before them, so later solves leave them out.
     """
     n_e, n_t = distance.shape
+    admissible = distance <= L1_MATCH
     # an L1 distance is at most 2, so an inadmissible cell at this cost outweighs
     # any sum of admissible ones: each solve maximizes cardinality, then minimizes L1
     cost = np.where(admissible, distance, 2.0 * min(n_e, n_t) + 1.0)

@@ -40,7 +40,6 @@ ALIGNED = "aligned"
 MISALIGNED = "misaligned"
 
 _VERDICT_RE = re.compile(r"\b(MISALIGNED|ALIGNED)\b", re.IGNORECASE)
-_IMPROVED_RE = re.compile(r"<IMPROVED_PROMPT>(.*?)</IMPROVED_PROMPT>", re.DOTALL)
 
 REWRITE_SYSTEM_TEXT = (
     "You improve extraction prompts. You receive the current prompt and "
@@ -251,8 +250,11 @@ def backward_update(prompt: Prompt, feedbacks: list[Feedback], engine) -> Prompt
         temperature=0.0,
     )
     response = engine.complete(request)
-    match = _IMPROVED_RE.search(response.text)
-    new_text = (match.group(1) if match else response.text).strip()
+    # the first opener and the first closer after it: the lazy regex match, found
+    # in linear time, since a first opener with no closer after it leaves none later
+    _, _, tail = response.text.partition("<IMPROVED_PROMPT>")
+    body, closer, _ = tail.partition("</IMPROVED_PROMPT>")
+    new_text = (body if closer else response.text).strip()
     if not new_text:
         logger.warning("empty rewrite for version %d; keeping previous text", prompt.version)
         new_text = prompt.text

@@ -14,6 +14,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .composition import Composition, CompositionError, parse_formula
@@ -141,6 +142,9 @@ _HCP_RE = re.compile(r"hcp|hexagonal close")
 _ORDERED_RE = re.compile(r"\bb2\b|\bl12\b|\blaves\b|\bsigma\b")
 _NM_RE = re.compile(r"\bnm\b")
 _PM_RE = re.compile(r"\bpm\b")
+# phase and processing wordings repeat across records and their kinds are
+# immutable, so each distinct text is classified once
+_KIND_CACHE_SIZE = 1024
 
 
 def is_missing(value) -> bool:
@@ -151,12 +155,7 @@ def is_missing(value) -> bool:
     return text in ("", "not found")
 
 
-def normalize_phase(text: str) -> PhaseLabel:
-    if is_missing(text):
-        return PhaseLabel("unknown")
-    return _phase_of(text)
-
-
+@lru_cache(maxsize=_KIND_CACHE_SIZE)
 def _phase_of(text: str) -> PhaseLabel:
     """The phase label of text already known not to be missing."""
     low = " ".join(str(text).split()).lower()
@@ -184,12 +183,7 @@ def _phase_of(text: str) -> PhaseLabel:
     return PhaseLabel("other")
 
 
-def normalize_processing(text: str) -> ProcessingCondition:
-    if is_missing(text):
-        return ProcessingCondition("unreported")
-    return _processing_of(text)
-
-
+@lru_cache(maxsize=_KIND_CACHE_SIZE)
 def _processing_of(text: str) -> ProcessingCondition:
     """The processing condition of text already known not to be missing."""
     low = " ".join(str(text).split()).lower()

@@ -92,6 +92,16 @@ def brute_force_assignment(extracted, truth, l1_match=0.05):
     return best_card, best_cost, sorted(optima)
 
 
+REFERENCE_IMPROVED_RE = re.compile(r"<IMPROVED_PROMPT>(.*?)</IMPROVED_PROMPT>", re.DOTALL)
+
+
+def reference_improved_text(text: str) -> str:
+    """The rewrite a completion carries, by the regex search: the first tagged
+    span, else the whole text. Quadratic when openers go unclosed."""
+    match = REFERENCE_IMPROVED_RE.search(text)
+    return match.group(1) if match else text
+
+
 def reference_lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None):
     """Plain cyclic coordinate descent for (1/2n)||y - Xw||^2 + lam*||w||_1.
 

@@ -2,9 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from alloyforge.composition import Composition
+from alloyforge import evaluation
+from alloyforge.composition import Composition, l1_distance
 from alloyforge.evaluation import (
+    L1_MATCH,
     ConfusionCounts,
     DocumentMismatch,
     EntityMetrics,
@@ -17,6 +20,7 @@ from alloyforge.evaluation import (
     precision,
     recall,
     score_entities,
+    _assign,
 )
 from alloyforge.records import DocumentId, make_record
 
@@ -148,6 +152,67 @@ class TestMatchEntries:
         assert result.pairs == [(i, i) for i in range(40)]
         assert seconds < 0.05
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_series_and_contested_groups(self, seed):
+        # separated series (one admissible partner each) next to a contested
+        # same-alloy group: the taken pairs must be the solver's and the oracle's
+        rng = np.random.default_rng(seed)
+        series = [_series_record(x) for x in (0.2, 0.5, 0.8, 1.1, 1.4)]
+        for a in range(len(series)):
+            for b in range(a):
+                assert _l1(series[a], series[b]) > L1_MATCH
+        variants = [_same_alloy_record(k) for k in (0, 10, 20)]
+
+        def side(n_series, n_variants):
+            picks = [series[i] for i in rng.choice(len(series), n_series, replace=False)]
+            picks += [variants[i] for i in rng.integers(0, 3, n_variants)]
+            return [picks[i] for i in rng.permutation(len(picks))]
+
+        extracted = side(int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+        truth = side(int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+        result = match_entries(extracted, truth)
+        _, _, optima = brute_force_assignment(extracted, truth)
+        assert tuple(result.pairs) == _lexicographic_min(optima)
+        assert result.pairs == _every_group_through_assign(extracted, truth)
+
+    def test_solver_runs_only_for_contested_groups(self, monkeypatch):
+        calls = []
+
+        def spy(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(evaluation, "linear_sum_assignment", spy)
+        series = [_series_record(x) for x in (0.2, 0.5, 0.8, 1.1)]
+        others = [rec("MoNbTaW"), rec("HfNbTaTiZr"), rec("Al0.5CoFeNi")]
+        result = match_entries(series[::-1] + others, others + series)
+        assert len(result.pairs) == 7 and calls == []
+        truth = [_same_alloy_record(k) for k in range(9)]
+        extracted = [truth[t] for t in (0, 1, 3, 4, 5, 7, 8)]
+        result = match_entries(extracted, truth)
+        assert result.pairs == [(0, 0), (1, 1), (2, 3), (3, 4), (4, 5), (5, 7), (6, 8)]
+        assert calls and calls[0] == (7, 9)
+
+
+def _series_record(x):
+    """Al(x)CoCrFeNi; the x values used lie more than L1_MATCH apart."""
+    return make_record(DOC, alloy_name=f"Al{x}CoCrFeNi", nominal_composition=f"Al{x}CoCrFeNi")
+
+
+def _every_group_through_assign(extracted, truth):
+    """match_entries' pairs with every element-set group solved by _assign."""
+    groups = {}
+    for side, records in enumerate((extracted, truth)):
+        for idx, record in enumerate(records):
+            key = record.nominal_composition.elements
+            groups.setdefault(key, ([], []))[side].append(idx)
+    pairs = []
+    for e_idxs, t_idxs in groups.values():
+        if e_idxs and t_idxs:
+            distance = np.array([[_l1(extracted[e], truth[t]) for t in t_idxs] for e in e_idxs])
+            pairs += [(e_idxs[le], t_idxs[lt]) for lt, le in _assign(distance).items()]
+    return sorted(pairs, key=lambda p: p[1])
+
 
 def _same_alloy_record(k):
     """MoNbTaW with k thousandths moved from W to Mo."""
@@ -171,8 +236,6 @@ def _timed_match(extracted, truth):
 
 
 def _l1(a, b):
-    from alloyforge.composition import l1_distance
-
     return l1_distance(a.nominal_composition, b.nominal_composition)
 
 

@@ -2,6 +2,8 @@ import re
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alloyforge.engines import (
     AuthError,
@@ -26,6 +28,7 @@ from alloyforge.optimizer import (
 from alloyforge.pipeline import CorpusMiss
 from alloyforge.records import serialize_record_set
 
+from tests.oracles import reference_improved_text
 from tests.scripted import (
     INITIAL_PROMPT_TEXT,
     MARKERS,
@@ -144,6 +147,45 @@ class TestBackwardUpdate:
         feedback = Feedback(text="x", doc="d01", prompt_version=3, verdict=MISALIGNED)
         with pytest.raises(ValueError):
             backward_update(Prompt("p"), [feedback], ScriptedBackwardEngine())
+
+
+class _FixedRewrite:
+    """An engine whose every completion is the given text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def complete(self, request):
+        return EngineResponse(self.text)
+
+
+_REWRITE_PIECES = st.one_of(
+    st.sampled_from(["<IMPROVED_PROMPT>", "</IMPROVED_PROMPT>", "<IMPROVED_PROMPT",
+                     "/IMPROVED_PROMPT>", "</", "<", ">", "\n", " "]),
+    st.text(max_size=8),
+)
+
+
+class TestRewriteTags:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_REWRITE_PIECES, max_size=12).map("".join))
+    @example("a<IMPROVED_PROMPT>b</IMPROVED_PROMPT>c<IMPROVED_PROMPT>d</IMPROVED_PROMPT>")
+    @example("</IMPROVED_PROMPT><IMPROVED_PROMPT>x<IMPROVED_PROMPT>y</IMPROVED_PROMPT>")
+    @example("<IMPROVED_PROMPT></IMPROVED_PROMPT>")
+    def test_same_rewrite_text_as_the_regex(self, completion):
+        prompt = Prompt(INITIAL_PROMPT_TEXT)
+        feedback = Feedback(text="x", doc="d01", prompt_version=0, verdict=MISALIGNED)
+        updated = backward_update(prompt, [feedback], _FixedRewrite(completion))
+        expected = reference_improved_text(completion).strip() or prompt.text
+        assert updated.text == expected
+
+    def test_megabyte_of_unclosed_openers_is_linear(self):
+        completion = "<IMPROVED_PROMPT> " * (1_000_000 // len("<IMPROVED_PROMPT> "))
+        feedback = Feedback(text="x", doc="d01", prompt_version=0, verdict=MISALIGNED)
+        started = time.perf_counter()
+        updated = backward_update(Prompt("p"), [feedback], _FixedRewrite(completion))
+        assert time.perf_counter() - started < 1.0
+        assert updated.text == completion.strip()
 
 
 class TestPromptLineage:

@@ -21,18 +21,26 @@ from alloyforge.records import (
     is_missing,
     load_ground_truth,
     make_record,
-    normalize_phase,
-    normalize_processing,
     parse_length,
     parse_record_set,
     record_from_object,
     record_to_object,
     serialize_record_set,
+    _phase_of,
+    _processing_of,
 )
 
 from tests.oracles import random_composition
 
 DOC = DocumentId("doc1")
+
+
+def phase_of(text):
+    return make_record(DOC, alloy_name="HfNbTaTiZr", phase=text).phase
+
+
+def processing_of(text):
+    return make_record(DOC, alloy_name="HfNbTaTiZr", processing=text).processing
 
 
 class TestFieldNormalization:
@@ -42,44 +50,71 @@ class TestFieldNormalization:
         assert not is_missing("3.19")
 
     def test_phase_tokens(self):
-        assert normalize_phase("bcc").kind == "BCC"
-        assert normalize_phase("body-centred cubic").kind == "BCC"
-        assert normalize_phase("body-centered cubic (BCC)").kind == "BCC"
-        assert normalize_phase("FCC solid solution").kind == "FCC"
-        assert normalize_phase("hexagonal close-packed").kind == "HCP"
-        assert normalize_phase("amorphous").kind == "amorphous"
-        assert normalize_phase("BCC + FCC") == PhaseLabel("multiphase")
-        assert normalize_phase("dual-phase BCC").kind == "multiphase"
-        assert normalize_phase("BCC with B2 ordering").kind == "multiphase"
+        assert phase_of("bcc").kind == "BCC"
+        assert phase_of("body-centred cubic").kind == "BCC"
+        assert phase_of("body-centered cubic (BCC)").kind == "BCC"
+        assert phase_of("FCC solid solution").kind == "FCC"
+        assert phase_of("hexagonal close-packed").kind == "HCP"
+        assert phase_of("amorphous").kind == "amorphous"
+        assert phase_of("BCC + FCC") == PhaseLabel("multiphase")
+        assert phase_of("dual-phase BCC").kind == "multiphase"
+        assert phase_of("BCC with B2 ordering").kind == "multiphase"
         for ordered in ("B2", "L12", "Laves phase", "sigma"):
-            assert normalize_phase(ordered) == PhaseLabel("other")
-        assert normalize_phase("face-centred cubic") == PhaseLabel("FCC")
-        assert normalize_phase("metallic glass") == PhaseLabel("amorphous")
-        assert normalize_phase("BCC + B2") == PhaseLabel("multiphase")
-        assert normalize_phase("C14 structure") == PhaseLabel("other")
+            assert phase_of(ordered) == PhaseLabel("other")
+        assert phase_of("face-centred cubic") == PhaseLabel("FCC")
+        assert phase_of("metallic glass") == PhaseLabel("amorphous")
+        assert phase_of("BCC + B2") == PhaseLabel("multiphase")
+        assert phase_of("C14 structure") == PhaseLabel("other")
+        assert phase_of("Not found") == PhaseLabel("unknown")
 
     def test_processing_tokens(self):
-        assert normalize_processing("as-cast").kind == "as_cast"
-        assert normalize_processing("arc-melted and cast").kind == "as_cast"
-        assert normalize_processing("annealed at 1200 C").kind == "annealed"
-        assert normalize_processing("as-cast then annealed").kind == "annealed"
-        assert normalize_processing("powder metallurgy").kind == "powder_processed"
-        assert normalize_processing("spark plasma sintering").kind == "powder_processed"
-        assert normalize_processing("selective laser melting (SLM)").kind == "additive"
-        assert normalize_processing("Not found").kind == "unreported"
-        assert normalize_processing("magnetron sputtered film") == ProcessingCondition("other")
+        assert processing_of("as-cast").kind == "as_cast"
+        assert processing_of("arc-melted and cast").kind == "as_cast"
+        assert processing_of("annealed at 1200 C").kind == "annealed"
+        assert processing_of("as-cast then annealed").kind == "annealed"
+        assert processing_of("powder metallurgy").kind == "powder_processed"
+        assert processing_of("spark plasma sintering").kind == "powder_processed"
+        assert processing_of("selective laser melting (SLM)").kind == "additive"
+        assert processing_of("Not found").kind == "unreported"
+        assert processing_of("magnetron sputtered film") == ProcessingCondition("other")
 
-    def test_record_fields_normalize_as_the_public_functions(self):
-        # record_from_object normalizes only text it found present; sentinel and
-        # empty fields must still come out as the public functions map them
-        texts = [None, "", "  ", "Not found", " not   FOUND ", "bcc", "BCC + FCC",
-                 "metallic glass", "as-cast", "annealed at 1200 C", "spark plasma sintering",
-                 "magnetron sputtered film"]
-        for text in texts:
+    def test_record_fields_map_sentinels_and_text_to_kinds(self):
+        # record_from_object classifies only text it found present; sentinel
+        # and empty fields come out as the absent kinds
+        expected = {
+            None: ("unknown", "unreported"),
+            "": ("unknown", "unreported"),
+            "  ": ("unknown", "unreported"),
+            "Not found": ("unknown", "unreported"),
+            " not   FOUND ": ("unknown", "unreported"),
+            "bcc": ("BCC", "other"),
+            "BCC + FCC": ("multiphase", "other"),
+            "metallic glass": ("amorphous", "other"),
+            "as-cast": ("other", "as_cast"),
+            "annealed at 1200 C": ("other", "annealed"),
+            "spark plasma sintering": ("other", "powder_processed"),
+            "magnetron sputtered film": ("other", "other"),
+        }
+        for text, (phase, processing) in expected.items():
             obj = {"alloy_name": "HfNbTaTiZr", "phase": text, "processing_condition": text}
             record, _ = record_from_object(obj, DocumentId("d01"))
-            assert record.phase == normalize_phase(text)
-            assert record.processing == normalize_processing(text)
+            assert (record.phase, record.processing) == (
+                PhaseLabel(phase), ProcessingCondition(processing))
+
+    def test_cached_kinds_equal_the_uncached_parse(self):
+        vocabulary = [
+            "bcc", "BCC", " bcc ", "Body-Centred  Cubic", "FCC solid solution",
+            "fcc\tsolid solution", "hexagonal close-packed", "amorphous", "BCC + FCC",
+            "dual-phase BCC", "B2", "L12", "Laves phase", "sigma", "metallic glass",
+            "C14 structure", "as-cast", "As-Cast", "  as-cast\n", "arc-melted and cast",
+            "annealed at 1200 C", "ANNEALED  at 1200 C", "powder metallurgy",
+            "spark plasma sintering", "selective laser melting (SLM)",
+            "magnetron sputtered film",
+        ]
+        for text in vocabulary * 2:  # the second pass reads the cache
+            assert _phase_of(text) == _phase_of.__wrapped__(text)
+            assert _processing_of(text) == _processing_of.__wrapped__(text)
+        assert _phase_of.cache_info().hits >= len(vocabulary)
 
     def test_length_units(self):
         assert parse_length("3.19") == LengthAngstrom(3.19)
