@@ -21,6 +21,12 @@ from pathlib import Path
 from urllib.parse import quote
 
 
+# HttpEngine: the retry delay doubles from the base up to the cap; one call's timeout
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 30.0
+TIMEOUT_S = 120.0
+
+
 class EngineError(Exception):
     pass
 
@@ -49,18 +55,18 @@ class UnknownModel(KeyError):
 class EngineRequest:
     system_text: str
     user_text: str
-    attachments: tuple = ()        # ((DocumentId, bytes | str), ...)
+    attachments: tuple = ()        # ((doc_id, pdf_bytes), ...)
     temperature: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(
-            self, "attachments", tuple((doc, content) for doc, content in self.attachments)
+            self, "attachments", tuple((doc_id, pdf) for doc_id, pdf in self.attachments)
         )
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
-        ids = [doc.id for doc, _ in self.attachments]
+        ids = [doc_id for doc_id, _ in self.attachments]
         if len(ids) != len(set(ids)):
             raise ValueError("attachment document ids must be unique")
 
@@ -81,14 +87,10 @@ def _normalize_whitespace(text: str) -> str:
     return " ".join(text.split())
 
 
-def _content_digest(content) -> str:
-    data = content.encode("utf-8") if isinstance(content, str) else bytes(content)
-    return hashlib.sha256(data).hexdigest()
-
-
 def _attachment_digests(request: EngineRequest) -> list[dict]:
-    return [{"id": doc.id, "kind": doc.kind, "sha256": _content_digest(content)}
-            for doc, content in request.attachments]
+    # every attachment is a PDF; "kind" keeps transcript keys and the wire format
+    return [{"id": doc_id, "kind": "pdf", "sha256": hashlib.sha256(pdf).hexdigest()}
+            for doc_id, pdf in request.attachments]
 
 
 def transcript_key(request: EngineRequest) -> str:
@@ -205,14 +207,14 @@ class RecordingEngine:
 
 
 class TokenBucket:
-    """Simple thread-safe token bucket; acquire() blocks until a token is free."""
+    """Thread-safe token bucket holding up to a second of tokens (at least one);
+    acquire() blocks until a token is free."""
 
-    def __init__(self, rate_per_s: float, capacity: float | None = None,
-                 clock=time.monotonic, sleep=time.sleep):
+    def __init__(self, rate_per_s: float, clock=time.monotonic, sleep=time.sleep):
         if rate_per_s <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate_per_s
-        self.capacity = capacity if capacity is not None else max(1.0, rate_per_s)
+        self.capacity = max(1.0, rate_per_s)
         self._tokens = self.capacity
         self._stamp = clock()
         self._clock = clock
@@ -268,9 +270,6 @@ class HttpEngine:
         model_name: str,
         name: str = "default",
         max_retries: int = 5,
-        backoff_base_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
-        timeout_s: float = 120.0,
         rate_limit: TokenBucket | None = None,
         max_context_chars: int | None = None,
         transport=None,
@@ -280,9 +279,6 @@ class HttpEngine:
         self.model_name = model_name
         self.name = name
         self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.timeout_s = timeout_s
         self.rate_limit = rate_limit
         self.max_context_chars = max_context_chars
         self._transport = transport or _requests_transport
@@ -293,21 +289,13 @@ class HttpEngine:
         return f"ALLOYFORGE_{self.name.upper()}_API_KEY"
 
     def _payload(self, request: EngineRequest) -> dict:
-        attachments = []
-        for doc, content in request.attachments:
-            entry = {"id": doc.id, "kind": doc.kind}
-            if isinstance(content, str):
-                entry["text"] = content
-            else:
-                entry["sha256"] = _content_digest(content)
-                entry["bytes"] = content.hex()
-            attachments.append(entry)
         return {
             "model": self.model_name,
             "system": request.system_text,
             "user": request.user_text,
             "temperature": request.temperature,
-            "attachments": attachments,
+            "attachments": [dict(digest, bytes=pdf.hex()) for digest, (_, pdf)
+                            in zip(_attachment_digests(request), request.attachments)],
             "options": {},
         }
 
@@ -315,7 +303,7 @@ class HttpEngine:
         payload = self._payload(request)
         # count what the payload carries: a PDF goes out hex-encoded
         size = len(payload["system"]) + len(payload["user"]) + sum(
-            len(a["text"] if "text" in a else a["bytes"]) for a in payload["attachments"]
+            len(a["bytes"]) for a in payload["attachments"]
         )
         if self.max_context_chars is not None and size > self.max_context_chars:
             raise ContextTooLong(
@@ -330,7 +318,7 @@ class HttpEngine:
                 self.rate_limit.acquire()
             started = time.monotonic()
             try:
-                status, body = self._transport(self.endpoint, payload, headers, self.timeout_s)
+                status, body = self._transport(self.endpoint, payload, headers, TIMEOUT_S)
             except OSError as exc:
                 status, body = None, {"error": str(exc)}
             elapsed = time.monotonic() - started
@@ -346,7 +334,7 @@ class HttpEngine:
                 raise EngineError(f"{self.endpoint} returned {status}: {error}")
             last_status = status
             if attempt < self.max_retries:
-                self._sleep(min(self.backoff_cap_s, self.backoff_base_s * 2**attempt))
+                self._sleep(min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**attempt))
         if last_status == 429:
             raise RateLimited(f"{self.endpoint} still throttling after {self.max_retries} retries")
         raise EngineError(f"{self.endpoint} failed after retries (last status {last_status})")

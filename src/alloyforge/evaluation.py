@@ -23,7 +23,6 @@ SCORABLE_FIELDS = (COMPOSITE_FIELD,) + DEFAULT_FIELDS
 
 L1_MATCH = 0.05       # pairing admissibility on nominal composition
 LATTICE_ABS = 0.005   # angstrom tolerance for lattice equality
-L1_FIELD = 0.05       # L1 tolerance for composition field equality
 
 # assignment totals this close to the optimum count as ties
 _COST_EPS = 1e-12
@@ -184,10 +183,7 @@ def _assign(distance: np.ndarray) -> dict[int, int]:
 
 def _field_equal(field_name: str, e: AlloyRecord, t: AlloyRecord) -> bool:
     if field_name == "nominal_composition":
-        a, b = e.nominal_composition, t.nominal_composition
-        if a is None or b is None:
-            return a is None and b is None
-        return l1_distance(a, b) <= L1_FIELD
+        return True   # a matched pair's compositions are within L1_MATCH
     if field_name == "lattice_constant":
         a, b = e.lattice_constant, t.lattice_constant
         if a is None or b is None:
@@ -213,7 +209,9 @@ def score_entities(
     scored fields it acts as a gate: only records satisfying it (on either
     side) are in scope, and a pair disagreeing on it contributes FPs or FNs
     for all fields of the offending side. A gate-passing pair scores each
-    field TP on equality, else FP and FN simultaneously.
+    field TP on equality, else FP and FN simultaneously. ``match`` comes from
+    ``match_entries``, so a pair's nominal compositions are within
+    ``L1_MATCH`` and that field is TP.
     """
     for name in fields:
         if name not in SCORABLE_FIELDS:

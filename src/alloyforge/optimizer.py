@@ -24,11 +24,11 @@ from .pipeline import (
     CorpusStore,
     build_document_request,
     is_rejection,
-    request_document,
     run_documents,
 )
 from .records import (
     AlloyRecord,
+    DocumentId,
     MalformedOutput,
     parse_record_set,
     serialize_record_set,
@@ -173,7 +173,7 @@ def forward_extract(
     if is_rejection(response.text):
         return []
     try:
-        result = parse_record_set(response.text, corpus.entry(doc_id).doc)
+        result = parse_record_set(response.text, DocumentId(doc_id))
     except MalformedOutput as exc:
         logger.warning("document %s: %s", doc_id, exc)
         return []
@@ -199,7 +199,7 @@ def extraction_loss(
     unparseable verdict is conservatively treated as misaligned.
     """
     template = template or default_evaluation_template()
-    document, attachments = request_document(corpus, doc_id)
+    document, attachments = corpus.request_document(doc_id)
     filled = (
         template.replace("<<PROMPT>>", prompt.text)
         .replace("<<DOCUMENT>>", document)

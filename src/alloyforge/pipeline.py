@@ -71,10 +71,12 @@ class CorpusMiss(PipelineError):
 class ManifestEntry:
     doc: DocumentId
     path: Path
+    kind: str                 # pdf | plain_text
 
 
 class CorpusStore:
-    """Content access over manifest entries, keyed by document id, in manifest order."""
+    """The manifest's documents, keyed by id, in manifest order; the one
+    reader of a document's file."""
 
     def __init__(self, entries: list[ManifestEntry]):
         self._by_id = {entry.doc.id: entry for entry in entries}
@@ -86,17 +88,17 @@ class CorpusStore:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
 
-    def entry(self, doc_id: str) -> ManifestEntry:
+    def request_document(self, doc_id: str) -> tuple[str, tuple]:
+        """``(text, attachments)`` a request carries of a document: a plain-text
+        document's text and none, or a one-line reference and the PDF."""
         try:
-            return self._by_id[doc_id]
+            entry = self._by_id[doc_id]
         except KeyError:
             raise CorpusMiss(doc_id) from None
-
-    def content(self, doc_id: str) -> str | bytes:
-        entry = self.entry(doc_id)
-        if entry.doc.kind == "pdf":
-            return entry.path.read_bytes()
-        return entry.path.read_text(encoding="utf-8")
+        if entry.kind == "pdf":
+            pdf = entry.path.read_bytes()
+            return f"(document {doc_id} is attached as a PDF)", ((doc_id, pdf),)
+        return entry.path.read_text(encoding="utf-8"), ()
 
 
 def ingest_corpus(manifest_path) -> list[ManifestEntry]:
@@ -122,28 +124,22 @@ def ingest_corpus(manifest_path) -> list[ManifestEntry]:
                 path = manifest_path.parent / path
             if not path.is_file():
                 raise UnreadablePath(f"{where}: cannot read {path}")
+            kind = row["kind"].strip()
+            if kind not in ("pdf", "plain_text"):
+                raise PipelineError(f"{where}: unknown document kind {kind!r}")
             try:
-                doc = DocumentId(doc_id, row["kind"].strip())
+                doc = DocumentId(doc_id)
             except RecordError as exc:
                 raise PipelineError(f"{where}: {exc}") from None
-            entries.append(ManifestEntry(doc=doc, path=path))
+            entries.append(ManifestEntry(doc=doc, path=path, kind=kind))
     return entries
-
-
-def request_document(corpus: CorpusStore, doc_id: str) -> tuple[str, tuple]:
-    """``(text, attachments)`` a request carries of a document: a plain-text
-    document's text and none, or a one-line reference and the PDF."""
-    doc, content = corpus.entry(doc_id).doc, corpus.content(doc_id)
-    if doc.kind == "pdf":
-        return f"(document {doc_id} is attached as a PDF)", ((doc, content),)
-    return content, ()
 
 
 def build_document_request(
     prompt_text: str, doc_id: str, corpus: CorpusStore, temperature: float = 0.0
 ) -> EngineRequest:
     """Assemble the extraction request for one document."""
-    text, attachments = request_document(corpus, doc_id)
+    text, attachments = corpus.request_document(doc_id)
     user_text = (
         f"Extract the alloy data from the attached document ({doc_id})." if attachments
         else f"Document {doc_id}:\n\n{text}\n\nExtract the alloy data now."
@@ -407,7 +403,7 @@ def run_extraction(
             status, detail = "rejected", "model declared the document irrelevant"
         else:
             try:
-                result = parse_record_set(response.text, corpus.entry(doc_id).doc)
+                result = parse_record_set(response.text, DocumentId(doc_id))
                 status, detail = "done", ""
             except MalformedOutput as exc:
                 status, detail = "failed", str(exc)
@@ -463,7 +459,7 @@ def _rebuild_dataset(corpus: CorpusStore, ledger: RunLedger, out_dir: Path,
         result = parsed.get(doc_id)
         if result is None:
             text = (out_dir / state.raw_path).read_bytes().decode("utf-8")
-            result = parse_record_set(text, corpus.entry(doc_id).doc)
+            result = parse_record_set(text, DocumentId(doc_id))
         dataset[doc_id] = result.records
         issues.extend((doc_id, issue.message) for issue in result.issues)
     return dataset, issues

@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from . import pipeline  # which imports this module: read its names at call time
 from .engines import EngineRequest
 from .records import AlloyRecord, record_to_object, serialize_record_set
 
@@ -136,7 +135,7 @@ def faithfulness_audit(
     flag. An unparseable answer is kept verbatim and raises no flag.
     """
     doc_id = record.source.id
-    document, attachments = pipeline.request_document(corpus, doc_id)
+    document, attachments = corpus.request_document(doc_id)
     record_json = serialize_record_set([record])
     report = AuditReport(record=record, answers=[])
     for question in questions:

@@ -56,13 +56,10 @@ class MissingColumn(GroundTruthError):
 @dataclass(frozen=True)
 class DocumentId:
     id: str
-    kind: str = "plain_text"  # pdf | plain_text
 
     def __post_init__(self):
         if not self.id:
             raise RecordError("document id must be non-empty")
-        if self.kind not in ("pdf", "plain_text"):
-            raise RecordError(f"unknown document kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -317,14 +314,13 @@ def make_record(
 # --- record-set operations -------------------------------------------------------
 
 
-def parse_record_set(text: str, source: DocumentId | None = None) -> RecordSetParseResult:
+def parse_record_set(text: str, source: DocumentId) -> RecordSetParseResult:
     """Parse a raw model completion into records plus per-entry issues.
 
     Every well-formed entry becomes a record; entries that fail to parse are
     reported as issues, never silently dropped. Raises MalformedOutput when no
     record block can be located at all.
     """
-    source = source or DocumentId("unknown")
     entries = _extract_entries(text or "")
     records: list[AlloyRecord] = []
     issues: list[FieldParseIssue] = []

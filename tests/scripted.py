@@ -12,7 +12,7 @@ import re
 import threading
 
 from alloyforge.engines import EngineResponse
-from alloyforge.records import parse_record_set, serialize_record_set
+from alloyforge.records import DocumentId, parse_record_set, serialize_record_set
 
 MARKERS = (
     "EXTRACTION RULE 1: Report every alloy the results section discusses, not only the first.",
@@ -149,7 +149,8 @@ class FlakyEngine(_Scripted):
 def _entry_strings(section: str) -> list[str]:
     import json
 
-    result = parse_record_set(section)
+    # only the entries' text is compared, so their document is a placeholder
+    result = parse_record_set(section, DocumentId("evaluated"))
     return [
         json.dumps(obj, sort_keys=True)
         for obj in json.loads(serialize_record_set(result.records))

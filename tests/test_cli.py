@@ -422,7 +422,7 @@ def test_predict_names_elements_missing_from_the_table(tmp_path, capsys):
 
 
 PDF_BYTES = b"%PDF-1.4\n%\xe2\xe3\xcf\xd3\n1 0 obj\n<<>>\nendobj\n%%EOF\n"
-PDF_ATTACHMENT = ((DocumentId("p01", "pdf"), PDF_BYTES),)
+PDF_ATTACHMENT = (("p01", PDF_BYTES),)
 
 
 def _pdf_manifest(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 
@@ -24,7 +25,6 @@ from alloyforge.engines import (
     engine_from_config,
     transcript_key,
 )
-from alloyforge.records import DocumentId
 
 
 def req(user="extract the data", **kw):
@@ -37,10 +37,9 @@ class TestEngineRequest:
             EngineRequest(system_text="s", user_text="")
         with pytest.raises(ValueError):
             EngineRequest(system_text="s", user_text="u", temperature=-1)
-        doc = DocumentId("a")
         with pytest.raises(ValueError):
             EngineRequest(system_text="s", user_text="u",
-                          attachments=((doc, "x"), (doc, "y")))
+                          attachments=(("a", b"x"), ("a", b"y")))
 
     def test_response_validation(self):
         with pytest.raises(ValueError):
@@ -49,8 +48,8 @@ class TestEngineRequest:
 
 class TestTranscriptKey:
     def test_attachment_order_insensitive(self):
-        a = (DocumentId("a"), "alpha")
-        b = (DocumentId("b"), b"beta")
+        a = ("a", b"alpha")
+        b = ("b", b"beta")
         assert transcript_key(req(attachments=(a, b))) == transcript_key(
             req(attachments=(b, a))
         )
@@ -61,8 +60,8 @@ class TestTranscriptKey:
     def test_sensitive_to_content(self):
         assert transcript_key(req("one")) != transcript_key(req("two"))
         assert transcript_key(req(temperature=0.0)) != transcript_key(req(temperature=1.0))
-        a = (DocumentId("a"), "alpha")
-        a2 = (DocumentId("a"), "ALPHA")
+        a = ("a", b"alpha")
+        a2 = ("a", b"ALPHA")
         assert transcript_key(req(attachments=(a,))) != transcript_key(req(attachments=(a2,)))
 
 
@@ -217,7 +216,7 @@ class TestHttpEngine:
 
     def test_oversized_attachment(self):
         engine, _ = http_engine([], max_context_chars=100)
-        attachment = (DocumentId("big", "pdf"), b"0" * 500)
+        attachment = ("big", b"0" * 500)
         with pytest.raises(ContextTooLong):
             engine.complete(req(attachments=(attachment,)))
 
@@ -226,7 +225,7 @@ class TestHttpEngine:
         EngineRequest(system_text="s" * 95, user_text="u" * 10),
         # a 90-byte PDF goes out as 180 hex characters
         EngineRequest(system_text="", user_text="u",
-                      attachments=((DocumentId("p", "pdf"), b"\xff" * 90),)),
+                      attachments=(("p", b"\xff" * 90),)),
     ])
     def test_context_guard_counts_what_the_payload_carries(self, request_):
         engine, transport = http_engine([(200, OK)], max_context_chars=100)
@@ -295,16 +294,13 @@ class TestHttpEngine:
 
         engine = HttpEngine(endpoint="http://fake", model_name="default-model",
                             transport=transport, sleep=lambda s: None)
-        request = req(
-            attachments=((DocumentId("doc", "pdf"), b"\x00\x01"),
-                         (DocumentId("txt"), "inline text")),
-        )
-        engine.complete(request)
+        engine.complete(req(attachments=(("doc", b"\x00\x01"),)))
         assert captured["model"] == "default-model"
         assert captured["options"] == {}
-        by_id = {a["id"]: a for a in captured["attachments"]}
-        assert by_id["doc"]["bytes"] == "0001" and "sha256" in by_id["doc"]
-        assert by_id["txt"]["text"] == "inline text"
+        assert captured["attachments"] == [{
+            "id": "doc", "kind": "pdf",
+            "sha256": hashlib.sha256(b"\x00\x01").hexdigest(), "bytes": "0001",
+        }]
 
 
 class TestTokenBucket:
@@ -319,13 +315,13 @@ class TestTokenBucket:
             sleeps.append(duration)
             now[0] += duration
 
-        bucket = TokenBucket(rate_per_s=2.0, capacity=1.0, clock=clock, sleep=sleep)
+        bucket = TokenBucket(rate_per_s=1.0, clock=clock, sleep=sleep)
         bucket.acquire()
         bucket.acquire()
-        assert sleeps and sleeps[0] == pytest.approx(0.5)
+        assert sleeps and sleeps[0] == pytest.approx(1.0)
 
     def test_thread_safety_smoke(self):
-        bucket = TokenBucket(rate_per_s=10000.0, capacity=10000.0)
+        bucket = TokenBucket(rate_per_s=10000.0)
         taken = []
 
         def worker():

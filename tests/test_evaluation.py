@@ -331,6 +331,7 @@ class TestScoreEntities:
             extracted, truth = _random_instance(rng)
             result = match_entries(extracted, truth)
             counts = score_entities(result, extracted, truth)
+            assert counts["nominal_composition"].tp == len(result.pairs)
             for c in counts.values():
                 assert c.tp + c.fn == len(truth)
                 assert c.tp + c.fp == len(extracted)

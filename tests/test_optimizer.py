@@ -348,7 +348,7 @@ class TestOptimize:
     def test_evaluator_engine_error_fails_only_its_document(self, corpus7, truth_by_doc,
                                                             parallelism):
         inner = ScriptedEvaluatorEngine()
-        d02_text = corpus7.content("d02")
+        d02_text, _ = corpus7.request_document("d02")
 
         class FailsOnce:
             failed = False

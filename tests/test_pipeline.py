@@ -28,7 +28,7 @@ from alloyforge.pipeline import (
     summarize,
     write_dataset,
 )
-from alloyforge.records import DocumentId, make_record
+from alloyforge.records import DocumentId, make_record, serialize_record_set
 
 from tests.conftest import FIXTURES
 from tests.scripted import INITIAL_PROMPT_TEXT, MARKERS, ScriptedForwardEngine
@@ -82,6 +82,7 @@ class TestIngestCorpus:
         ("d1,a.txt", "row needs columns"),
         ("d1", "row needs columns"),
         ("d1,a.txt,txt", "unknown document kind 'txt'"),
+        (",a.txt,plain_text", "document id must be non-empty"),
     ])
     def test_bad_row_names_manifest_row(self, tmp_path, row, message):
         (tmp_path / "a.txt").write_text("x", encoding="utf-8")
@@ -102,10 +103,13 @@ class TestIngestCorpus:
         manifest.write_text(
             f"doc_id,path,kind\nd1,{text},plain_text\nd2,{pdf},pdf\n", encoding="utf-8"
         )
-        corpus = CorpusStore(ingest_corpus(manifest))
-        assert corpus.entry("d1").doc.kind == "plain_text"
-        assert corpus.entry("d2").doc.kind == "pdf"
-        assert corpus.content("d2") == b"%PDF-1.4 fake"
+        entries = ingest_corpus(manifest)
+        assert [entry.kind for entry in entries] == ["plain_text", "pdf"]
+        corpus = CorpusStore(entries)
+        assert corpus.request_document("d1") == ("alpha", ())
+        assert corpus.request_document("d2") == (
+            "(document d2 is attached as a PDF)", (("d2", b"%PDF-1.4 fake"),)
+        )
 
 
 class TestRunExtraction:
@@ -366,6 +370,25 @@ class TestDatasetFiles:
         write_dataset(truth_by_doc, path, doc_order=sorted(truth_by_doc))
         loaded = load_dataset(path)
         assert loaded == {k: v for k, v in truth_by_doc.items()}
+
+    def test_extracted_pdf_records_round_trip(self, tmp_path):
+        (tmp_path / "p01.pdf").write_bytes(b"%PDF-1.4 fake")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("doc_id,path,kind\np01,p01.pdf,pdf\n", encoding="utf-8")
+        answer = serialize_record_set([make_record(
+            DocumentId("p01"), alloy_name="MoNbTaW", nominal_composition="MoNbTaW",
+            phase="BCC", lattice_constant="3.216 A",
+        )])
+
+        class Answers:
+            def complete(self, request):
+                return EngineResponse(text=answer)
+
+        result = run_extraction(CorpusStore(ingest_corpus(manifest)), FULL_PROMPT, Answers(),
+                                tmp_path / "run", parallelism=1)
+        assert len(result.dataset["p01"]) == 1
+        write_dataset(result.dataset, tmp_path / "dataset.jsonl")
+        assert load_dataset(tmp_path / "dataset.jsonl") == result.dataset
 
     def test_csv_export_header(self, truth_by_doc):
         text = dataset_to_csv(truth_by_doc)

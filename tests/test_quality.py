@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from alloyforge.quality import (
     quality_report_rows,
     suggest_unit_repair,
 )
-from alloyforge.pipeline import ManifestEntry
 from alloyforge.records import DocumentId, make_record
 
 DOC = DocumentId("docQ")
@@ -103,11 +100,8 @@ class _ScriptedAuditEngine:
 
 
 class _OneDocCorpus:
-    def entry(self, doc_id):
-        return ManifestEntry(DOC, Path("docQ.txt"))
-
-    def content(self, doc_id):
-        return "The alloy was studied; details omitted."
+    def request_document(self, doc_id):
+        return "The alloy was studied; details omitted.", ()
 
 
 class TestFaithfulnessAudit:
