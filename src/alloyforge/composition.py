@@ -29,9 +29,17 @@ DEFAULT_COSINE_THRESHOLD = 0.99
 # characters that merely separate constituents in formula strings
 _SEPARATORS = " \t-–—,·"
 _NUMBER = r"\d+(?:\.\d*)?|\.\d+"
-_NUMBER_RE = re.compile(_NUMBER)
-# an element symbol and its subscript in one match; the symbol is checked afterwards
-_ELEMENT_RE = re.compile(rf"([A-Z][a-z]?)({_NUMBER})?")
+# one formula token per match: a run of separators, an element symbol (checked
+# afterwards) with its subscript, a group opener, a group closer with its
+# multiplier, or any other single character, which is an error
+_FORMULA_TOKEN_RE = re.compile(
+    rf"[{re.escape(_SEPARATORS)}]+"
+    rf"|([A-Z][a-z]?)({_NUMBER})?"
+    r"|([(\[{])"
+    rf"|([)\]}}])({_NUMBER})?"
+    r"|(.)",
+    re.DOTALL,
+)
 _WT_PERCENT_RE = re.compile(r"wt\.?\s*%|\bwt\b", re.IGNORECASE)
 _AT_PERCENT_RE = re.compile(r"\(?\s*at\.?\s*%\s*\)?", re.IGNORECASE)
 
@@ -64,7 +72,7 @@ class NothingToCompare(CompositionError):
     """Fewer than two parseable composition sources on the record."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Composition:
     """Element symbol -> atomic fraction; fractions are positive and sum to 1."""
 
@@ -165,71 +173,58 @@ def parse_formula(text: str) -> Composition:
     # every match of either pattern contains its guard, so the guards skip no match
     if "wt" in text.lower() and _WT_PERCENT_RE.search(text):
         raise UnsupportedUnits(f"weight-percent composition not supported: {text!r}")
-    cleaned = _AT_PERCENT_RE.sub(" ", text) if "%" in text else text
-    coeffs, pos = _parse_sequence(cleaned, 0, depth=0)
-    if pos != len(cleaned):
-        raise CompositionError(f"unbalanced bracket at position {pos} in {text!r}")
-    return Composition.from_coefficients(coeffs)
-
-
-def _parse_sequence(s: str, i: int, depth: int) -> tuple[dict[str, float], int]:
-    """Parse constituents until end of string or an unconsumed closing bracket."""
-    coeffs: dict[str, float] = {}
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch in _SEPARATORS:
-            i += 1
-            continue
-        if ch in "([{":
-            inner, i = _parse_sequence(s, i + 1, depth + 1)
-            if i >= n or s[i] not in ")]}":
-                raise CompositionError(f"unclosed group in formula {s!r}")
-            i += 1
-            mult, i = _parse_coefficient(s, i)
+    s = _AT_PERCENT_RE.sub(" ", text) if "%" in text else text
+    # the coefficients of each open group, innermost last
+    groups: list[dict[str, float]] = [{}]
+    for m in _FORMULA_TOKEN_RE.finditer(s):
+        symbol, count, opener, closer, multiplier, other = m.groups()
+        if symbol is not None:
+            if symbol not in ELEMENT_SYMBOLS:
+                _reject_symbol(s, m.start(), symbol)
+            coeffs = groups[-1]
+            coeffs[symbol] = coeffs.get(symbol, 0.0) + (1.0 if count is None else float(count))
+        elif opener is not None:
+            groups.append({})
+        elif closer is not None:
+            if len(groups) == 1:
+                raise CompositionError(f"stray {closer!r} at position {m.start()} in {s!r}")
+            inner = groups.pop()
+            mult = 1.0 if multiplier is None else float(multiplier)
+            coeffs = groups[-1]
             for sym, c in inner.items():
                 coeffs[sym] = coeffs.get(sym, 0.0) + c * mult
-            continue
-        if ch in ")]}":
-            if depth == 0:
-                raise CompositionError(f"stray {ch!r} at position {i} in {s!r}")
-            return coeffs, i
-        if ch.isupper():
-            m = _ELEMENT_RE.match(s, i)
-            if m and m[1] in ELEMENT_SYMBOLS:
-                sym, number, i = m[1], m[2], m.end()
-                coeff = 1.0 if number is None else float(number)
-            else:
-                sym, i = _parse_element(s, i)
-                coeff, i = _parse_coefficient(s, i)
-            coeffs[sym] = coeffs.get(sym, 0.0) + coeff
-            continue
-        if ch.islower():
-            raise UnresolvedVariable(
-                f"symbolic subscript {ch!r} at position {i} in {s!r} has no numeric value"
-            )
-        raise CompositionError(f"unexpected character {ch!r} at position {i} in {s!r}")
-    if depth != 0:
+        elif other is not None:
+            _reject_character(s, m.start())
+    if len(groups) > 1:
         raise CompositionError(f"unclosed group in formula {s!r}")
-    return coeffs, i
+    return Composition.from_coefficients(groups[0])
 
 
-def _parse_element(s: str, i: int) -> tuple[str, int]:
-    two = s[i : i + 2]
-    if len(two) == 2 and two[1].islower() and two in ELEMENT_SYMBOLS:
-        return two, i + 2
-    one = s[i]
-    if one in ELEMENT_SYMBOLS:
-        return one, i + 1
-    bad = two if len(two) == 2 and two[1].islower() else one
-    raise UnknownElement(f"unknown element symbol {bad!r} at position {i} in {s!r}")
+def _reject_symbol(s: str, i: int, symbol: str) -> None:
+    """Raise for a capitalized token that names no element.
+
+    A two-letter token whose first letter is an element reads as that element
+    followed by a lowercase letter, which is a symbolic subscript.
+    """
+    if len(symbol) == 2 and symbol[0] in ELEMENT_SYMBOLS:
+        raise UnresolvedVariable(
+            f"symbolic subscript {symbol[1]!r} at position {i + 1} in {s!r} has no numeric value"
+        )
+    _reject_character(s, i)
 
 
-def _parse_coefficient(s: str, i: int) -> tuple[float, int]:
-    m = _NUMBER_RE.match(s, i)
-    if m:
-        return float(m.group()), m.end()
-    return 1.0, i
+def _reject_character(s: str, i: int) -> None:
+    """Raise for the character at ``i``, which starts no formula token."""
+    ch = s[i]
+    if ch.isupper():
+        two = s[i : i + 2]
+        bad = two if len(two) == 2 and two[1].islower() else ch
+        raise UnknownElement(f"unknown element symbol {bad!r} at position {i} in {s!r}")
+    if ch.islower():
+        raise UnresolvedVariable(
+            f"symbolic subscript {ch!r} at position {i} in {s!r} has no numeric value"
+        )
+    raise CompositionError(f"unexpected character {ch!r} at position {i} in {s!r}")
 
 
 def l1_distance(a: Composition, b: Composition) -> float:

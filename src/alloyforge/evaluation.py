@@ -9,12 +9,12 @@ Counts are pooled across documents before computing metrics (micro-averaging).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .composition import l1_distance
 from .records import AlloyRecord
 
 COMPOSITE_FIELD = "composite"
@@ -111,15 +111,28 @@ def match_entries(extracted: list[AlloyRecord], truth: list[AlloyRecord]) -> Mat
             groups.setdefault(key, ([], []))[1].append(idx)
 
     pairs: list[tuple[int, int]] = []
-    for e_idxs, t_idxs in groups.values():
-        distance = [[l1_distance(extracted[e].nominal_composition, truth[t].nominal_composition)
-                     for t in t_idxs] for e in e_idxs]
-        local = [(le, lt) for le, row in enumerate(distance)
-                 for lt, d in enumerate(row) if d <= L1_MATCH]
+    for elements, (e_idxs, t_idxs) in groups.items():
+        # l1_distance over the one element set of the group, which is the union
+        # of any two of its supports; fsum rounds correctly, so walking the set
+        # in its own order gives l1_distance's bits
+        distance: list[list[float]] = []
+        local: list[tuple[int, int]] = []  # admissible pairs of group positions
+        for le, e in enumerate(e_idxs):
+            fe = extracted[e].nominal_composition.fractions
+            row = []
+            for lt, t in enumerate(t_idxs):
+                ft = truth[t].nominal_composition.fractions
+                d = math.fsum([abs(fe[sym] - ft[sym]) for sym in elements])
+                row.append(d)
+                if d <= L1_MATCH:
+                    local.append((le, lt))
+            distance.append(row)
         # contested: some record has two admissible partners
-        if len({le for le, _ in local}) < len(local) or len({lt for _, lt in local}) < len(local):
+        if len(local) > 1 and (len({le for le, _ in local}) < len(local)
+                               or len({lt for _, lt in local}) < len(local)):
             local = [(le, lt) for lt, le in _assign(np.array(distance)).items()]
-        pairs.extend((e_idxs[le], t_idxs[lt]) for le, lt in local)
+        for le, lt in local:
+            pairs.append((e_idxs[le], t_idxs[lt]))
 
     matched_e = {e for e, _ in pairs}
     matched_t = {t for _, t in pairs}

@@ -53,7 +53,7 @@ class MissingColumn(GroundTruthError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocumentId:
     id: str
 
@@ -62,7 +62,7 @@ class DocumentId:
             raise RecordError("document id must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseLabel:
     kind: str = "unknown"
 
@@ -71,7 +71,7 @@ class PhaseLabel:
             raise RecordError(f"unknown phase kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessingCondition:
     kind: str = "unreported"
 
@@ -80,7 +80,7 @@ class ProcessingCondition:
             raise RecordError(f"unknown processing kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LengthAngstrom:
     """A positive length in angstroms; the text it was read from stays in the
     record's ``raw_fields``."""
@@ -92,7 +92,7 @@ class LengthAngstrom:
             raise RecordError(f"length must be positive, got {self.value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlloyRecord:
     """One extracted or curated entry; ``raw_fields`` holds the exact text of
     each present field, keyed by schema key, and is what serialization writes."""
@@ -111,7 +111,7 @@ class AlloyRecord:
             raise RecordError("record needs at least one of alloy_name / nominal_composition")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldParseIssue:
     entry_index: int
     field: str | None
@@ -128,6 +128,10 @@ class RecordSetParseResult:
 # --- field-level normalization -------------------------------------------------
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+_BRACKET_RE = re.compile(r"[\[{]")
+# inside a bracket span: a JSON string, ended by its closing quote or its
+# line's end, or a bracket
+_SPAN_TOKEN_RE = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"?|[\[\]{}]')
 _NUMBER = r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+]?\.\d+"
 # a number whose sign or first digit directly follows a letter belongs to a
 # symbol such as the space groups Fm-3m and P63/mmc, not to the value
@@ -137,8 +141,12 @@ _BCC_RE = re.compile(r"bcc|body[- ]cent")
 _FCC_RE = re.compile(r"fcc|face[- ]cent")
 _HCP_RE = re.compile(r"hcp|hexagonal close")
 _ORDERED_RE = re.compile(r"\bb2\b|\bl12\b|\blaves\b|\bsigma\b")
-_NM_RE = re.compile(r"\bnm\b")
-_PM_RE = re.compile(r"\bpm\b")
+_BARE_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?")
+_COMMA_DIGITS_RE = re.compile(r",(\d+)")
+# a unit is a word of its own or glued to the number before it ("0.36nm"),
+# so no letter may precede it
+_NM_RE = re.compile(r"(?<![^\W\d])nm\b")
+_PM_RE = re.compile(r"(?<![^\W\d])pm\b")
 # phase and processing wordings repeat across records and their kinds are
 # immutable, so each distinct text is classified once
 _KIND_CACHE_SIZE = 1024
@@ -146,6 +154,10 @@ _KIND_CACHE_SIZE = 1024
 
 def is_missing(value) -> bool:
     """True for the "Not found" sentinel (any case/whitespace) and empty values."""
+    # text whose first character is neither whitespace nor one of the two that
+    # lowercase to "n" (the first letter of the sentinel) is present
+    if value.__class__ is str and value[:1] not in "nN" and not value[0].isspace():
+        return False
     if value is None:
         return True
     text = " ".join(str(value).split()).lower()
@@ -198,18 +210,30 @@ def _processing_of(text: str) -> ProcessingCondition:
 
 def parse_length(text) -> LengthAngstrom:
     """Parse a lattice-constant string into angstroms; a value marked 'nm' or
-    'pm' is scaled, any other is taken as angstroms."""
+    'pm' is scaled, any other is taken as angstroms. A value written with a
+    decimal comma is refused rather than truncated."""
     raw = str(text)
-    value_text = next(
-        (m["value"] for m in _LENGTH_VALUE_RE.finditer(raw) if m["value"]), None
-    )
-    if value_text is None:
+    # an unsigned decimal alone is its own value, with no symbol and no unit
+    if _BARE_NUMBER_RE.fullmatch(raw):
+        return LengthAngstrom(float(raw))
+    for match in _LENGTH_VALUE_RE.finditer(raw):
+        if match["value"]:
+            break
+    else:
         raise RecordError(f"no numeric value in lattice field {raw!r}")
+    value_text = match["value"]
+    comma = "," in raw and _COMMA_DIGITS_RE.match(raw, match.end())
+    if comma:
+        # the repair is suggested, never applied
+        hint = (f"; write {value_text}.{comma[1]} if that is the value"
+                if value_text.lstrip("+-").isdigit() else "")
+        raise RecordError(f"decimal comma after {value_text!r} in lattice field {raw!r}{hint}")
     value = float(value_text)
     low = raw.lower()
-    if _NM_RE.search(low):
+    # every match of either pattern contains its guard, so the guards skip no match
+    if "nm" in low and _NM_RE.search(low):
         value *= 10.0
-    elif _PM_RE.search(low):
+    elif "pm" in low and _PM_RE.search(low):
         value /= 100.0
     return LengthAngstrom(value)
 
@@ -226,37 +250,41 @@ def record_to_object(record: AlloyRecord) -> dict[str, str]:
 def record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
     """Parse one JSON object into (record | None, issues)."""
     issues: list[FieldParseIssue] = []
+    # the text of each present field; it becomes the record's raw_fields
     values: dict[str, str] = {}
     for key in SCHEMA_KEYS:
         value = obj.get(key)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, str):
+            # the sentinel as the schema writes it needs no normalization
+            if value == MISSING_SENTINEL or is_missing(value):
+                continue
+        elif value is None:
+            continue
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
             value = str(value)  # repr of a NumPy float names its type
-        if value is not None and not isinstance(value, str):
+        else:
             issues.append(FieldParseIssue(entry_index, key, f"non-text value {value!r}"))
             continue
-        if not is_missing(value):
-            values[key] = value
+        values[key] = value
 
-    def parse_composition(key: str) -> Composition | None:
-        raw = values.get(key)
-        if raw is None:
-            return None
-        try:
-            return parse_formula(raw)
-        except CompositionError as exc:
-            issues.append(FieldParseIssue(entry_index, key, str(exc)))
-            values.pop(key)
-            return None
-
-    nominal = parse_composition("nominal_composition")
-    measured = parse_composition("measured_composition")
+    compositions = []
+    for key in ("nominal_composition", "measured_composition"):
+        composition = None
+        if key in values:
+            try:
+                composition = parse_formula(values[key])
+            except CompositionError as exc:
+                issues.append(FieldParseIssue(entry_index, key, str(exc)))
+                del values[key]
+        compositions.append(composition)
+    nominal, measured = compositions
     lattice = None
     if "lattice_constant_angstrom" in values:
         try:
             lattice = parse_length(values["lattice_constant_angstrom"])
         except RecordError as exc:
             issues.append(FieldParseIssue(entry_index, "lattice_constant_angstrom", str(exc)))
-            values.pop("lattice_constant_angstrom")
+            del values["lattice_constant_angstrom"]
     alloy_name = values.get("alloy_name")
     if alloy_name is None and nominal is None:
         issues.append(
@@ -277,7 +305,7 @@ def record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
         processing=(_processing_of(values["processing_condition"])
                     if "processing_condition" in values else ProcessingCondition("unreported")),
         lattice_constant=lattice,
-        raw_fields=dict(values),
+        raw_fields=values,
     )
     return record, issues
 
@@ -344,9 +372,10 @@ def serialize_record_set(records: list[AlloyRecord]) -> str:
 
 
 def _extract_entries(text: str) -> list:
+    """The entries of the first record block: the whole text, else a fenced
+    block, else a bracket span found by ``_candidate_spans``, arrays first."""
     candidates = [text.strip()]
     candidates.extend(m.group(1).strip() for m in _FENCE_RE.finditer(text))
-    decoder = json.JSONDecoder()
     for candidate in candidates:
         if not candidate:
             continue
@@ -357,21 +386,59 @@ def _extract_entries(text: str) -> list:
         entries = _coerce_entries(value)
         if entries is not None:
             return entries
-    # fall back to scanning for an embedded array, then a single object
-    for opener in ("[", "{"):
-        for match in re.finditer(re.escape(opener), text):
+    for opener in "[{":
+        for start, end in _candidate_spans(text, opener):
             try:
-                value, _ = decoder.raw_decode(text, match.start())
+                # a slice, so that a decode error costs the span, not the text before it
+                value = json.loads(text[start:end])
             except json.JSONDecodeError:
                 continue
             except RecursionError:
-                # nesting past the decoder's limit is no record block, and
-                # rescanning each opener inside it would take quadratic time
-                break
+                break  # nesting past the decoder's limit is no record block
             entries = _coerce_entries(value)
             if entries is not None:
                 return entries
     raise MalformedOutput("no parseable record block in output")
+
+
+def _candidate_spans(text: str, opener: str):
+    """Yield (start, end) of each balanced span that opens with ``opener`` and
+    lies in no other such balanced span, in text order, each once.
+
+    One left-to-right scan: prose is skipped to the next bracket, from which
+    strings and bracket depth are tracked until the depth returns to zero. A
+    string left open ends with its line, as a JSON string holds no line break.
+    A span never closed is no candidate, but the spans inside it are; they are
+    yielded when the text ends. Brackets inside a span that is itself a
+    candidate are not tried on their own, so the scan is linear in the text.
+    """
+    nested: list[tuple[int, int]] = []  # candidates inside a still open opener
+    found = _BRACKET_RE.search(text)
+    while found is not None:
+        stack: list[tuple[int, str]] = []
+        open_openers = 0
+        for m in _SPAN_TOKEN_RE.finditer(text, found.start()):
+            token = m[0]
+            if token == "[" or token == "{":
+                stack.append((m.start(), token))
+                if token == opener:
+                    open_openers += 1
+            elif token == "]" or token == "}":
+                start, bracket = stack.pop()
+                if bracket == opener:
+                    open_openers -= 1
+                    while nested and nested[-1][0] > start:
+                        nested.pop()  # inside this span, which replaces them
+                    if open_openers:
+                        nested.append((start, m.end()))
+                    else:
+                        yield start, m.end()
+                if not stack:
+                    found = _BRACKET_RE.search(text, m.end())
+                    break
+        else:
+            yield from nested
+            return
 
 
 def _coerce_entries(value) -> list | None:
@@ -400,8 +467,7 @@ def load_ground_truth(path) -> list[AlloyRecord]:
             doc_id = (row.get("doc_id") or "").strip()
             if not doc_id:
                 raise GroundTruthError(f"{path}:{row_index}: empty doc_id")
-            obj = {key: row.get(key) for key in SCHEMA_KEYS}
-            record, issues = record_from_object(obj, DocumentId(doc_id), row_index)
+            record, issues = record_from_object(row, DocumentId(doc_id), row_index)
             if record is None or issues:
                 raise GroundTruthError(
                     f"{path}:{row_index}: row rejected: "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import re
@@ -21,6 +22,20 @@ from alloyforge.composition import (
     l1_distance,
 )
 from alloyforge.features import PROPERTY_COLUMNS, ElementNotInTable
+from alloyforge.records import (
+    SCHEMA_KEYS,
+    AlloyRecord,
+    DocumentId,
+    FieldParseIssue,
+    LengthAngstrom,
+    MalformedOutput,
+    PhaseLabel,
+    ProcessingCondition,
+    RecordError,
+    _coerce_entries,
+    _phase_of,
+    _processing_of,
+)
 from alloyforge.ml import (
     _FEATURE_SIGN_STEPS,
     _KKT_RTOL,
@@ -212,6 +227,131 @@ def _ref_parse_coefficient(s: str, i: int) -> tuple[float, int]:
     if m:
         return float(m.group()), m.end()
     return 1.0, i
+
+
+_REF_LENGTH_NUMBER = r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+]?\.\d+"
+_REF_LENGTH_VALUE_RE = re.compile(rf"(?<=[^\W\d_])(?:{_REF_LENGTH_NUMBER})|(?P<value>{_REF_LENGTH_NUMBER})")
+_REF_NM_RE = re.compile(r"\bnm\b")
+_REF_PM_RE = re.compile(r"\bpm\b")
+_REF_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+
+
+def reference_is_missing(value) -> bool:
+    """``records.is_missing`` by the general rule alone: normalize, then compare."""
+    if value is None:
+        return True
+    text = " ".join(str(value).split()).lower()
+    return text in ("", "not found")
+
+
+def reference_parse_length(text) -> LengthAngstrom:
+    """``records.parse_length`` before bare numbers were read directly, and
+    before glued units and decimal commas were handled: a unit counts only as
+    a word of its own, and "3,60" reads as 3."""
+    raw = str(text)
+    value_text = next(
+        (m["value"] for m in _REF_LENGTH_VALUE_RE.finditer(raw) if m["value"]), None
+    )
+    if value_text is None:
+        raise RecordError(f"no numeric value in lattice field {raw!r}")
+    value = float(value_text)
+    low = raw.lower()
+    if _REF_NM_RE.search(low):
+        value *= 10.0
+    elif _REF_PM_RE.search(low):
+        value /= 100.0
+    return LengthAngstrom(value)
+
+
+def reference_record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
+    """``records.record_from_object`` with the reference field parsers: every
+    value normalized for the sentinel check, compositions through a closure,
+    and ``raw_fields`` a copy of the present text."""
+    issues: list[FieldParseIssue] = []
+    values: dict[str, str] = {}
+    for key in SCHEMA_KEYS:
+        value = obj.get(key)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = str(value)  # repr of a NumPy float names its type
+        if value is not None and not isinstance(value, str):
+            issues.append(FieldParseIssue(entry_index, key, f"non-text value {value!r}"))
+            continue
+        if not reference_is_missing(value):
+            values[key] = value
+
+    def parse_composition(key: str) -> Composition | None:
+        raw = values.get(key)
+        if raw is None:
+            return None
+        try:
+            return reference_parse_formula(raw)
+        except CompositionError as exc:
+            issues.append(FieldParseIssue(entry_index, key, str(exc)))
+            values.pop(key)
+            return None
+
+    nominal = parse_composition("nominal_composition")
+    measured = parse_composition("measured_composition")
+    lattice = None
+    if "lattice_constant_angstrom" in values:
+        try:
+            lattice = reference_parse_length(values["lattice_constant_angstrom"])
+        except RecordError as exc:
+            issues.append(FieldParseIssue(entry_index, "lattice_constant_angstrom", str(exc)))
+            values.pop("lattice_constant_angstrom")
+    alloy_name = values.get("alloy_name")
+    if alloy_name is None and nominal is None:
+        issues.append(
+            FieldParseIssue(
+                entry_index, None,
+                "entry has neither a parseable alloy name nor a nominal composition",
+                entry_dropped=True,
+            )
+        )
+        return None, issues
+    record = AlloyRecord(
+        source=source,
+        alloy_name=alloy_name,
+        nominal_composition=nominal,
+        measured_composition=measured,
+        phase=_phase_of(values["phase"]) if "phase" in values else PhaseLabel("unknown"),
+        processing=(_processing_of(values["processing_condition"])
+                    if "processing_condition" in values else ProcessingCondition("unreported")),
+        lattice_constant=lattice,
+        raw_fields=dict(values),
+    )
+    return record, issues
+
+
+def reference_extract_entries(text: str) -> list:
+    """The record entries of a completion by decoding from every opener in
+    turn, every "[" before every "{". Quadratic in the text when many openers
+    fail to decode late."""
+    candidates = [text.strip()]
+    candidates.extend(m.group(1).strip() for m in _REF_FENCE_RE.finditer(text))
+    decoder = json.JSONDecoder()
+    for candidate in candidates:
+        if not candidate:
+            continue
+        try:
+            value = json.loads(candidate)
+        except (json.JSONDecodeError, RecursionError):
+            continue
+        entries = _coerce_entries(value)
+        if entries is not None:
+            return entries
+    for opener in ("[", "{"):
+        for match in re.finditer(re.escape(opener), text):
+            try:
+                value, _ = decoder.raw_decode(text, match.start())
+            except json.JSONDecodeError:
+                continue
+            except RecursionError:
+                break
+            entries = _coerce_entries(value)
+            if entries is not None:
+                return entries
+    raise MalformedOutput("no parseable record block in output")
 
 
 def reference_from_coefficients(coefficients) -> Composition:

@@ -193,6 +193,38 @@ class TestMatchEntries:
         assert result.pairs == [(0, 0), (1, 1), (2, 3), (3, 4), (4, 5), (5, 7), (6, 8)]
         assert calls and calls[0] == (7, 9)
 
+    def test_group_distances_are_l1_distance_bit_for_bit(self, monkeypatch):
+        # a contested group hands its whole distance matrix to the solver
+        seen = []
+
+        def spy(distance):
+            seen.append(distance)
+            return _assign(distance)
+
+        monkeypatch.setattr(evaluation, "_assign", spy)
+        rng = np.random.default_rng(8)
+        pool = ("Al", "Co", "Cr", "Fe", "Ni", "Ti", "V", "Nb", "Mo", "Zr", "Hf", "Ta", "W")
+        for _ in range(40):
+            elements = rng.choice(pool, size=int(rng.integers(2, 9)), replace=False).tolist()
+            base = 10.0 ** rng.uniform(-4, 0, size=len(elements))
+
+            def draw():
+                # near one alloy, so that records share partners; fractions of
+                # mixed magnitudes, where a plain sum would round differently
+                jitter = 1 + rng.uniform(-0.03, 0.03, size=len(elements))
+                return make_record(DOC, nominal_composition=Composition.from_coefficients(
+                    dict(zip(elements, (base * jitter).tolist()))))
+
+            extracted = [draw() for _ in range(int(rng.integers(2, 7)))]
+            truth = [draw() for _ in range(int(rng.integers(2, 7)))]
+            seen.clear()
+            match_entries(extracted, truth)
+            assert len(seen) == 1
+            assert [[d.hex() for d in row] for row in seen[0].tolist()] == [
+                [l1_distance(e.nominal_composition, t.nominal_composition).hex() for t in truth]
+                for e in extracted
+            ]
+
 
 def _series_record(x):
     """Al(x)CoCrFeNi; the x values used lie more than L1_MATCH apart."""

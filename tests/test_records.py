@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import pickle
+import re
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from alloyforge import records
 from alloyforge.composition import Composition, parse_formula
 from alloyforge.records import (
     MISSING_SENTINEL,
@@ -30,7 +36,13 @@ from alloyforge.records import (
     _processing_of,
 )
 
-from tests.oracles import random_composition
+from tests.oracles import (
+    random_composition,
+    reference_extract_entries,
+    reference_is_missing,
+    reference_parse_length,
+    reference_record_from_object,
+)
 
 DOC = DocumentId("doc1")
 
@@ -130,9 +142,33 @@ class TestFieldNormalization:
         assert parse_length("Fm-3m, 3.60 Å") == LengthAngstrom(3.60)
         assert parse_length("Im-3m 0.319 nm") == LengthAngstrom(3.19)
         assert parse_length("P63/mmc a=3.2 Å") == LengthAngstrom(3.2)
+        # a unit glued to its number is still the unit, but not inside a word
+        assert parse_length("0.36nm").value == pytest.approx(3.60, abs=1e-12)
+        assert parse_length("360pm").value == pytest.approx(3.60, abs=1e-12)
+        assert parse_length("a = 0.3601nm").value == pytest.approx(3.601, abs=1e-12)
+        assert parse_length("0.319NM").value == pytest.approx(3.19, abs=1e-12)
+        assert parse_length("3.19 Å (xnm)") == LengthAngstrom(3.19)
+        assert parse_length("3.19 Å, 5nmol") == LengthAngstrom(3.19)
         for text in ("unreadable", "-3.2", "0 nm"):
             with pytest.raises(RecordError):
                 parse_length(text)
+
+    def test_decimal_comma_is_a_field_issue(self):
+        for text, written in (("3,60 Å", "3.60"), ("a = 3,601", "3.601"), ("0,36 nm", "0.36")):
+            with pytest.raises(RecordError, match=f"decimal comma .* write {written} "):
+                parse_length(text)
+        # the repair is suggested, never applied: the record keeps no lattice value
+        record, issues = record_from_object(
+            {"alloy_name": "MoNbTaW", "lattice_constant_angstrom": "3,60 Å"}, DOC)
+        assert record.lattice_constant is None
+        assert "lattice_constant_angstrom" not in record.raw_fields
+        assert [(i.field, i.entry_dropped) for i in issues] == [
+            ("lattice_constant_angstrom", False)]
+        with pytest.raises(RecordError, match=r"decimal comma after '3\.6' in lattice field '3\.6,3\.7'$"):
+            parse_length("3.6,3.7")
+        # a comma that does not follow the value's digits is no decimal comma
+        assert parse_length("3.60 Å, 298 K") == LengthAngstrom(3.60)
+        assert parse_length("Fm-3m, 3.60 Å") == LengthAngstrom(3.60)
 
     def test_type_invariants(self):
         with pytest.raises(RecordError):
@@ -143,6 +179,173 @@ class TestFieldNormalization:
             LengthAngstrom(-1.0)
         with pytest.raises(RecordError):
             make_record(DOC)                  # name or composition required
+
+    def test_value_classes_are_frozen_slotted_and_pickle(self):
+        record = make_record(DOC, alloy_name="MoNbTaW", nominal_composition="MoNbTaW",
+                             phase="BCC", processing="as-cast", lattice_constant="3.19")
+        values = (record, record.source, record.nominal_composition, record.phase,
+                  record.processing, record.lattice_constant,
+                  record_from_object({"phase": "BCC"}, DOC)[1][0])
+        for value in values:
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, dataclasses.fields(value)[0].name, None)
+            assert pickle.loads(pickle.dumps(value)) == value
+
+
+_SENTINELS = st.sampled_from([None, "Not found", "NOT FOUND", "  not   found ", ""])
+_COEFFICIENTS = st.sampled_from(["", "1", "0.5", "1.25", "2", "0.05", "0.333"])
+_FORMULAS = st.lists(
+    st.tuples(st.sampled_from(["Al", "Co", "Cr", "Fe", "Mo", "Nb", "Ni", "Ta", "Ti", "W"]),
+              _COEFFICIENTS),
+    min_size=1, max_size=5,
+).map(lambda parts: "".join(sym + coefficient for sym, coefficient in parts))
+_LATTICES = st.builds(
+    lambda value, unit: f"{value}{unit}",
+    st.floats(0.01, 1000, allow_nan=False).map(lambda v: round(v, 4)),
+    st.sampled_from(["", " nm", " pm", " Å", " angstrom", "  Å", " +/- 0.02 Å"]),
+)
+_FIELD_TEXTS = {
+    "alloy_name": st.sampled_from(["MoNbTaW", "Cantor alloy", "HEA-1", " Alloy  B "]),
+    "nominal_composition": _FORMULAS,
+    "measured_composition": _FORMULAS,
+    "phase": st.sampled_from(["BCC", "fcc", "BCC  +  FCC", "amorphous", "C14 Laves",
+                              "body-centred cubic", "single-phase FCC solid solution"]),
+    "processing_condition": st.sampled_from(["as-cast", "annealed at 1200 C", "SLM",
+                                             "spark plasma sintering", "sputtered film"]),
+    "lattice_constant_angstrom": _LATTICES,
+}
+
+
+def _sentinel_variant(upper, spaces):
+    """ "not found" with each letter's case drawn and whitespace runs around and between."""
+    cased = "".join(c.upper() if up else c for c, up in zip("notfound", upper))
+    return spaces[0] + cased[:3] + spaces[1] + cased[3:] + spaces[2]
+
+
+_WHITESPACE = st.text(alphabet=" \t\n\r\u00a0\u2003\u3000", max_size=3)
+_SENTINEL_VARIANTS = st.builds(
+    _sentinel_variant,
+    st.lists(st.booleans(), min_size=8, max_size=8),
+    st.tuples(_WHITESPACE, _WHITESPACE.filter(bool), _WHITESPACE),
+)
+# values a JSON or CSV field can carry: text, numbers, booleans, NumPy floats,
+# containers, and None
+_NON_TEXT = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10**20), st.floats(),
+    st.floats(0.1, 10).map(np.float64), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=1),
+)
+_MISSING_CANDIDATES = st.one_of(
+    _SENTINEL_VARIANTS, _WHITESPACE, st.text(max_size=12), _NON_TEXT,
+    st.sampled_from(["Not found", "Not found.", "Not", "not_found", "N", "n/a", "nan", "Nb"]),
+)
+# the shapes parse_length no longer reads as the reference does: a unit glued
+# to a digit, and a digit or point followed by a comma and a digit
+_CHANGED_LENGTH = re.compile(r"\d(?:nm|pm)|[\d.],\d", re.IGNORECASE)
+_LENGTH_TEXTS = st.one_of(
+    st.sampled_from(["3.19", "3.", ".5", "03.190", "1e0", "3.19e-1 nm", "-3.2", "+3.2", "0",
+                     "0 nm", "unreadable", "Fm-3m, 3.60 Å", "Im-3m 0.319 nm", "P63/mmc a=3.2 Å",
+                     "3.19 +/- 0.02", "319 PM", "0.319 Nm", "3.60 Å, 298 K", "٣.١٩"]),
+    st.text(alphabet="0123456789.,+-eE nNpPmMÅa=/", max_size=12),
+    _NON_TEXT,
+)
+_FORMULA_FIELD = st.one_of(
+    _FORMULAS,
+    st.sampled_from(["almonbti", "Cantor alloy", "Co1.1Cr0.9Nix", "wt% stuff", "Fe50Ni50 wt.%",
+                     "(FeNi", "FeNi)", "Xx2", "2Fe", "Fe..5", "(Al0.5Co)2 at.% Ni", "HEA-1"]),
+)
+_FIELD_VALUES = {
+    "alloy_name": st.one_of(_FIELD_TEXTS["alloy_name"], _FORMULA_FIELD, st.text(max_size=8)),
+    "nominal_composition": _FORMULA_FIELD,
+    "measured_composition": _FORMULA_FIELD,
+    "phase": st.one_of(_FIELD_TEXTS["phase"], st.text(max_size=8)),
+    "processing_condition": st.one_of(_FIELD_TEXTS["processing_condition"], st.text(max_size=8)),
+    "lattice_constant_angstrom": _LENGTH_TEXTS,
+}
+_SENTINEL_OR_NON_TEXT = st.one_of(_SENTINEL_VARIANTS, _SENTINELS, _NON_TEXT)
+
+
+def _length_outcome(parse, text):
+    try:
+        return parse(text).value.hex()
+    except RecordError as exc:
+        return type(exc), str(exc)
+
+
+class TestFieldParsersAgainstReference:
+    """``is_missing``, ``parse_length`` and ``record_from_object`` give the
+    reference's results, records, issues and error messages."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(_MISSING_CANDIDATES)
+    @example("")
+    @example("\u00a0Not Found")
+    @example("n")
+    def test_is_missing(self, value):
+        assert is_missing(value) == reference_is_missing(value)
+
+    @settings(max_examples=800, deadline=None)
+    @given(_LENGTH_TEXTS)
+    def test_parse_length(self, text):
+        assume(not _CHANGED_LENGTH.search(str(text)))
+        assert _length_outcome(parse_length, text) == _length_outcome(reference_parse_length, text)
+
+    @settings(max_examples=800, deadline=None)
+    @given(st.fixed_dictionaries(
+        {},
+        optional={key: values | _SENTINEL_OR_NON_TEXT for key, values in _FIELD_VALUES.items()},
+    ))
+    def test_record_from_object(self, obj):
+        assume(not _CHANGED_LENGTH.search(str(obj.get("lattice_constant_angstrom"))))
+        assert record_from_object(obj, DOC, 3) == reference_record_from_object(obj, DOC, 3)
+
+
+def _parse_outcome(text):
+    try:
+        result = parse_record_set(text, DOC)
+    except MalformedOutput as exc:
+        return str(exc)
+    return result.records, result.issues
+
+
+_RECORD_OBJECTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "alloy_name": st.sampled_from(["MoNbTaW", "Cantor alloy", "almonbti", "Not found"]),
+        "nominal_composition": st.sampled_from(["Mo0.25Nb0.25Ta0.25W0.25", "Co1.1Cr0.9Nix",
+                                                "Al0.5CoCrFeNi (at.%)", "", "wt% stuff"]),
+        "phase": st.sampled_from(["BCC", "FCC + B2", "Not found"]),
+        "lattice_constant_angstrom": st.sampled_from(["3.19", "0.319 nm", "Fm-3m, 3.60 Å", "-1"]),
+    },
+)
+# JSON that is a record block, or stray JSON that is not one, each complete
+_JSON_VALUES = st.one_of(
+    st.lists(_RECORD_OBJECTS, max_size=3),
+    _RECORD_OBJECTS,
+    st.fixed_dictionaries({"records": st.lists(_RECORD_OBJECTS, min_size=1, max_size=2),
+                           "note": st.sampled_from(["see [1]", "{sic}", "ok"])}),
+    st.lists(st.one_of(st.integers(), st.floats(allow_nan=False), st.sampled_from(["a", "b c"])),
+             min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=2), min_size=1, max_size=3),
+).map(json.dumps)
+# prose holds quotes, balanced citations and brackets left open, but no stray
+# closing bracket, which would close a bracket left open earlier
+_PROSE = st.lists(
+    st.one_of(
+        st.text(alphabet="abcXYZ 0123456789.,:;'\"\\-()Å\t", max_size=12),
+        st.sampled_from(["[1]", "[2, 3]", "{sic}", "[see above]", "[", "{", "```"]),
+    ),
+    max_size=5,
+).map("".join)
+_COMPLETION_PARTS = st.one_of(
+    _PROSE,
+    _JSON_VALUES,
+    # a block cut short, as a completion that hit its token limit
+    st.tuples(_JSON_VALUES, st.integers(1, 60)).map(lambda t: t[0][: t[1]]),
+    st.tuples(st.sampled_from(["```json\n", "```\n"]), _JSON_VALUES | _PROSE)
+    .map(lambda t: f"{t[0]}{t[1]}\n```"),
+)
 
 
 class TestParseRecordSet:
@@ -218,6 +421,46 @@ class TestParseRecordSet:
         assert not result.records
         assert {i.entry_index for i in result.issues if i.entry_dropped} == {0}
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_COMPLETION_PARTS, max_size=7).map("\n".join))
+    @example('Values [in Å:\n[{"alloy_name": "MoNbTaW"}]')
+    @example('{"note": "see [", "records": [{"alloy_name": "MoNbTaW"}]}\nThanks.')
+    @example('Cut off: [{"alloy_name": "Mo\n[1, 2] and {"alloy_name": "W"}')
+    @example('He said "[{\n[{"alloy_name": "W"}]')
+    def test_same_records_and_issues_as_the_reference(self, text):
+        with mock.patch.object(records, "_extract_entries", reference_extract_entries):
+            expected = _parse_outcome(text)
+        assert _parse_outcome(text) == expected
+
+    def test_an_array_is_not_searched_inside_an_array_span(self):
+        # each outermost array span is decoded once; the arrays inside one that
+        # fails to decode, or decodes to no record block, are not tried on
+        # their own, so only the object pass finds the first entry
+        inner = '[{"alloy_name": "MoNbTaW"}, {"alloy_name": "W"}]'
+        for text in (f"[see: {inner}]", f"[[1], {inner}]"):
+            assert [r.alloy_name for r in parse_record_set(text, DOC).records] == ["MoNbTaW"]
+        # an array left open is no span, so the arrays inside it are searched
+        assert len(parse_record_set(f"[see: {inner}", DOC).records) == 2
+
+    def test_a_span_nested_past_the_decoder_limit_is_no_block(self):
+        text = "[" * 5000 + "]" * 5000 + '\n{"alloy_name": "W"}'
+        assert [r.alloy_name for r in parse_record_set(text, DOC).records] == ["W"]
+        with mock.patch.object(records, "_extract_entries", reference_extract_entries):
+            assert [r.alloy_name for r in parse_record_set(text, DOC).records] == ["W"]
+
+    @pytest.mark.parametrize("shape", ["nested_arrays", "unclosed_strings"])
+    def test_adversarial_megabyte_in_under_a_second(self, shape):
+        if shape == "nested_arrays":
+            flat = ", ".join(str(i) for i in range(150_000))
+            text = "The values follow. " + "[" * 800 + f"[{flat}]"
+        else:
+            text = '{"a": "' * (1_000_000 // 7)
+        assert len(text) >= 1_000_000 - 7
+        started = time.perf_counter()
+        with pytest.raises(MalformedOutput):
+            parse_record_set(text, DOC)
+        assert time.perf_counter() - started < 1.0
+
 
 class TestSerialization:
     def test_round_trip_random_records(self):
@@ -261,30 +504,6 @@ class TestSerialization:
 
     def test_empty_set(self):
         assert parse_record_set(serialize_record_set([]), DOC).records == []
-
-
-_SENTINELS = st.sampled_from([None, "Not found", "NOT FOUND", "  not   found ", ""])
-_COEFFICIENTS = st.sampled_from(["", "1", "0.5", "1.25", "2", "0.05", "0.333"])
-_FORMULAS = st.lists(
-    st.tuples(st.sampled_from(["Al", "Co", "Cr", "Fe", "Mo", "Nb", "Ni", "Ta", "Ti", "W"]),
-              _COEFFICIENTS),
-    min_size=1, max_size=5,
-).map(lambda parts: "".join(sym + coefficient for sym, coefficient in parts))
-_LATTICES = st.builds(
-    lambda value, unit: f"{value}{unit}",
-    st.floats(0.01, 1000, allow_nan=False).map(lambda v: round(v, 4)),
-    st.sampled_from(["", " nm", " pm", " Å", " angstrom", "  Å", " +/- 0.02 Å"]),
-)
-_FIELD_TEXTS = {
-    "alloy_name": st.sampled_from(["MoNbTaW", "Cantor alloy", "HEA-1", " Alloy  B "]),
-    "nominal_composition": _FORMULAS,
-    "measured_composition": _FORMULAS,
-    "phase": st.sampled_from(["BCC", "fcc", "BCC  +  FCC", "amorphous", "C14 Laves",
-                              "body-centred cubic", "single-phase FCC solid solution"]),
-    "processing_condition": st.sampled_from(["as-cast", "annealed at 1200 C", "SLM",
-                                             "spark plasma sintering", "sputtered film"]),
-    "lattice_constant_angstrom": _LATTICES,
-}
 
 
 class TestRecordWritesBackItsText:
