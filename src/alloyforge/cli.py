@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", help="prompt text file (default: packaged starting prompt)")
     p.add_argument("--out", required=True)
     p.add_argument("--engine", default="forward", help="config engine role to use")
-    p.add_argument("--parallelism", type=_positive_int, default=None,
+    p.add_argument("--parallelism", type=_parallelism, default=None,
                    help="documents in flight (default: pipeline.parallelism)")
     p.add_argument("--retry-failed", action="store_true")
     p.set_defaults(handler=cmd_extract)
@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clean", help="plausibility, consistency, and repair report")
     p.add_argument("--dataset", required=True, help="dataset JSONL")
-    p.add_argument("--config", help="optional config with thresholds.l1 / thresholds.cosine")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_clean)
 
@@ -106,11 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _parallelism(text: str) -> int:
+    """``--parallelism`` under the bound of the ``pipeline.parallelism`` key."""
+    try:
+        return config_mod.KEYS["pipeline.parallelism"][0](text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_prompt_text(path: str | None) -> str:
@@ -184,9 +184,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_clean(args) -> int:
-    dataset = pipeline.load_dataset(args.dataset)
-    cfg = config_mod.load_config(args.config) if args.config else config_mod.Config()
-    result = pipeline.clean_dataset(dataset, cfg["thresholds.l1"], cfg["thresholds.cosine"])
+    result = pipeline.clean_dataset(pipeline.load_dataset(args.dataset))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_dataset(result.accepted, out_dir / "dataset_clean.jsonl")
@@ -213,8 +211,7 @@ def cmd_audit(args) -> int:
                for position, record in enumerate(dataset[doc], 1)]
     partition = quality.filter_plausible([record for _, _, record in entries])
     if not args.all_records:
-        implausible = {id(r) for r in partition.rejected_low + partition.rejected_high}
-        entries = [entry for entry in entries if id(entry[2]) in implausible]
+        entries = [entry for entry in entries if quality.plausibility(entry[2]) != "accepted"]
 
     def attempt(entry):
         return quality.faithfulness_audit(entry[2], questions, engine, corpus)

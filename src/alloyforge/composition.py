@@ -23,8 +23,9 @@ Cn Nh Fl Mc Lv Ts Og
 """
 ELEMENT_SYMBOLS = frozenset(_SYMBOLS.split())
 
-DEFAULT_L1_THRESHOLD = 0.1
-DEFAULT_COSINE_THRESHOLD = 0.99
+# consistency_check flags a pair of sources beyond either bound
+CONSISTENCY_L1 = 0.1
+CONSISTENCY_COSINE = 0.99
 
 # characters that merely separate constituents in formula strings
 _SEPARATORS = " \t-–—,·"
@@ -62,10 +63,6 @@ class UnresolvedVariable(CompositionError):
 
 class UnsupportedUnits(CompositionError):
     """Weight-percent compositions are rejected rather than misread as atomic."""
-
-
-class ZeroVector(CompositionError):
-    pass
 
 
 class NothingToCompare(CompositionError):
@@ -240,28 +237,25 @@ def l1_distance(a: Composition, b: Composition) -> float:
 
 
 def cosine_similarity(a: Composition, b: Composition) -> float:
-    """Cosine of the two fraction vectors over the union support, in [0, 1]."""
+    """Cosine of the two fraction vectors over the union support, in [0, 1].
+
+    A composition's fractions are positive and sum to 1, so neither norm is 0.
+    """
     fa, fb = a.fractions, b.fractions
     support = sorted(fa.keys() | fb.keys())
     dot = sum(fa.get(sym, 0.0) * fb.get(sym, 0.0) for sym in support)
     norm_a = math.sqrt(sum(fa.get(sym, 0.0) ** 2 for sym in support))
     norm_b = math.sqrt(sum(fb.get(sym, 0.0) ** 2 for sym in support))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine similarity undefined for a zero composition vector")
     return min(1.0, max(0.0, dot / (norm_a * norm_b)))
 
 
-def consistency_check(
-    record,
-    l1_threshold: float = DEFAULT_L1_THRESHOLD,
-    cosine_threshold: float = DEFAULT_COSINE_THRESHOLD,
-) -> list[ConsistencyReport]:
+def consistency_check(record) -> list[ConsistencyReport]:
     """Cross-check every available pair of composition sources on a record.
 
     Sources are the alloy name (when it parses as a formula), the nominal
     composition, and the measured composition. A pair is flagged when its L1
-    distance exceeds ``l1_threshold`` or its cosine similarity falls below
-    ``cosine_threshold``.
+    distance exceeds ``CONSISTENCY_L1`` or its cosine similarity falls below
+    ``CONSISTENCY_COSINE``.
     """
     sources: list[tuple[str, Composition]] = []
     name = getattr(record, "alloy_name", None)
@@ -286,7 +280,7 @@ def consistency_check(
             ConsistencyReport(
                 l1=l1,
                 cosine=cos,
-                flagged=(l1 > l1_threshold) or (cos < cosine_threshold),
+                flagged=(l1 > CONSISTENCY_L1) or (cos < CONSISTENCY_COSINE),
                 compared_pair=(label_a, label_b),
             )
         )

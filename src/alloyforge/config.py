@@ -1,14 +1,13 @@
 """Plain-text ``key = value`` files; a ``#`` at line start or after whitespace starts a comment.
 
-``KEYS`` maps every key to its (type, default); ``engine.*.`` stands for any ``engine.<role>.``.
+``KEYS`` maps every key to its (parser, default); a parser raises ``ValueError``
+for text outside the key's type or bounds. ``engine.*.`` stands for any ``engine.<role>.``.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-
-from .composition import DEFAULT_COSINE_THRESHOLD, DEFAULT_L1_THRESHOLD
 
 
 class ConfigError(ValueError):
@@ -21,23 +20,34 @@ def _boolean(text: str) -> bool:
     return text == "true"
 
 
+def _at_least(kind, low, strict: bool = False):
+    """A parser of ``kind`` values that refuses any below ``low`` (``low`` too when strict)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise ValueError(f"must be {'above' if strict else 'at least'} {low}, got {value}")
+        return value
+    return parse
+
+
+_COUNT = _at_least(int, 1)
+_TEMPERATURE = _at_least(float, 0.0)
+
 KEYS = {
     "engine.*.kind": (str, "replay"),  # http | replay
     "engine.*.endpoint": (str, ""),
     "engine.*.model": (str, ""),
     "engine.*.record": (_boolean, False),
     "engine.*.transcript_dir": (str, None),
-    "engine.*.rate_limit_per_s": (float, None),
-    "engine.*.max_context_chars": (int, None),
-    "engine.*.max_retries": (int, 5),
-    "optimizer.epochs": (int, 3),
-    "optimizer.batch_size": (int, 3),
-    "optimizer.forward_temperature": (float, 0.0),
-    "optimizer.parallelism": (int, 1),
-    "pipeline.extract_temperature": (float, 1.0),
-    "pipeline.parallelism": (int, 4),
-    "thresholds.l1": (float, DEFAULT_L1_THRESHOLD),
-    "thresholds.cosine": (float, DEFAULT_COSINE_THRESHOLD),
+    "engine.*.rate_limit_per_s": (_at_least(float, 0.0, strict=True), None),
+    "engine.*.max_context_chars": (_COUNT, None),
+    "engine.*.max_retries": (_at_least(int, 0), 5),
+    "optimizer.epochs": (_COUNT, 3),
+    "optimizer.batch_size": (_COUNT, 3),
+    "optimizer.forward_temperature": (_TEMPERATURE, 0.0),
+    "optimizer.parallelism": (_COUNT, 1),
+    "pipeline.extract_temperature": (_TEMPERATURE, 1.0),
+    "pipeline.parallelism": (_COUNT, 4),
 }
 
 

@@ -194,7 +194,20 @@ def _assign(distance: np.ndarray) -> dict[int, int]:
 # --- field scoring ----------------------------------------------------------------
 
 
+def _check_fields(fields) -> None:
+    """Refuse an empty field list, an unknown field and a field listed twice."""
+    if not fields:
+        raise ValueError("no fields to score")
+    for index, name in enumerate(fields):
+        if name not in SCORABLE_FIELDS:
+            raise UnknownField(name)
+        if name in fields[:index]:
+            raise ValueError(f"field {name!r} is listed twice")
+
+
 def _field_equal(field_name: str, e: AlloyRecord, t: AlloyRecord) -> bool:
+    if field_name == COMPOSITE_FIELD:
+        return True   # both records of a scored pair pass the gate
     if field_name == "nominal_composition":
         return True   # a matched pair's compositions are within L1_MATCH
     if field_name == "lattice_constant":
@@ -219,48 +232,38 @@ def score_entities(
 
     Unmatched extracted records are FP for every field and unmatched truth
     records FN for every field. When the composite criterion is among the
-    scored fields it acts as a gate: only records satisfying it (on either
-    side) are in scope, and a pair disagreeing on it contributes FPs or FNs
-    for all fields of the offending side. A gate-passing pair scores each
-    field TP on equality, else FP and FN simultaneously. ``match`` comes from
-    ``match_entries``, so a pair's nominal compositions are within
+    scored fields it acts as a gate: only records satisfying it are in scope,
+    and a pair with a record outside the gate is scored as its two records
+    unmatched, so only the side inside the gate counts. A scored pair counts
+    each field TP on equality, else FP and FN simultaneously. ``match`` comes
+    from ``match_entries``, so a pair's nominal compositions are within
     ``L1_MATCH`` and that field is TP.
     """
-    for name in fields:
-        if name not in SCORABLE_FIELDS:
-            raise UnknownField(name)
+    _check_fields(fields)
     gated = COMPOSITE_FIELD in fields
     counts = {name: ConfusionCounts() for name in fields}
 
     def in_scope(record: AlloyRecord) -> bool:
-        return composite_criterion(record) if gated else True
+        return not gated or composite_criterion(record)
 
-    for idx in match.unmatched_extracted:
+    lone_extracted, lone_truth = list(match.unmatched_extracted), list(match.unmatched_truth)
+    pairs = []
+    for e_idx, t_idx in match.pairs:
+        if in_scope(extracted[e_idx]) and in_scope(truth[t_idx]):
+            pairs.append((extracted[e_idx], truth[t_idx]))
+        else:
+            lone_extracted.append(e_idx)
+            lone_truth.append(t_idx)
+    for idx in lone_extracted:
         if in_scope(extracted[idx]):
             for name in fields:
                 counts[name].fp += 1
-    for idx in match.unmatched_truth:
+    for idx in lone_truth:
         if in_scope(truth[idx]):
             for name in fields:
                 counts[name].fn += 1
-    for e_idx, t_idx in match.pairs:
-        e, t = extracted[e_idx], truth[t_idx]
-        if gated:
-            claimed, actual = composite_criterion(e), composite_criterion(t)
-            if not claimed and not actual:
-                continue
-            if claimed and not actual:
-                for name in fields:
-                    counts[name].fp += 1
-                continue
-            if actual and not claimed:
-                for name in fields:
-                    counts[name].fn += 1
-                continue
-            counts[COMPOSITE_FIELD].tp += 1
+    for e, t in pairs:
         for name in fields:
-            if name == COMPOSITE_FIELD:
-                continue
             if _field_equal(name, e, t):
                 counts[name].tp += 1
             else:
@@ -311,6 +314,8 @@ def evaluate_run(
     fields=DEFAULT_FIELDS,
 ) -> EvaluationReport:
     """Match and score per document, summing counts before computing metrics."""
+    fields = tuple(fields)
+    _check_fields(fields)
     unknown_docs = set(extracted_by_doc) - set(truth_by_doc)
     if unknown_docs:
         raise DocumentMismatch(
@@ -323,4 +328,4 @@ def evaluate_run(
         match = match_entries(extracted, truth)
         for name, c in score_entities(match, extracted, truth, fields).items():
             totals[name].add(c)
-    return EvaluationReport(counts=totals, fields=tuple(fields))
+    return EvaluationReport(counts=totals, fields=fields)

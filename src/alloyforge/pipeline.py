@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import composition, quality
+from . import quality
 from .composition import NothingToCompare, consistency_check
 from .engines import AuthError, ContextTooLong, EngineError, EngineRequest
 from .records import (
@@ -485,20 +485,19 @@ def write_dataset(dataset: dict[str, list[AlloyRecord]], path, doc_order=None) -
 
 
 def load_dataset(path) -> dict[str, list[AlloyRecord]]:
+    """Read a dataset JSONL strictly: a line whose entry is dropped or any of
+    whose fields fails to parse is an error naming ``path:line``."""
     dataset: dict[str, list[AlloyRecord]] = {}
-    dropped = 0
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
         doc_id = obj.pop("doc_id")
         record, issues = record_from_object(obj, DocumentId(doc_id))
-        if record is None:
-            dropped += 1
-            continue
+        if issues:
+            raise PipelineError(f"{path}:{line_no}: line rejected: "
+                                + "; ".join(issue.message for issue in issues))
         dataset.setdefault(doc_id, []).append(record)
-    if dropped:
-        raise PipelineError(f"{path}: {dropped} dataset line(s) failed to parse")
     return dataset
 
 
@@ -524,30 +523,23 @@ class CleanResult:
     report_rows: list[dict[str, str]]
 
 
-def clean_dataset(
-    dataset: dict[str, list[AlloyRecord]],
-    l1_threshold: float = composition.DEFAULT_L1_THRESHOLD,
-    cosine_threshold: float = composition.DEFAULT_COSINE_THRESHOLD,
-) -> CleanResult:
+def clean_dataset(dataset: dict[str, list[AlloyRecord]]) -> CleanResult:
     """Plausibility screen plus composition consistency checks over a dataset."""
     flat = [record for doc_id in sorted(dataset) for record in dataset[doc_id]]
     partition = quality.filter_plausible(flat)
     flagged = []
     for record in flat:
         try:
-            reports = consistency_check(record, l1_threshold, cosine_threshold)
+            reports = consistency_check(record)
         except NothingToCompare:
             continue
         flagged.extend((record, report) for report in reports if report.flagged)
     rows = quality.quality_report_rows(partition, flagged)
-    # filter by object identity: equal records in different documents must
-    # pass or fail independently
-    accepted_set = {id(record) for record in partition.accepted}
-    accepted = {
-        doc_id: [record for record in records if id(record) in accepted_set]
-        for doc_id, records in dataset.items()
-    }
-    accepted = {doc_id: records for doc_id, records in accepted.items() if records}
+    accepted = {}
+    for doc_id, records in dataset.items():
+        kept = [record for record in records if quality.plausibility(record) == "accepted"]
+        if kept:
+            accepted[doc_id] = kept
     return CleanResult(accepted=accepted, partition=partition, report_rows=rows)
 
 
@@ -609,12 +601,9 @@ class SummaryReport:
         return "\n".join(lines)
 
 
-def summarize(dataset) -> SummaryReport:
+def summarize(dataset: dict[str, list[AlloyRecord]]) -> SummaryReport:
     """Dataset breakdowns: lattice presence, phases, processing, histogram, outliers."""
-    if isinstance(dataset, dict):
-        records = [r for doc_id in sorted(dataset) for r in dataset[doc_id]]
-    else:
-        records = list(dataset)
+    records = [r for doc_id in sorted(dataset) for r in dataset[doc_id]]
     with_lattice = [r for r in records if r.lattice_constant is not None]
     phase_counts: dict[str, int] = {}
     for record in with_lattice:
@@ -627,6 +616,7 @@ def summarize(dataset) -> SummaryReport:
     as_cast_bcc = [r for r in bcc if r.processing.kind == "as_cast"]
     values = [r.lattice_constant.value for r in as_cast_bcc]
     histogram = _histogram(values, width=0.1)
+    bands = [quality.plausibility(r) for r in with_lattice]
     return SummaryReport(
         total=len(records),
         with_lattice=len(with_lattice),
@@ -634,10 +624,8 @@ def summarize(dataset) -> SummaryReport:
         phase_counts=phase_counts,
         bcc_processing_counts=processing_counts,
         histogram=histogram,
-        outlier_low=sum(1 for r in with_lattice
-                        if r.lattice_constant.value <= quality.PLAUSIBLE_LO),
-        outlier_high=sum(1 for r in with_lattice
-                         if r.lattice_constant.value >= quality.PLAUSIBLE_HI),
+        outlier_low=bands.count("rejected_low"),
+        outlier_high=bands.count("rejected_high"),
     )
 
 

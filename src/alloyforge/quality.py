@@ -69,23 +69,24 @@ class AuditReport:
     flags: set[str] = field(default_factory=set)
 
 
-def filter_plausible(records: list[AlloyRecord]) -> PlausibilityPartition:
-    """Partition records by lattice-constant plausibility (``PLAUSIBLE_LO``, ``PLAUSIBLE_HI``).
+def plausibility(record: AlloyRecord) -> str:
+    """The band rule: the ``PlausibilityPartition`` bucket a record belongs in.
 
-    Records without a lattice constant are accepted; the screen applies to
-    reported values only.
+    ``accepted`` inside (``PLAUSIBLE_LO``, ``PLAUSIBLE_HI``), ``rejected_low``
+    or ``rejected_high`` outside it. Records without a lattice constant are
+    accepted; the screen applies to reported values only.
     """
+    length = record.lattice_constant
+    if length is None or PLAUSIBLE_LO < length.value < PLAUSIBLE_HI:
+        return "accepted"
+    return "rejected_low" if length.value <= PLAUSIBLE_LO else "rejected_high"
+
+
+def filter_plausible(records: list[AlloyRecord]) -> PlausibilityPartition:
+    """Partition records by ``plausibility``, each bucket in input order."""
     partition = PlausibilityPartition()
     for record in records:
-        length = record.lattice_constant
-        if length is None:
-            partition.accepted.append(record)
-        elif length.value <= PLAUSIBLE_LO:
-            partition.rejected_low.append(record)
-        elif length.value >= PLAUSIBLE_HI:
-            partition.rejected_high.append(record)
-        else:
-            partition.accepted.append(record)
+        getattr(partition, plausibility(record)).append(record)
     return partition
 
 
@@ -170,8 +171,6 @@ def classify_errors(
     """
     tagged = {tag: set() for tag in ERROR_TAGS}   # tag -> ids of the records counted
     for record in partition.rejected_low + partition.rejected_high:
-        if record.lattice_constant is None:
-            continue
         if suggest_unit_repair(record.lattice_constant.value) is not None:
             tagged[UNIT_ERROR].add(id(record))
     for report in audits:

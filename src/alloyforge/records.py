@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from .composition import Composition, CompositionError, parse_formula
@@ -132,6 +133,10 @@ _BRACKET_RE = re.compile(r"[\[{]")
 # inside a bracket span: a JSON string, ended by its closing quote or its
 # line's end, or a bracket
 _SPAN_TOKEN_RE = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"?|[\[\]{}]')
+# a record block nests two deep; a candidate nested deeper than this is none.
+# The bound sits far below the recursion limit, so that no RecursionError,
+# whose onset depends on the caller's stack depth, decides a verdict
+MAX_NESTING = 100
 _NUMBER = r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+]?\.\d+"
 # a number whose sign or first digit directly follows a letter belongs to a
 # symbol such as the space groups Fm-3m and P63/mmc, not to the value
@@ -373,32 +378,39 @@ def serialize_record_set(records: list[AlloyRecord]) -> str:
 
 def _extract_entries(text: str) -> list:
     """The entries of the first record block: the whole text, else a fenced
-    block, else a bracket span found by ``_candidate_spans``, arrays first."""
-    candidates = [text.strip()]
-    candidates.extend(m.group(1).strip() for m in _FENCE_RE.finditer(text))
-    for candidate in candidates:
-        if not candidate:
+    block, else a bracket span found by ``_candidate_spans``, arrays first.
+    A candidate nested deeper than ``MAX_NESTING`` is no record block."""
+    fences = (m.group(1).strip() for m in _FENCE_RE.finditer(text))
+    # each span a slice, so that a decode error costs the span, not the text before it
+    spans = (text[start:end] for opener in "[{" for start, end in _candidate_spans(text, opener))
+    for candidate in chain([text.strip()], fences, spans):
+        if not candidate or _nests_too_deep(candidate):
             continue
         try:
             value = json.loads(candidate)
-        except (json.JSONDecodeError, RecursionError):
+        except json.JSONDecodeError:
             continue
         entries = _coerce_entries(value)
         if entries is not None:
             return entries
-    for opener in "[{":
-        for start, end in _candidate_spans(text, opener):
-            try:
-                # a slice, so that a decode error costs the span, not the text before it
-                value = json.loads(text[start:end])
-            except json.JSONDecodeError:
-                continue
-            except RecursionError:
-                break  # nesting past the decoder's limit is no record block
-            entries = _coerce_entries(value)
-            if entries is not None:
-                return entries
     raise MalformedOutput("no parseable record block in output")
+
+
+def _nests_too_deep(candidate: str) -> bool:
+    """True when the candidate's brackets outside strings nest past
+    ``MAX_NESTING``; the depth is scanned only when it has more openers."""
+    if candidate.count("[") + candidate.count("{") <= MAX_NESTING:
+        return False
+    depth = 0
+    for m in _SPAN_TOKEN_RE.finditer(candidate):
+        token = m[0]
+        if token == "[" or token == "{":
+            depth += 1
+            if depth > MAX_NESTING:
+                return True
+        elif token == "]" or token == "}":
+            depth -= 1
+    return False
 
 
 def _candidate_spans(text: str, opener: str):

@@ -18,7 +18,6 @@ from alloyforge.composition import (
     UnknownElement,
     UnresolvedVariable,
     UnsupportedUnits,
-    ZeroVector,
     l1_distance,
 )
 from alloyforge.features import PROPERTY_COLUMNS, ElementNotInTable
@@ -387,8 +386,6 @@ def reference_cosine_similarity(a: Composition, b: Composition) -> float:
     dot = sum(a.get(sym) * b.get(sym) for sym in support)
     norm_a = math.sqrt(sum(a.get(sym) ** 2 for sym in support))
     norm_b = math.sqrt(sum(b.get(sym) ** 2 for sym in support))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine similarity undefined for a zero composition vector")
     return min(1.0, max(0.0, dot / (norm_a * norm_b)))
 
 

@@ -295,7 +295,7 @@ def test_criterion_8_summary_percentages():
         make_record(doc, nominal_composition="MoNbTaW", phase="FCC")
         for _ in range(2787)
     ]
-    text = summarize(records).to_text()
+    text = summarize({doc.id: records}).to_text()
     assert "(40.0%)" in text and "(60.0%)" in text
     _passed(8, "summary percentages")
 

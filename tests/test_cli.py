@@ -97,16 +97,6 @@ def test_extract_evaluate_clean_report_flow(workspace, capsys):
     assert rc == 0
     assert (work / "cleaned" / "quality_report.csv").exists()
 
-    # a paranoid consistency threshold flags the measured-vs-nominal drift rows
-    strict_cfg = work / "strict.cfg"
-    strict_cfg.write_text("thresholds.l1 = 0.0\nthresholds.cosine = 1.0\n", encoding="utf-8")
-    rc = main(["clean", "--dataset", str(out_dir / "dataset.jsonl"),
-               "--config", str(strict_cfg), "--out", str(work / "cleaned_strict")])
-    assert rc == 0
-    strict_rows = (work / "cleaned_strict" / "quality_report.csv").read_text().splitlines()
-    default_rows = (work / "cleaned" / "quality_report.csv").read_text().splitlines()
-    assert len(strict_rows) > len(default_rows)
-
     rc = main(["report", "--dataset", str(out_dir / "dataset.jsonl")])
     assert rc == 0
     assert "entries: 21" in capsys.readouterr().out

@@ -299,7 +299,7 @@ class TestConsistencyCheck:
         record = make_record(
             self.doc, nominal_composition="Al0.5Ni0.5", measured_composition="Al0.25Ni0.75"
         )
-        (report,) = consistency_check(record, l1_threshold=0.1, cosine_threshold=0.99)
+        (report,) = consistency_check(record)
         assert report.compared_pair == ("nominal_composition", "measured_composition")
         assert report.flagged
 

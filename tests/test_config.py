@@ -30,7 +30,6 @@ def test_readme_example_loads_verbatim(tmp_path, monkeypatch):
     assert http.rate_limit.rate == 2
     assert http.max_context_chars == 400000
     assert http.max_retries == 5
-    assert cfg["thresholds.l1"] == 0.1
     assert engine.store.root == Path("transcripts/forward/model=my-model")
 
 
@@ -55,7 +54,6 @@ def test_comments_and_defaults(tmp_path):
     assert cfg["optimizer.epochs"] == 7
     assert cfg["optimizer.batch_size"] == 3
     assert cfg["engine.backward.max_retries"] == 5
-    assert Config()["thresholds.cosine"] == 0.99
     with pytest.raises(KeyError):
         Config()["optimizer.epoch"]
 
@@ -66,6 +64,18 @@ def test_comments_and_defaults(tmp_path):
     (["optimizer.epochs = 3", "", "optimizer.epochs = 4"], 3, "optimizer.epochs"),
     (["engine.forward.record = yes"], 1, "engine.forward.record"),
     (["# retries", "engine.forward.max_retries = five"], 2, "engine.forward.max_retries"),
+    (["pipeline.parallelism = 0"], 1, "pipeline.parallelism = '0': must be at least 1, got 0"),
+    (["optimizer.parallelism = -1"], 1, "optimizer.parallelism"),
+    (["engine.forward.max_retries = -1"], 1,
+     "engine.forward.max_retries = '-1': must be at least 0, got -1"),
+    (["engine.evaluator.rate_limit_per_s = 0"], 1,
+     "engine.evaluator.rate_limit_per_s = '0': must be above 0.0, got 0.0"),
+    (["engine.forward.max_context_chars = 0"], 1, "engine.forward.max_context_chars"),
+    (["optimizer.batch_size = 0"], 1, "optimizer.batch_size"),
+    (["optimizer.epochs = 0"], 1, "optimizer.epochs"),
+    (["optimizer.forward_temperature = -0.1"], 1,
+     "optimizer.forward_temperature = '-0.1': must be at least 0.0, got -0.1"),
+    (["pipeline.extract_temperature = nan"], 1, "pipeline.extract_temperature"),
 ])
 def test_rejections_name_path_line_and_key(tmp_path, lines, bad_line, key):
     path = tmp_path / "bad.cfg"
@@ -73,6 +83,17 @@ def test_rejections_name_path_line_and_key(tmp_path, lines, bad_line, key):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert str(info.value).startswith(f"{path}:{bad_line}: {key}")
+
+
+def test_bounds_admit_their_limits(tmp_path):
+    path = tmp_path / "edge.cfg"
+    path.write_text("pipeline.parallelism = 1\nengine.forward.max_retries = 0\n"
+                    "engine.forward.rate_limit_per_s = 0.5\n"
+                    "pipeline.extract_temperature = 0\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg["pipeline.parallelism"], cfg["engine.forward.max_retries"]) == (1, 0)
+    assert (cfg["engine.forward.rate_limit_per_s"], cfg["pipeline.extract_temperature"]) \
+        == (0.5, 0.0)
 
 
 def test_engine_parallelism_is_not_a_key(tmp_path):

@@ -445,6 +445,18 @@ class TestEvaluateRun:
             k: (v.tp, v.fp, v.fn) for k, v in manual.items()
         }
 
+    @pytest.mark.parametrize("fields, error, message", [
+        (("phase", "phase"), ValueError, "field 'phase' is listed twice"),
+        (("phase", "bogus"), UnknownField, "bogus"),
+        ((), ValueError, "no fields to score"),
+    ])
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_the_field_list_is_checked_up_front(self, fields, error, message, with_truth):
+        truth = {"a": self._doc_records("a", ["MoNbTaW"])} if with_truth else {}
+        with pytest.raises(error) as info:
+            evaluate_run(truth, truth, fields=fields)
+        assert str(info.value) == message
+
     def test_csv_and_table(self):
         truth = {"a": self._doc_records("a", ["MoNbTaW"])}
         report = evaluate_run(truth, truth)

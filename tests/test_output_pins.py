@@ -82,10 +82,8 @@ def test_extraction_outputs(run_dir):
 
 
 def test_clean_outputs(run_dir, tmp_path, capsys):
-    config = tmp_path / "clean.cfg"
-    config.write_text("thresholds.l1 = 0.1\n", encoding="utf-8")
     assert main(["clean", "--dataset", str(run_dir / "dataset.jsonl"),
-                 "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+                 "--out", str(tmp_path / "clean")]) == 0
     assert _sha(tmp_path / "clean" / "dataset_clean.jsonl") == (
         "ee0fe199712aa46e534f91928dc9a664d3d75af496937eac54daca0687793cac")
     assert _sha(tmp_path / "clean" / "quality_report.csv") == (

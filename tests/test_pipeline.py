@@ -28,6 +28,7 @@ from alloyforge.pipeline import (
     summarize,
     write_dataset,
 )
+from alloyforge.quality import filter_plausible
 from alloyforge.records import DocumentId, make_record, serialize_record_set
 
 from tests.conftest import FIXTURES
@@ -187,6 +188,31 @@ class TestRunExtraction:
         assert result.ledger.states["d04"].status == "failed"
         assert result.ledger.counts() == {"pending": 0, "done": 6, "rejected": 1, "failed": 1}
         assert (tmp_path / "ledger.json").exists() and (tmp_path / "dataset.jsonl").exists()
+
+    def test_ledger_of_deep_answers_is_equal_at_parallelism_1_and_4(self, tmp_path):
+        # whether a deep answer parses must not depend on the stack the run
+        # starts from: pool threads start with a fresh one
+        depths = range(850, 1000, 10)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("doc_id,path,kind\n" + "".join(
+            f"n{d},n{d}.txt,plain_text\n" for d in depths), encoding="utf-8")
+        for d in depths:
+            (tmp_path / f"n{d}.txt").write_text(str(d), encoding="utf-8")
+
+        class Nested:
+            def complete(self, request):
+                d = int(request.user_text.split()[2])  # the document text
+                return EngineResponse(text='{"a": ' * d + '{"alloy_name": "W"}' + "}" * d)
+
+        def run_from(frames, parallelism):
+            if frames:
+                return run_from(frames - 1, parallelism)
+            out = tmp_path / f"run{parallelism}"
+            run_extraction(CorpusStore(ingest_corpus(manifest)), FULL_PROMPT, Nested(), out,
+                           parallelism=parallelism)
+            return (out / "ledger.json").read_bytes()
+
+        assert run_from(40, 1) == run_from(0, 4)
 
     def test_auth_error_aborts(self, corpus8, tmp_path):
         class BadAuth:
@@ -398,11 +424,25 @@ class TestDatasetFiles:
         )
         assert len(text.splitlines()) == 23
 
-    def test_corrupt_line_rejected(self, tmp_path):
+    @staticmethod
+    def _refused_as_line_3(tmp_path, line) -> str:
         path = tmp_path / "broken.jsonl"
-        path.write_text('{"doc_id": "d1", "phase": "BCC"}\n', encoding="utf-8")
-        with pytest.raises(PipelineError):
+        good = '{"doc_id": "d0", "alloy_name": "MoNbTaW"}'
+        path.write_text(f"{good}\n\n{line}\n{good}\n", encoding="utf-8")
+        with pytest.raises(PipelineError) as info:
             load_dataset(path)
+        prefix = f"{path}:3: line rejected: "
+        assert str(info.value).startswith(prefix)
+        return str(info.value)[len(prefix):]
+
+    def test_corrupt_line_rejected(self, tmp_path):
+        issue = self._refused_as_line_3(tmp_path, '{"doc_id": "d1", "phase": "BCC"}')
+        assert issue == "entry has neither a parseable alloy name nor a nominal composition"
+
+    def test_a_field_that_fails_to_parse_refuses_its_line(self, tmp_path):
+        line = '{"doc_id": "d1", "alloy_name": "W", "lattice_constant_angstrom": "3,16 Å"}'
+        issue = self._refused_as_line_3(tmp_path, line)
+        assert issue.startswith("decimal comma after '3' in lattice field '3,16 Å'")
 
 
 class TestCleanDataset:
@@ -442,7 +482,7 @@ class TestSummarize:
             make_record(doc, nominal_composition="MoNbTaW", phase="FCC")
             for _ in range(2787)
         ]
-        report = summarize(with_lattice + without)
+        report = summarize({"ds": with_lattice + without})
         assert report.total == 4648
         assert percent(report.with_lattice, report.total) == 40.0
         assert percent(report.without_lattice, report.total) == 60.0
@@ -458,7 +498,7 @@ class TestSummarize:
                 make_record(doc, nominal_composition="MoNbTaW", phase="BCC",
                             processing=processing, lattice_constant=3.2)
             )
-        report = summarize(records)
+        report = summarize({"ds": records})
         assert report.bcc_processing_counts["as_cast"] == 186
         assert percent(186, sum(report.bcc_processing_counts.values())) == 59.8
         assert "(59.8%)" in report.to_text()
@@ -475,8 +515,18 @@ class TestSummarize:
              and r.lattice_constant is not None]
         )
 
+    def test_outliers_follow_the_band_rule(self):
+        doc = DocumentId("ds")
+        records = [make_record(doc, nominal_composition="MoNbTaW", lattice_constant=v)
+                   for v in (0.3, 1.0, 1.0001, 3.2, 9.999, 10.0, 31.6)]
+        records.append(make_record(doc, nominal_composition="MoNbTaW"))
+        report = summarize({"ds": records})
+        partition = filter_plausible(records)
+        assert (report.outlier_low, report.outlier_high) == (2, 2)
+        assert (len(partition.rejected_low), len(partition.rejected_high)) == (2, 2)
+
     def test_empty(self):
-        report = summarize([])
+        report = summarize({})
         assert report.total == 0 and report.histogram == []
         assert report.to_text()
 

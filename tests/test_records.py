@@ -448,6 +448,17 @@ class TestParseRecordSet:
         with mock.patch.object(records, "_extract_entries", reference_extract_entries):
             assert [r.alloy_name for r in parse_record_set(text, DOC).records] == ["W"]
 
+    def test_the_verdict_does_not_depend_on_the_callers_stack_depth(self):
+        def outcome_at(frames, text):
+            return outcome_at(frames - 1, text) if frames else _parse_outcome(text)
+
+        for d in (records.MAX_NESTING - 1, records.MAX_NESTING, *range(850, 1000, 5)):
+            text = '{"a": ' * d + '{"alloy_name": "W"}' + "}" * d
+            shallow = outcome_at(0, text)
+            assert outcome_at(80, text) == shallow, d
+            # depth d + 1: past the bound nothing decodes
+            assert isinstance(shallow, str) == (d + 1 > records.MAX_NESTING), d
+
     @pytest.mark.parametrize("shape", ["nested_arrays", "unclosed_strings"])
     def test_adversarial_megabyte_in_under_a_second(self, shape):
         if shape == "nested_arrays":
