@@ -8,7 +8,9 @@ the config-file schema and data formats.
 from __future__ import annotations
 
 import argparse
+import collections
 import sys
+import threading
 from pathlib import Path
 
 from . import config as config_mod
@@ -213,8 +215,21 @@ def cmd_audit(args) -> int:
     if not args.all_records:
         entries = [entry for entry in entries if quality.plausibility(entry[2]) != "accepted"]
 
+    # entries come in document order: a document is read when its first record
+    # is audited and let go after its last, so each is read once per run and
+    # only those in flight are held
+    left = collections.Counter(doc for doc, _, _ in entries)
+    held: dict[str, tuple[str, tuple]] = {}
+    lock = threading.Lock()
+
     def attempt(entry):
-        return quality.faithfulness_audit(entry[2], questions, engine, corpus)
+        doc, _, record = entry
+        with lock:
+            if doc not in held:
+                held[doc] = corpus.request_document(doc)
+            left[doc] -= 1
+            document = held[doc] if left[doc] else held.pop(doc)
+        return quality.faithfulness_audit(record, questions, engine, document)
 
     results = pipeline.run_documents(attempt, entries, cfg["pipeline.parallelism"])
     reports = [result for result in results if not isinstance(result, EngineError)]

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .records import AlloyRecord
 
@@ -155,6 +154,10 @@ def _assign(distance: np.ndarray) -> dict[int, int]:
     Truth indices left unmatched at their turn are unmatched in every optimum
     that keeps the pairs fixed before them, so later solves leave them out.
     """
+    # imported here, not at module load: scipy adds ~0.4 s and ~50 MB resident to
+    # every process, and only a contested group needs the solver
+    from scipy.optimize import linear_sum_assignment
+
     n_e, n_t = distance.shape
     admissible = distance <= L1_MATCH
     # an L1 distance is at most 2, so an inadmissible cell at this cost outweighs

@@ -485,14 +485,23 @@ def write_dataset(dataset: dict[str, list[AlloyRecord]], path, doc_order=None) -
 
 
 def load_dataset(path) -> dict[str, list[AlloyRecord]]:
-    """Read a dataset JSONL strictly: a line whose entry is dropped or any of
-    whose fields fails to parse is an error naming ``path:line``."""
+    """Read a dataset JSONL strictly: a line that is not a JSON object with a
+    non-empty string ``doc_id``, whose entry is dropped, or any of whose fields
+    fails to parse is an error naming ``path:line``."""
     dataset: dict[str, list[AlloyRecord]] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        doc_id = obj.pop("doc_id")
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise PipelineError(f"{path}:{line_no}: line rejected: not JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise PipelineError(f"{path}:{line_no}: line rejected: not a JSON object")
+        doc_id = obj.pop("doc_id", None)
+        if not isinstance(doc_id, str) or not doc_id.strip():
+            raise PipelineError(f"{path}:{line_no}: line rejected: "
+                                f"doc_id must be a non-empty string, got {doc_id!r}")
         record, issues = record_from_object(obj, DocumentId(doc_id))
         if issues:
             raise PipelineError(f"{path}:{line_no}: line rejected: "

@@ -128,15 +128,17 @@ def faithfulness_audit(
     record: AlloyRecord,
     questions: list[AuditQuestion],
     engine,
-    corpus,
+    document: tuple[str, tuple],
 ) -> AuditReport:
     """Ask the evaluator engine each audit question about one record and its source.
 
-    Answers are parsed for a leading YES/NO; a NO raises that question's error
-    flag. An unparseable answer is kept verbatim and raises no flag.
+    ``document`` is the ``(text, attachments)`` pair that
+    ``CorpusStore.request_document`` gives for the record's document. Answers
+    are parsed for a leading YES/NO; a NO raises that question's error flag.
+    An unparseable answer is kept verbatim and raises no flag.
     """
     doc_id = record.source.id
-    document, attachments = corpus.request_document(doc_id)
+    text, attachments = document
     record_json = serialize_record_set([record])
     report = AuditReport(record=record, answers=[])
     for question in questions:
@@ -145,7 +147,7 @@ def faithfulness_audit(
             user_text=(
                 f"QUESTION: {question.text}\n\n"
                 f"EXTRACTED RECORD:\n{record_json}\n\n"
-                f"DOCUMENT ({doc_id}):\n{document}"
+                f"DOCUMENT ({doc_id}):\n{text}"
             ),
             attachments=attachments,
             temperature=0.0,

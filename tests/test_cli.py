@@ -1,7 +1,10 @@
+import collections
+import hashlib
 import json
 import shutil
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -206,7 +209,8 @@ def test_audit_command(tmp_path, capsys):
     store_dir = tmp_path / "audit_transcripts"
     corpus = CorpusStore(ingest_corpus(corpus_dir / "manifest.csv"))
     recorder = RecordingEngine(NaysayingAuditor(), TranscriptStore(store_dir))
-    quality.faithfulness_audit(suspicious, quality.default_audit_questions(), recorder, corpus)
+    quality.faithfulness_audit(suspicious, quality.default_audit_questions(), recorder,
+                               corpus.request_document("d01"))
 
     cfg = tmp_path / "audit.cfg"
     cfg.write_text(
@@ -381,6 +385,23 @@ def test_error_paths_return_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, reason", [
+    ('{"doc_id": "d01", "alloy_name": "W"', "not JSON (Expecting ',' delimiter"),
+    ('{"alloy_name": "W"}', "doc_id must be a non-empty string, got None"),
+    ('[1, 2]', "not a JSON object"),
+    ('"d01"', "not a JSON object"),
+    ('{"doc_id": "", "alloy_name": "W"}', "doc_id must be a non-empty string, got ''"),
+    ('{"doc_id": "  ", "alloy_name": "W"}', "doc_id must be a non-empty string, got '  '"),
+    ('{"doc_id": 7, "alloy_name": "W"}', "doc_id must be a non-empty string, got 7"),
+])
+def test_report_names_the_dataset_line_it_refuses(tmp_path, capsys, line, reason):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text('{"doc_id": "d01", "alloy_name": "W"}\n' + line + "\n", encoding="utf-8")
+    assert main(["report", "--dataset", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: line rejected: {reason}"), err
+
+
 def test_train_on_bad_feature_csv_names_the_problem(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
@@ -479,6 +500,53 @@ def test_audit_sends_a_pdf_as_each_questions_attachment(tmp_path, monkeypatch, c
     for request in auditor.requests:
         assert request.attachments == PDF_ATTACHMENT
         assert "DOCUMENT (p01):" in request.user_text
+
+
+# sha256 of the report the audit below wrote when it requested a document once
+# per record; reading each document once must not change a byte of it
+AUDIT_ONCE_REPORT_SHA256 = "273f262cb3576fa6e35ce0996805d3c53186e00a2957e938cab3f531204c50a0"
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_audit_reads_each_document_once(tmp_path, monkeypatch, capsys, parallelism):
+    manifest = _pdf_manifest(tmp_path)
+    with manifest.open("a", encoding="utf-8") as fh:
+        for doc in ("t01", "t02"):
+            (tmp_path / f"{doc}.txt").write_text(f"{doc}: the alloys were cast.", encoding="utf-8")
+            fh.write(f"{doc},{doc}.txt,plain_text\n")
+    names = ("MoNbTaW", "HfNbTaTiZr", "NbTaTiV", "CoCrFeMnNi")
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset({
+        "p01": [_record("p01", name=names[k % 4], composition=names[k % 4], lattice=3.1 + k / 100)
+                for k in range(20)],
+        "t01": [_record("t01", name="MoNbTaVW", lattice=3.18), _record("t01", name="VNbMoTaW")],
+        "t02": [_record("t02", composition="AlCoCrFeNi", lattice=0.287)],
+    }, dataset)
+    reads = collections.Counter()
+    read_bytes, read_text = Path.read_bytes, Path.read_text
+
+    def counting_bytes(self):
+        reads[self.name] += 1
+        return read_bytes(self)
+
+    def counting_text(self, *args, **kwargs):
+        reads[self.name] += 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_bytes)
+    monkeypatch.setattr(Path, "read_text", counting_text)
+    auditor = ScriptedAuditor(delay_s=0.002)
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: auditor)
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(f"pipeline.parallelism = {parallelism}\n", encoding="utf-8")
+    report = tmp_path / "audit.txt"
+    rc = main(["audit", "--config", str(cfg), "--dataset", str(dataset), "--corpus",
+               str(manifest), "--out", str(report), "--all-records"])
+    assert rc == 0, capsys.readouterr().err
+    assert "audited 23 record(s), 0 failed" in capsys.readouterr().out
+    assert len(auditor.records) == 69
+    assert [reads[name] for name in ("p01.pdf", "t01.txt", "t02.txt")] == [1, 1, 1]
+    assert hashlib.sha256(read_bytes(report)).hexdigest() == AUDIT_ONCE_REPORT_SHA256
 
 
 @pytest.mark.parametrize("names", ["reversed", "letters"])

@@ -182,7 +182,8 @@ class TestMatchEntries:
             calls.append(cost.shape)
             return linear_sum_assignment(cost)
 
-        monkeypatch.setattr(evaluation, "linear_sum_assignment", spy)
+        # _assign imports the solver when it runs, so the spy goes on scipy's module
+        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", spy)
         series = [_series_record(x) for x in (0.2, 0.5, 0.8, 1.1)]
         others = [rec("MoNbTaW"), rec("HfNbTaTiZr"), rec("Al0.5CoFeNi")]
         result = match_entries(series[::-1] + others, others + series)

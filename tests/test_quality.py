@@ -99,9 +99,8 @@ class _ScriptedAuditEngine:
         return EngineResponse(text="Yes, this checks out.")
 
 
-class _OneDocCorpus:
-    def request_document(self, doc_id):
-        return "The alloy was studied; details omitted.", ()
+# a plain-text document as CorpusStore.request_document gives it
+_DOCUMENT = ("The alloy was studied; details omitted.", ())
 
 
 class TestFaithfulnessAudit:
@@ -121,7 +120,7 @@ class TestFaithfulnessAudit:
             }
         )
         report = faithfulness_audit(
-            rec(2.55), default_audit_questions(), engine, _OneDocCorpus()
+            rec(2.55), default_audit_questions(), engine, _DOCUMENT
         )
         assert report.flags == {SEMANTIC_MISINTERPRETATION}
 
@@ -134,14 +133,14 @@ class TestFaithfulnessAudit:
             }
         )
         report = faithfulness_audit(
-            rec(10.9), default_audit_questions(), engine, _OneDocCorpus()
+            rec(10.9), default_audit_questions(), engine, _DOCUMENT
         )
         assert report.flags == {CONTEXTUAL_HALLUCINATION}
 
     def test_all_yes_no_flags(self):
         report = faithfulness_audit(
             rec(3.2), default_audit_questions(), _ScriptedAuditEngine({}),
-            _OneDocCorpus(),
+            _DOCUMENT,
         )
         assert report.flags == set()
         assert len(report.answers) == 3
@@ -151,7 +150,7 @@ class TestFaithfulnessAudit:
             {"really a lattice constant": "The question is hard to answer."}
         )
         report = faithfulness_audit(
-            rec(3.2), default_audit_questions(), engine, _OneDocCorpus()
+            rec(3.2), default_audit_questions(), engine, _DOCUMENT
         )
         assert report.flags == set()
         assert "The question is hard to answer." in [answer for _, answer in report.answers]

@@ -1,0 +1,98 @@
+"""scipy is loaded only when an alignment group is contested.
+
+Each check runs in a fresh interpreter: this one has already imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+from tests.conftest import FIXTURES
+
+ROOT = FIXTURES.parents[1]
+
+PRELUDE = """\
+import json, sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+def _run(body: str, tmp_path=None):
+    """Run ``body`` after ``PRELUDE`` in a new interpreter; its last stdout line, as JSON."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+    done = subprocess.run(
+        [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
+        cwd=tmp_path or ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_every_module_loads_no_scipy():
+    seen = _run("""
+        import importlib, pkgutil
+        import alloyforge, alloyforge.cli
+        names = [m.name for m in pkgutil.iter_modules(alloyforge.__path__)]
+        for name in names:
+            importlib.import_module("alloyforge." + name)
+        print(json.dumps({"modules": names, "scipy": scipy_loaded()}))
+    """)
+    assert {"cli", "evaluation", "optimizer", "pipeline", "ml"} <= set(seen["modules"])
+    assert seen["scipy"] == []
+
+
+def test_uncontested_matching_and_extract_load_no_scipy(tmp_path):
+    (tmp_path / "empty.cfg").write_text("", encoding="utf-8")
+    seen = _run(f"""
+        from alloyforge import cli
+        from alloyforge.evaluation import match_entries
+        from alloyforge.records import DocumentId, group_by_doc, load_ground_truth, make_record
+        from tests.scripted import ScriptedForwardEngine
+
+        def rec(formula):
+            return make_record(DocumentId("docE"), nominal_composition=formula)
+
+        # every record has at most one admissible partner
+        series = [rec(f"Al{{x}}CoCrFeNi") for x in (0.2, 0.5, 0.8, 1.1)]
+        others = [rec("MoNbTaW"), rec("HfNbTaTiZr"), rec("Al0.5CoFeNi")]
+        pairs = match_entries(series[::-1] + others, others + series).pairs
+        after_match = scipy_loaded()
+
+        truth = group_by_doc(load_ground_truth({str(FIXTURES / "ground_truth.csv")!r}))
+        cli.engine_from_config = lambda cfg, role: ScriptedForwardEngine(truth)
+        rc = cli.main(["extract", "--config", "empty.cfg",
+                       "--corpus", {str(FIXTURES / "manifest.csv")!r}, "--out", "run"])
+        print(json.dumps({{"pairs": len(pairs), "after_match": after_match,
+                          "rc": rc, "after_extract": scipy_loaded()}}))
+    """, tmp_path)
+    assert seen == {"pairs": 7, "after_match": [], "rc": 0, "after_extract": []}
+    assert (tmp_path / "run" / "dataset.jsonl").read_text(encoding="utf-8")
+
+
+def test_a_contested_group_loads_the_solver_and_matches_the_oracle():
+    seen = _run("""
+        from alloyforge.composition import Composition
+        from alloyforge.evaluation import match_entries
+        from alloyforge.records import DocumentId, make_record
+        from tests.oracles import brute_force_assignment
+
+        def same_alloy(k):
+            comp = Composition.from_coefficients(
+                {"Mo": 230 + k, "Nb": 250, "Ta": 250, "W": 270 - k})
+            return make_record(DocumentId("docE"), nominal_composition=comp)
+
+        truth = [same_alloy(k) for k in range(9)]
+        extracted = [truth[t] for t in (0, 1, 3, 4, 5, 7, 8)]
+        before = scipy_loaded()
+        pairs = match_entries(extracted, truth).pairs
+        _, _, optima = brute_force_assignment(extracted, truth)
+        print(json.dumps({"before": before, "optimize": "scipy.optimize" in sys.modules,
+                          "pairs": pairs, "optima": optima}))
+    """)
+    assert seen["before"] == [] and seen["optimize"]
+    assert seen["optima"] == [seen["pairs"]]
+    assert seen["pairs"] == [[0, 0], [1, 1], [2, 3], [3, 4], [4, 5], [5, 7], [6, 8]]
