@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from urllib.parse import urlsplit
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _boolean(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return text == "true"
+def _endpoint(text: str) -> str:
+    url = urlsplit(text)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError("expected an http:// or https:// URL with a host")
+    url.port  # a port that is not a number raises ValueError
+    return text
 
 
 def _at_least(kind, low, strict: bool = False):
@@ -34,10 +37,8 @@ _COUNT = _at_least(int, 1)
 _TEMPERATURE = _at_least(float, 0.0)
 
 KEYS = {
-    "engine.*.kind": (str, "replay"),  # http | replay
-    "engine.*.endpoint": (str, ""),
+    "engine.*.endpoint": (_endpoint, None),
     "engine.*.model": (str, ""),
-    "engine.*.record": (_boolean, False),
     "engine.*.transcript_dir": (str, None),
     "engine.*.rate_limit_per_s": (_at_least(float, 0.0, strict=True), None),
     "engine.*.max_context_chars": (_COUNT, None),

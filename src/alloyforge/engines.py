@@ -1,11 +1,11 @@
 """Uniform interface to language-model backends.
 
-Three engine flavors share one ``complete(request)`` surface: a remote HTTP
-engine with retry and rate limiting; a replay engine that serves recorded
-transcripts byte-for-byte for offline runs; and a recording wrapper that
-captures any engine's traffic into a transcript store. Forward, backward, and
-evaluator roles are just separately configured handles. How many calls are in
-flight is up to the caller (``pipeline.run_documents``).
+Engines share one ``complete(request)`` surface: a remote HTTP engine with
+retry and rate limiting, and a recording wrapper that answers from a transcript
+store first and records what the store lacks; a replay engine is one with no
+network behind it, for offline runs. Forward, backward, and evaluator roles are
+just separately configured handles. How many calls are in flight is up to the
+caller (``pipeline.run_documents``).
 """
 
 from __future__ import annotations
@@ -168,20 +168,6 @@ class TranscriptStore:
                 tmp.replace(path)
 
 
-class ReplayEngine:
-    """Serves recorded responses only; any novel request is a ReplayMiss."""
-
-    def __init__(self, store: TranscriptStore):
-        self.store = store
-
-    def complete(self, request: EngineRequest) -> EngineResponse:
-        key = transcript_key(request)
-        response = self.store.get(key)
-        if response is None:
-            raise ReplayMiss(f"no transcript for key {key}")
-        return response
-
-
 class RecordingEngine:
     """Wraps another engine, persisting every exchange into a transcript store.
 
@@ -204,6 +190,20 @@ class RecordingEngine:
         response = self.inner.complete(request)
         self.store.put(key, request, response)
         return response
+
+
+class _NoNetwork:
+    """The inner engine of a replay engine: a request the store lacks is a miss."""
+
+    def complete(self, request: EngineRequest) -> EngineResponse:
+        raise ReplayMiss(f"no transcript for key {transcript_key(request)}")
+
+
+class ReplayEngine(RecordingEngine):
+    """Serves recorded responses only; any novel request is a ReplayMiss."""
+
+    def __init__(self, store: TranscriptStore):
+        super().__init__(_NoNetwork(), store)
 
 
 class TokenBucket:
@@ -337,7 +337,8 @@ class HttpEngine:
                 self._sleep(min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**attempt))
         if last_status == 429:
             raise RateLimited(f"{self.endpoint} still throttling after {self.max_retries} retries")
-        raise EngineError(f"{self.endpoint} failed after retries (last status {last_status})")
+        raise EngineError(
+            f"{self.endpoint} failed after retries (last status {last_status}): {error}")
 
 
 # --- cost accounting ---------------------------------------------------------------
@@ -380,28 +381,27 @@ def cost_of(responses: list[EngineResponse], prices: PriceTable, model: str) -> 
 
 
 def engine_from_config(cfg, role: str):
-    """Build an engine handle for a role from a loaded ``config.Config``."""
+    """Build a role's engine from a loaded ``config.Config``: its endpoint, if
+    set, behind its transcript store, if set."""
     prefix = f"engine.{role}."
-    kind, store_dir = cfg[prefix + "kind"], cfg[prefix + "transcript_dir"]
-    record, model = cfg[prefix + "record"], cfg[prefix + "model"]
-    if kind not in ("http", "replay"):
-        raise ValueError(f"unknown engine kind {kind!r} for role {role!r}")
-    if (kind == "replay" or record) and not store_dir:
-        raise ValueError(f"{prefix}transcript_dir is required to replay or record")
+    endpoint, store_dir = cfg[prefix + "endpoint"], cfg[prefix + "transcript_dir"]
+    model = cfg[prefix + "model"]
+    if not endpoint and not store_dir:
+        raise ValueError(f"engine role {role!r} needs {prefix}endpoint or {prefix}transcript_dir")
     if store_dir and model:
         # keys do not name the model, so each model gets a store of its own:
         # percent-encoding is one-to-one and leaves no "/", and the prefix
         # keeps "." and ".." from naming transcript_dir or its parent
         store_dir = Path(store_dir) / ("model=" + quote(model, safe=""))
-    if kind == "replay":
+    if not endpoint:
         return ReplayEngine(TranscriptStore(store_dir))
     rate = cfg[prefix + "rate_limit_per_s"]
     engine = HttpEngine(
-        endpoint=cfg[prefix + "endpoint"],
+        endpoint=endpoint,
         model_name=model,
         name=role,
         max_retries=cfg[prefix + "max_retries"],
         rate_limit=TokenBucket(rate) if rate is not None else None,
         max_context_chars=cfg[prefix + "max_context_chars"],
     )
-    return RecordingEngine(engine, TranscriptStore(store_dir)) if record else engine
+    return RecordingEngine(engine, TranscriptStore(store_dir)) if store_dir else engine

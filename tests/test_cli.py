@@ -56,7 +56,6 @@ def workspace(tmp_path, truth_by_doc):
         "\n".join(
             [
                 "# test configuration",
-                "engine.forward.kind = replay",
                 f"engine.forward.transcript_dir = {store_dir}",
                 "pipeline.extract_temperature = 0.0",
             ]
@@ -156,7 +155,6 @@ def test_optimize_command(workspace, truth_by_doc, capsys):
     cfg_path = work / "optimize.cfg"
     cfg_path.write_text(
         "\n".join(
-            f"engine.{role}.kind = replay\n"
             f"engine.{role}.transcript_dir = {path}"
             for role, path in stores.items()
         )
@@ -214,7 +212,7 @@ def test_audit_command(tmp_path, capsys):
 
     cfg = tmp_path / "audit.cfg"
     cfg.write_text(
-        f"engine.evaluator.kind = replay\nengine.evaluator.transcript_dir = {store_dir}\n",
+        f"engine.evaluator.transcript_dir = {store_dir}\n",
         encoding="utf-8",
     )
     rc = main(

@@ -44,13 +44,12 @@ def test_comments_and_defaults(tmp_path):
     path.write_text(
         "# full-line comment\n"
         "engine.forward.endpoint = https://llm.example/v1#fragment   # inline\n"
-        "engine.forward.record = false\n"
         "optimizer.epochs = 7\t# tab before the hash\n",
         encoding="utf-8",
     )
     cfg = load_config(path)
     assert cfg["engine.forward.endpoint"] == "https://llm.example/v1#fragment"
-    assert cfg["engine.forward.record"] is False
+    assert cfg["engine.forward.transcript_dir"] is None
     assert cfg["optimizer.epochs"] == 7
     assert cfg["optimizer.batch_size"] == 3
     assert cfg["engine.backward.max_retries"] == 5
@@ -59,10 +58,10 @@ def test_comments_and_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("lines, bad_line, key", [
-    (["engine.forward.kind = http", "engine.forward.paralellism = 4"],
+    (["engine.forward.model = m", "engine.forward.paralellism = 4"],
      2, "engine.forward.paralellism"),
     (["optimizer.epochs = 3", "", "optimizer.epochs = 4"], 3, "optimizer.epochs"),
-    (["engine.forward.record = yes"], 1, "engine.forward.record"),
+    (["engine.forward.record = yes"], 1, "engine.forward.record"),  # retired: unknown key
     (["# retries", "engine.forward.max_retries = five"], 2, "engine.forward.max_retries"),
     (["pipeline.parallelism = 0"], 1, "pipeline.parallelism = '0': must be at least 1, got 0"),
     (["optimizer.parallelism = -1"], 1, "optimizer.parallelism"),
@@ -76,6 +75,12 @@ def test_comments_and_defaults(tmp_path):
     (["optimizer.forward_temperature = -0.1"], 1,
      "optimizer.forward_temperature = '-0.1': must be at least 0.0, got -0.1"),
     (["pipeline.extract_temperature = nan"], 1, "pipeline.extract_temperature"),
+    (["engine.forward.endpoint = localhost:8080/v1"], 1,
+     "engine.forward.endpoint = 'localhost:8080/v1': expected an http:// or https:// URL"),
+    (["engine.forward.endpoint = ftp://llm.example/v1"], 1, "engine.forward.endpoint"),
+    (["engine.forward.endpoint = http:///v1"], 1, "engine.forward.endpoint"),
+    (["engine.forward.endpoint = http://llm.example:port/v1"], 1, "engine.forward.endpoint"),
+    (["engine.forward.endpoint ="], 1, "engine.forward.endpoint"),
 ])
 def test_rejections_name_path_line_and_key(tmp_path, lines, bad_line, key):
     path = tmp_path / "bad.cfg"
@@ -100,8 +105,19 @@ def test_engine_parallelism_is_not_a_key(tmp_path):
     # the runner's pool is the one concurrency bound; a config still setting
     # the old per-engine bound must drop the line
     path = tmp_path / "old.cfg"
-    path.write_text("engine.forward.kind = http\nengine.forward.parallelism = 4\n",
-                    encoding="utf-8")
+    path.write_text("engine.forward.endpoint = http://llm.example/v1\n"
+                    "engine.forward.parallelism = 4\n", encoding="utf-8")
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert str(info.value) == f"{path}:2: engine.forward.parallelism: unknown key"
+
+
+@pytest.mark.parametrize("line", ["engine.forward.kind = http", "engine.forward.record = true"])
+def test_engine_kind_and_record_are_not_keys(tmp_path, line):
+    # an endpoint and a transcript_dir say which engine a role is; a config
+    # still setting the old switches must drop the line
+    path = tmp_path / "old.cfg"
+    path.write_text(f"engine.forward.transcript_dir = store\n{line}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:2: {line.split(' =')[0]}: unknown key"

@@ -276,6 +276,9 @@ class TestHttpEngine:
             with pytest.raises(EngineError) as info:
                 engine.complete(req())
             assert type(info.value) is expected
+            if isinstance(script[-1], OSError):
+                # retries ran out: the error keeps the last failure's cause
+                assert str(script[-1]) in str(info.value)
         assert transport.calls == calls
         assert sleeps == [0.5, 1.0][:calls - 1]
 
@@ -366,41 +369,67 @@ def loaded(tmp_path, pairs):
     return load_config(path)
 
 
+def _no_network(url, payload, headers, timeout):
+    raise AssertionError(f"a role without an endpoint reached {url}")
+
+
 class TestEngineFromConfig:
-    def test_replay(self, tmp_path):
-        cfg = loaded(tmp_path, {"engine.forward.kind": "replay",
-                                "engine.forward.transcript_dir": str(tmp_path)})
-        assert isinstance(engine_from_config(cfg, "forward"), ReplayEngine)
+    # the engine follows from what a role names: an endpoint, a transcript
+    # store, both, or neither (an error)
+
+    def test_replay(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engines, "_requests_transport", _no_network)
+        cfg = loaded(tmp_path, {"engine.forward.transcript_dir": str(tmp_path / "store")})
+        engine = engine_from_config(cfg, "forward")
+        with pytest.raises(ReplayMiss, match=f"no transcript for key {transcript_key(req())}"):
+            engine.complete(req())
+        # a miss records nothing
+        assert list((tmp_path / "store").iterdir()) == []
+        assert isinstance(engine, ReplayEngine)
 
     def test_http_with_recording(self, tmp_path):
         cfg = loaded(tmp_path, {
-            "engine.forward.kind": "http",
             "engine.forward.endpoint": "http://fake",
             "engine.forward.model": "m",
-            "engine.forward.record": "true",
             "engine.forward.transcript_dir": str(tmp_path),
         })
         engine = engine_from_config(cfg, "forward")
-        assert isinstance(engine, RecordingEngine)
+        assert type(engine) is RecordingEngine
         assert isinstance(engine.inner, HttpEngine)
+        assert engine.inner.endpoint == "http://fake"
 
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(ValueError):
-            engine_from_config(loaded(tmp_path, {"engine.x.kind": "carrier-pigeon"}), "x")
+    def test_http_alone(self, tmp_path):
+        cfg = loaded(tmp_path, {"engine.forward.endpoint": "https://llm.example/v1",
+                                "engine.forward.max_retries": "2"})
+        engine = engine_from_config(cfg, "forward")
+        assert isinstance(engine, HttpEngine)
+        assert (engine.endpoint, engine.max_retries, engine.name) == \
+            ("https://llm.example/v1", 2, "forward")
 
-    @pytest.mark.parametrize("kind", ["replay", "http"])
-    def test_without_a_model_the_store_is_transcript_dir(self, tmp_path, kind):
+    def test_a_role_with_neither_endpoint_nor_store_is_an_error(self, tmp_path):
+        # network settings alone name no engine
+        cfg = loaded(tmp_path, {"engine.critic.model": "m", "engine.critic.max_retries": "1"})
+        with pytest.raises(ValueError, match="'critic' needs engine.critic.endpoint "
+                                             "or engine.critic.transcript_dir"):
+            engine_from_config(cfg, "critic")
+        with pytest.raises(ValueError, match="'forward'"):
+            engine_from_config(Config(), "forward")
+
+    # "replay" is a role with no endpoint, "http" a role with one
+    @pytest.mark.parametrize("endpoint", [None, "http://fake"], ids=["replay", "http"])
+    def test_without_a_model_the_store_is_transcript_dir(self, tmp_path, monkeypatch, endpoint):
+        monkeypatch.setattr(engines, "_requests_transport", _no_network)
         # a store recorded before stores were kept per model replays unchanged
         RecordingEngine(_StaticEngine("recorded"), TranscriptStore(tmp_path)).complete(req())
-        cfg = Config({"engine.forward.kind": kind, "engine.forward.record": True,
+        cfg = Config({"engine.forward.endpoint": endpoint,
                       "engine.forward.transcript_dir": str(tmp_path)})
         engine = engine_from_config(cfg, "forward")
         assert engine.store.root == tmp_path
         assert engine.complete(req()).text == "recorded"
 
-    @pytest.mark.parametrize("kind", ["replay", "http"])
-    def test_with_a_model_the_store_is_its_subdirectory(self, tmp_path, kind):
-        cfg = Config({"engine.forward.kind": kind, "engine.forward.record": True,
+    @pytest.mark.parametrize("endpoint", [None, "http://fake"], ids=["replay", "http"])
+    def test_with_a_model_the_store_is_its_subdirectory(self, tmp_path, endpoint):
+        cfg = Config({"engine.forward.endpoint": endpoint,
                       "engine.forward.model": "claude-3.5-sonnet",
                       "engine.forward.transcript_dir": str(tmp_path)})
         engine = engine_from_config(cfg, "forward")
@@ -431,8 +460,8 @@ class TestEngineFromConfig:
 
         def engine_for(model):
             return engine_from_config(Config({
-                "engine.forward.kind": "http", "engine.forward.model": model,
-                "engine.forward.record": True, "engine.forward.transcript_dir": str(tmp_path),
+                "engine.forward.endpoint": "http://fake", "engine.forward.model": model,
+                "engine.forward.transcript_dir": str(tmp_path),
             }), "forward")
 
         assert engine_for("model-A").complete(req()).text == "answer from model-A"
