@@ -156,7 +156,7 @@ def cmd_optimize(args) -> int:
         epochs=cfg["optimizer.epochs"],
         batch_size=cfg["optimizer.batch_size"],
         forward_temperature=cfg["optimizer.forward_temperature"],
-        parallelism=cfg["optimizer.parallelism"],
+        parallelism=cfg["pipeline.parallelism"],
     )
     initial = optimizer.Prompt(text=_load_prompt_text(args.prompt))
     history = optimizer.optimize(initial, corpus, truth, opt_config)

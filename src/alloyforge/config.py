@@ -23,6 +23,12 @@ def _endpoint(text: str) -> str:
     return text
 
 
+def _directory(text: str) -> str:
+    if not text:
+        raise ValueError("expected a directory path")
+    return text
+
+
 def _at_least(kind, low, strict: bool = False):
     """A parser of ``kind`` values that refuses any below ``low`` (``low`` too when strict)."""
     def parse(text: str):
@@ -39,14 +45,12 @@ _TEMPERATURE = _at_least(float, 0.0)
 KEYS = {
     "engine.*.endpoint": (_endpoint, None),
     "engine.*.model": (str, ""),
-    "engine.*.transcript_dir": (str, None),
+    "engine.*.transcript_dir": (_directory, None),
     "engine.*.rate_limit_per_s": (_at_least(float, 0.0, strict=True), None),
-    "engine.*.max_context_chars": (_COUNT, None),
     "engine.*.max_retries": (_at_least(int, 0), 5),
     "optimizer.epochs": (_COUNT, 3),
     "optimizer.batch_size": (_COUNT, 3),
     "optimizer.forward_temperature": (_TEMPERATURE, 0.0),
-    "optimizer.parallelism": (_COUNT, 1),
     "pipeline.extract_temperature": (_TEMPERATURE, 1.0),
     "pipeline.parallelism": (_COUNT, 4),
 }

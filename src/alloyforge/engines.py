@@ -271,7 +271,6 @@ class HttpEngine:
         name: str = "default",
         max_retries: int = 5,
         rate_limit: TokenBucket | None = None,
-        max_context_chars: int | None = None,
         transport=None,
         sleep=time.sleep,
     ):
@@ -280,7 +279,6 @@ class HttpEngine:
         self.name = name
         self.max_retries = max_retries
         self.rate_limit = rate_limit
-        self.max_context_chars = max_context_chars
         self._transport = transport or _requests_transport
         self._sleep = sleep
 
@@ -301,14 +299,6 @@ class HttpEngine:
 
     def complete(self, request: EngineRequest) -> EngineResponse:
         payload = self._payload(request)
-        # count what the payload carries: a PDF goes out hex-encoded
-        size = len(payload["system"]) + len(payload["user"]) + sum(
-            len(a["bytes"]) for a in payload["attachments"]
-        )
-        if self.max_context_chars is not None and size > self.max_context_chars:
-            raise ContextTooLong(
-                f"request of {size} chars exceeds limit {self.max_context_chars}"
-            )
         api_key = os.environ.get(self.api_key_env, "")
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
 
@@ -402,6 +392,5 @@ def engine_from_config(cfg, role: str):
         name=role,
         max_retries=cfg[prefix + "max_retries"],
         rate_limit=TokenBucket(rate) if rate is not None else None,
-        max_context_chars=cfg[prefix + "max_context_chars"],
     )
     return RecordingEngine(engine, TranscriptStore(store_dir)) if store_dir else engine

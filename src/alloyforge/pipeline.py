@@ -17,6 +17,7 @@ import math
 import re
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -639,17 +640,13 @@ def summarize(dataset: dict[str, list[AlloyRecord]]) -> SummaryReport:
 
 
 def _histogram(values: list[float], width: float) -> list[tuple[float, float, int]]:
-    if not values:
+    """Bins ``[i * width, (i + 1) * width)`` from the smallest value's to the largest's.
+
+    The index is rounded before the floor, so a value on an edge opens its bin
+    (3.3 / 0.1 is 32.99999999999999 in floats).
+    """
+    counts = Counter(math.floor(round(v / width, 9)) for v in values)
+    if not counts:
         return []
-    lo_edge = math.floor(min(values) / width) * width
-    hi_edge = math.ceil(max(values) / width) * width
-    if hi_edge <= lo_edge:
-        hi_edge = lo_edge + width
-    n_bins = int(round((hi_edge - lo_edge) / width))
-    counts = [0] * n_bins
-    for v in values:
-        idx = min(int((v - lo_edge) / width), n_bins - 1)
-        counts[idx] += 1
-    return [
-        (lo_edge + i * width, lo_edge + (i + 1) * width, counts[i]) for i in range(n_bins)
-    ]
+    return [(round(i * width, 9), round((i + 1) * width, 9), counts[i])
+            for i in range(min(counts), max(counts) + 1)]

@@ -591,3 +591,23 @@ def test_extract_parallelism_flag_overrides_the_config_and_is_at_least_one(
         assert info.value.code == 2
         assert f"--parallelism: must be at least 1, got {value}" in capsys.readouterr().err
     assert seen == [3, 1]
+
+
+@pytest.mark.parametrize("line, expected", [("pipeline.parallelism = 2\n", 2), ("", 4)])
+def test_optimize_runs_at_pipeline_parallelism(tmp_path, monkeypatch, capsys, line, expected):
+    from alloyforge import optimizer
+
+    seen = []
+
+    def optimize(initial, corpus, truth_by_doc, config):
+        seen.append(config.parallelism)
+        return optimizer.PromptHistory(prompts=[initial], epochs=[])
+
+    monkeypatch.setattr(optimizer, "optimize", optimize)
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: Capturing(""))
+    cfg = tmp_path / "optimize.cfg"
+    cfg.write_text(line, encoding="utf-8")
+    rc = main(["optimize", "--config", str(cfg), "--corpus", str(FIXTURES / "manifest.csv"),
+               "--truth", str(FIXTURES / "ground_truth.csv"), "--out", str(tmp_path / "history")])
+    assert rc == 0, capsys.readouterr().err
+    assert seen == [expected]

@@ -28,7 +28,6 @@ def test_readme_example_loads_verbatim(tmp_path, monkeypatch):
     assert isinstance(engine.inner, HttpEngine)
     http = engine.inner
     assert http.rate_limit.rate == 2
-    assert http.max_context_chars == 400000
     assert http.max_retries == 5
     assert engine.store.root == Path("transcripts/forward/model=my-model")
 
@@ -64,12 +63,13 @@ def test_comments_and_defaults(tmp_path):
     (["engine.forward.record = yes"], 1, "engine.forward.record"),  # retired: unknown key
     (["# retries", "engine.forward.max_retries = five"], 2, "engine.forward.max_retries"),
     (["pipeline.parallelism = 0"], 1, "pipeline.parallelism = '0': must be at least 1, got 0"),
-    (["optimizer.parallelism = -1"], 1, "optimizer.parallelism"),
+    (["engine.forward.endpoint = http://llm.example/v1", "engine.forward.transcript_dir ="], 2,
+     "engine.forward.transcript_dir = '': expected a directory path"),
     (["engine.forward.max_retries = -1"], 1,
      "engine.forward.max_retries = '-1': must be at least 0, got -1"),
     (["engine.evaluator.rate_limit_per_s = 0"], 1,
      "engine.evaluator.rate_limit_per_s = '0': must be above 0.0, got 0.0"),
-    (["engine.forward.max_context_chars = 0"], 1, "engine.forward.max_context_chars"),
+    (["engine.forward.transcript_dir =   "], 1, "engine.forward.transcript_dir = ''"),
     (["optimizer.batch_size = 0"], 1, "optimizer.batch_size"),
     (["optimizer.epochs = 0"], 1, "optimizer.epochs"),
     (["optimizer.forward_temperature = -0.1"], 1,
@@ -112,10 +112,14 @@ def test_engine_parallelism_is_not_a_key(tmp_path):
     assert str(info.value) == f"{path}:2: engine.forward.parallelism: unknown key"
 
 
-@pytest.mark.parametrize("line", ["engine.forward.kind = http", "engine.forward.record = true"])
+@pytest.mark.parametrize("line", [
+    "engine.forward.kind = http", "engine.forward.record = true",
+    "engine.forward.max_context_chars = 0", "optimizer.parallelism = -1",
+])
 def test_engine_kind_and_record_are_not_keys(tmp_path, line):
-    # an endpoint and a transcript_dir say which engine a role is; a config
-    # still setting the old switches must drop the line
+    # an endpoint and a transcript_dir say which engine a role is, the provider
+    # says what fits its context, and pipeline.parallelism bounds every command;
+    # a config still setting a retired key must drop the line
     path = tmp_path / "old.cfg"
     path.write_text(f"engine.forward.transcript_dir = store\n{line}\n", encoding="utf-8")
     with pytest.raises(ConfigError) as info:

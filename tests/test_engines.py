@@ -123,9 +123,11 @@ class _FakeTransport:
     def __init__(self, script):
         self.script = list(script)
         self.calls = 0
+        self.payloads = []
 
     def __call__(self, url, payload, headers, timeout):
         self.calls += 1
+        self.payloads.append(payload)
         step = self.script.pop(0) if self.script else self.script_exhausted()
         if isinstance(step, OSError):
             raise step
@@ -208,30 +210,15 @@ class TestHttpEngine:
         assert engine.complete(req()).text == "ok"
         assert len(calls) == 2
 
-    def test_context_guard(self):
-        engine, transport = http_engine([], max_context_chars=10)
-        with pytest.raises(ContextTooLong):
-            engine.complete(req("x" * 50))
-        assert transport.calls == 0
-
     def test_oversized_attachment(self):
-        engine, _ = http_engine([], max_context_chars=100)
-        attachment = ("big", b"0" * 500)
-        with pytest.raises(ContextTooLong):
-            engine.complete(req(attachments=(attachment,)))
-
-    @pytest.mark.parametrize("request_", [
-        # the system text is the whole extraction prompt
-        EngineRequest(system_text="s" * 95, user_text="u" * 10),
-        # a 90-byte PDF goes out as 180 hex characters
-        EngineRequest(system_text="", user_text="u",
-                      attachments=(("p", b"\xff" * 90),)),
-    ])
-    def test_context_guard_counts_what_the_payload_carries(self, request_):
-        engine, transport = http_engine([(200, OK)], max_context_chars=100)
-        with pytest.raises(ContextTooLong):
-            engine.complete(request_)
-        assert transport.calls == 0
+        # only the provider says what fits its context: a 1 MB PDF is sent,
+        # and the 413 it draws is not retried
+        engine, transport = http_engine([(413, {"error": "too large"}), (200, OK)])
+        pdf = b"\xff" * 1_000_000
+        with pytest.raises(ContextTooLong, match="too large"):
+            engine.complete(req(attachments=(("big", pdf),)))
+        assert transport.calls == 1
+        assert transport.payloads[0]["attachments"][0]["bytes"] == pdf.hex()
 
     def test_generic_failure(self):
         engine, _ = http_engine([(500, {"error": "boom"})] * 2, max_retries=1)

@@ -525,6 +525,16 @@ class TestSummarize:
         assert (report.outlier_low, report.outlier_high) == (2, 2)
         assert (len(partition.rejected_low), len(partition.rejected_high)) == (2, 2)
 
+    def test_a_value_on_a_bin_edge_opens_its_bin(self):
+        doc = DocumentId("ds")
+        records = [make_record(doc, nominal_composition="MoNbTaW", phase="BCC",
+                               processing="as-cast", lattice_constant=v)
+                   for v in (3.2, 3.3, 3.5)]
+        lines = summarize({"ds": records}).to_text().splitlines()
+        histogram = lines[lines.index("as-cast BCC lattice histogram (A):") + 1:]
+        assert histogram == ["  [3.2, 3.3): 1", "  [3.3, 3.4): 1", "  [3.4, 3.5): 0",
+                             "  [3.5, 3.6): 1"]
+
     def test_empty(self):
         report = summarize({})
         assert report.total == 0 and report.histogram == []
