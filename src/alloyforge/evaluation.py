@@ -12,8 +12,6 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .records import AlloyRecord
 
 COMPOSITE_FIELD = "composite"
@@ -25,6 +23,8 @@ LATTICE_ABS = 0.005   # angstrom tolerance for lattice equality
 
 # assignment totals this close to the optimum count as ties
 _COST_EPS = 1e-12
+# reduced costs above this cannot be rounding error: their pair is in no optimum
+_DUAL_SLACK = 1e-6
 
 
 class UnknownField(ValueError):
@@ -129,7 +129,7 @@ def match_entries(extracted: list[AlloyRecord], truth: list[AlloyRecord]) -> Mat
         # contested: some record has two admissible partners
         if len(local) > 1 and (len({le for le, _ in local}) < len(local)
                                or len({lt for _, lt in local}) < len(local)):
-            local = [(le, lt) for lt, le in _assign(np.array(distance)).items()]
+            local = [(le, lt) for lt, le in _assign(distance).items()]
         for le, lt in local:
             pairs.append((e_idxs[le], t_idxs[lt]))
 
@@ -142,56 +142,120 @@ def match_entries(extracted: list[AlloyRecord], truth: list[AlloyRecord]) -> Mat
     )
 
 
-def _assign(distance: np.ndarray) -> dict[int, int]:
+def _assign(distance: list[list[float]]) -> dict[int, int]:
     """Optimal assignment as truth index -> extracted index, ties broken exactly.
 
-    One ``linear_sum_assignment`` solve finds the optimal (cardinality, cost).
-    A post-pass then walks truth indices in order and, for each, tries the
+    One ``_min_cost_pairs`` solve finds the optimal (cardinality, cost). A
+    post-pass then walks truth indices in order and, for each, tries the
     extracted indices below its current partner (every admissible one when it
     has none), re-solving the later truth indices with that pair forced; the
     first pair that keeps the optimum is adopted. The result is the optimum
     whose (truth, extracted) pair sequence is lexicographically smallest.
     Truth indices left unmatched at their turn are unmatched in every optimum
     that keeps the pairs fixed before them, so later solves leave them out.
-    """
-    # imported here, not at module load: scipy adds ~0.4 s and ~50 MB resident to
-    # every process, and only a contested group needs the solver
-    from scipy.optimize import linear_sum_assignment
 
-    n_e, n_t = distance.shape
-    admissible = distance <= L1_MATCH
+    A pair is tried only when its reduced cost under the first solve's dual
+    potentials is near zero: every assignment holding a pair costs at least
+    the optimum plus that pair's reduced cost, so a pair above
+    ``_DUAL_SLACK`` is in no optimum and is skipped without a solve.
+    """
+    n_e, n_t = len(distance), len(distance[0])
     # an L1 distance is at most 2, so an inadmissible cell at this cost outweighs
     # any sum of admissible ones: each solve maximizes cardinality, then minimizes L1
-    cost = np.where(admissible, distance, 2.0 * min(n_e, n_t) + 1.0)
+    inadmissible = 2.0 * min(n_e, n_t) + 1.0
+    cost = [[d if d <= L1_MATCH else inadmissible for d in row] for row in distance]
 
-    def solve(sub: np.ndarray, rows, cols) -> dict[int, int]:
-        """Assign the rows and columns ``sub`` holds, mapped back to group indices."""
-        r, c = linear_sum_assignment(sub)
-        pairs = ((rows[i], cols[j]) for i, j in zip(r.tolist(), c.tolist()))
-        return {t: e for e, t in pairs if admissible[e, t]}
+    def solve(rows: list[int], cols: list[int]):
+        """Assign the given rows and columns of ``cost``: admissible pairs, then duals."""
+        pairs, row_dual, col_dual = _min_cost_pairs([[cost[r][c] for c in cols] for r in rows])
+        chosen = ((rows[i], cols[j]) for i, j in pairs)
+        return {t: e for e, t in chosen if distance[e][t] <= L1_MATCH}, row_dual, col_dual
 
     def total(partner: dict[int, int]) -> float:
-        return sum(float(distance[e, t]) for t, e in partner.items())
+        return sum(distance[e][t] for t, e in partner.items())
 
-    partner = solve(cost, range(n_e), range(n_t))
+    partner, row_dual, col_dual = solve(list(range(n_e)), list(range(n_t)))
     best_card, best_cost = len(partner), total(partner)
     fixed: dict[int, int] = {}
     for t in range(n_t):
         used, spent = set(fixed.values()), total(fixed)
         for e in range(partner.get(t, n_e)):
             # costs are non-negative, so a pair that alone overshoots cannot be optimal
-            if e in used or not admissible[e, t] or spent + distance[e, t] > best_cost + _COST_EPS:
+            if (e in used or distance[e][t] > L1_MATCH
+                    or spent + distance[e][t] > best_cost + _COST_EPS
+                    or cost[e][t] - row_dual[e] - col_dual[t] > _DUAL_SLACK):
                 continue
             trial = {**fixed, t: e}
             rows = [r for r in range(n_e) if r not in used and r != e]
-            cols = range(t + 1, n_t)
-            trial.update(solve(cost[np.ix_(rows, cols)], rows, cols))
+            trial.update(solve(rows, list(range(t + 1, n_t)))[0])
             if len(trial) == best_card and total(trial) <= best_cost + _COST_EPS:
                 partner = trial
                 break
         if t in partner:
             fixed[t] = partner[t]
     return partner
+
+
+def _min_cost_pairs(
+    cost: list[list[float]],
+) -> tuple[list[tuple[int, int]], list[float], list[float]]:
+    """A minimum-cost assignment of a rectangular matrix, with its dual potentials.
+
+    Returns the (row, column) pairs, then a potential per row and per column:
+    no ``cost[i][j] - row[i] - column[j]`` is negative, the longer side's
+    potentials are at most 0, and all potentials sum to the minimum cost.
+    Every row is assigned when there are no more rows than columns, every
+    column otherwise, so min(rows, columns) pairs come back. This is the
+    Hungarian method with potentials, each row added along one shortest
+    augmenting path (Kuhn 1955; Crouse, IEEE TAES 2016): O(n^2 m) for n rows
+    at most m columns. A matrix with more rows than columns is solved
+    transposed.
+    """
+    if cost and len(cost) > len(cost[0]):
+        pairs, u, v = _min_cost_pairs([list(col) for col in zip(*cost)])
+        return [(r, c) for c, r in pairs], v, u
+    n, m = len(cost), len(cost[0]) if cost else 0
+    u, v = [0.0] * n, [0.0] * m
+    row_of, col_of = [-1] * m, [-1] * n
+    for start in range(n):
+        # Dijkstra over reduced costs from the free row ``start`` to a free column
+        shortest, via = [math.inf] * m, [-1] * m
+        remaining, rows_seen, cols_seen = list(range(m)), [start], []
+        i, reach = start, 0.0
+        while True:
+            row, base = cost[i], reach - u[i]
+            lowest, pick = math.inf, -1
+            for k, j in enumerate(remaining):
+                reach_j = shortest[j]
+                reduced = base + row[j] - v[j]
+                if reduced < reach_j:
+                    shortest[j] = reach_j = reduced
+                    via[j] = i
+                # on a tie a free column ends the search soonest
+                if reach_j < lowest or (reach_j == lowest and row_of[j] < 0):
+                    lowest, pick = reach_j, k
+            j = remaining[pick]
+            remaining[pick] = remaining[-1]
+            remaining.pop()
+            reach = lowest
+            cols_seen.append(j)
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+            rows_seen.append(i)
+        # move the potentials so every reduced cost stays non-negative, then augment
+        u[start] += reach
+        for i in rows_seen[1:]:
+            u[i] += reach - shortest[col_of[i]]
+        for j in cols_seen:
+            v[j] -= reach - shortest[j]
+        while True:
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return list(enumerate(col_of)), u, v
 
 
 # --- field scoring ----------------------------------------------------------------

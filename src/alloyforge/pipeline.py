@@ -612,7 +612,12 @@ class SummaryReport:
 
 
 def summarize(dataset: dict[str, list[AlloyRecord]]) -> SummaryReport:
-    """Dataset breakdowns: lattice presence, phases, processing, histogram, outliers."""
+    """Dataset breakdowns: lattice presence, phases, processing, histogram, outliers.
+
+    The histogram bins the as-cast BCC values that ``quality.plausibility``
+    accepts; values outside the band are counted only as outliers, so one
+    implausible value cannot stretch the bins across its whole range.
+    """
     records = [r for doc_id in sorted(dataset) for r in dataset[doc_id]]
     with_lattice = [r for r in records if r.lattice_constant is not None]
     phase_counts: dict[str, int] = {}
@@ -624,7 +629,8 @@ def summarize(dataset: dict[str, list[AlloyRecord]]) -> SummaryReport:
         kind = record.processing.kind
         processing_counts[kind] = processing_counts.get(kind, 0) + 1
     as_cast_bcc = [r for r in bcc if r.processing.kind == "as_cast"]
-    values = [r.lattice_constant.value for r in as_cast_bcc]
+    values = [r.lattice_constant.value for r in as_cast_bcc
+              if quality.plausibility(r) == "accepted"]
     histogram = _histogram(values, width=0.1)
     bands = [quality.plausibility(r) for r in with_lattice]
     return SummaryReport(

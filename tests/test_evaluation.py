@@ -1,8 +1,9 @@
+import itertools
+import random
 import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from alloyforge import evaluation
 from alloyforge.composition import Composition, l1_distance
@@ -21,6 +22,7 @@ from alloyforge.evaluation import (
     recall,
     score_entities,
     _assign,
+    _min_cost_pairs,
 )
 from alloyforge.records import DocumentId, make_record
 
@@ -179,11 +181,10 @@ class TestMatchEntries:
         calls = []
 
         def spy(cost):
-            calls.append(cost.shape)
-            return linear_sum_assignment(cost)
+            calls.append((len(cost), len(cost[0])))
+            return _min_cost_pairs(cost)
 
-        # _assign imports the solver when it runs, so the spy goes on scipy's module
-        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", spy)
+        monkeypatch.setattr(evaluation, "_min_cost_pairs", spy)
         series = [_series_record(x) for x in (0.2, 0.5, 0.8, 1.1)]
         others = [rec("MoNbTaW"), rec("HfNbTaTiZr"), rec("Al0.5CoFeNi")]
         result = match_entries(series[::-1] + others, others + series)
@@ -221,10 +222,51 @@ class TestMatchEntries:
             seen.clear()
             match_entries(extracted, truth)
             assert len(seen) == 1
-            assert [[d.hex() for d in row] for row in seen[0].tolist()] == [
+            assert [[d.hex() for d in row] for row in seen[0]] == [
                 [l1_distance(e.nominal_composition, t.nominal_composition).hex() for t in truth]
                 for e in extracted
             ]
+
+    def test_reversed_half_off_group_is_fast(self):
+        # each extracted record lies between its truth and the next one, in
+        # reverse order: every truth index has dozens of admissible partners
+        # below its optimal one for the tie-breaking pass to try
+        truth = [_same_alloy_record(k) for k in range(40)]
+        extracted = [_same_alloy_record(k + 0.5) for k in range(40)][::-1]
+        result, seconds = _timed_match(extracted, truth)
+        assert result.pairs == [(39 - t, t) for t in range(40)]
+        assert seconds < 1.0
+
+
+class TestMinCostPairs:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force_minimum(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        cost = [[rng.random() for _ in range(m)] for _ in range(n)]
+        if seed % 2:  # one decimal: many assignments tie
+            cost = [[round(c, 1) for c in row] for row in cost]
+        pairs, row_dual, col_dual = _min_cost_pairs(cost)
+        assert len(pairs) == min(n, m)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        if n <= m:
+            best = min(sum(cost[i][j] for i, j in enumerate(cols))
+                       for cols in itertools.permutations(range(m), n))
+        else:
+            best = min(sum(cost[i][j] for j, i in enumerate(rows))
+                       for rows in itertools.permutations(range(n), m))
+        assert abs(sum(cost[i][j] for i, j in pairs) - best) <= 1e-12
+        # the duals certify the minimum, which the tie-breaking pass relies on:
+        # no reduced cost is negative, the longer side's duals are at most 0,
+        # and the dual objective reaches the minimum
+        assert all(cost[i][j] - row_dual[i] - col_dual[j] >= -1e-12
+                   for i in range(n) for j in range(m))
+        assert max(col_dual if n <= m else row_dual) <= 0.0
+        assert abs(sum(row_dual) + sum(col_dual) - best) <= 1e-12
+
+    @pytest.mark.parametrize("cost, pairs", [([], []), ([[], [], []], []), ([[2.5]], [(0, 0)])])
+    def test_empty_and_single_cell_shapes(self, cost, pairs):
+        assert _min_cost_pairs(cost)[0] == pairs
 
 
 def _series_record(x):

@@ -525,6 +525,18 @@ class TestSummarize:
         assert (report.outlier_low, report.outlier_high) == (2, 2)
         assert (len(partition.rejected_low), len(partition.rejected_high)) == (2, 2)
 
+    def test_an_implausible_value_is_an_outlier_not_a_bin_range(self):
+        doc = DocumentId("ds")
+        records = [make_record(doc, nominal_composition="MoNbTaW", phase="BCC",
+                               processing="as-cast", lattice_constant=v)
+                   for v in (3.2, 1e7)]
+        started = time.perf_counter()
+        report = summarize({"ds": records})
+        report.to_text()
+        assert time.perf_counter() - started < 1.0
+        assert report.histogram == [(3.2, 3.3, 1)]
+        assert (report.outlier_low, report.outlier_high) == (0, 1)
+
     def test_a_value_on_a_bin_edge_opens_its_bin(self):
         doc = DocumentId("ds")
         records = [make_record(doc, nominal_composition="MoNbTaW", phase="BCC",
