@@ -1,6 +1,6 @@
-"""scipy is loaded only when an alignment group is contested.
+"""No part of alloyforge loads scipy: contested alignment groups use its own solver.
 
-Each check runs in a fresh interpreter: this one has already imported scipy.
+Each check runs in a fresh interpreter, whose modules are alloyforge's alone.
 """
 
 import json
@@ -75,24 +75,34 @@ def test_uncontested_matching_and_extract_load_no_scipy(tmp_path):
 
 def test_a_contested_group_loads_the_solver_and_matches_the_oracle():
     seen = _run("""
+        from alloyforge import evaluation
         from alloyforge.composition import Composition
         from alloyforge.evaluation import match_entries
         from alloyforge.records import DocumentId, make_record
         from tests.oracles import brute_force_assignment
+
+        solves = []
+        solver = evaluation._min_cost_pairs
+
+        def counted(cost):
+            solves.append((len(cost), len(cost[0]) if cost else 0))
+            return solver(cost)
+
+        evaluation._min_cost_pairs = counted
 
         def same_alloy(k):
             comp = Composition.from_coefficients(
                 {"Mo": 230 + k, "Nb": 250, "Ta": 250, "W": 270 - k})
             return make_record(DocumentId("docE"), nominal_composition=comp)
 
+        # a 7x9 group in which each record has several admissible partners
         truth = [same_alloy(k) for k in range(9)]
         extracted = [truth[t] for t in (0, 1, 3, 4, 5, 7, 8)]
-        before = scipy_loaded()
         pairs = match_entries(extracted, truth).pairs
         _, _, optima = brute_force_assignment(extracted, truth)
-        print(json.dumps({"before": before, "optimize": "scipy.optimize" in sys.modules,
-                          "pairs": pairs, "optima": optima}))
+        print(json.dumps({"first_solve": solves[0] if solves else None,
+                          "scipy": scipy_loaded(), "pairs": pairs, "optima": optima}))
     """)
-    assert seen["before"] == [] and seen["optimize"]
+    assert seen["first_solve"] == [7, 9] and seen["scipy"] == []
     assert seen["optima"] == [seen["pairs"]]
     assert seen["pairs"] == [[0, 0], [1, 1], [2, 3], [3, 4], [4, 5], [5, 7], [6, 8]]
