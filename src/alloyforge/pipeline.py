@@ -488,7 +488,8 @@ def write_dataset(dataset: dict[str, list[AlloyRecord]], path, doc_order=None) -
 def load_dataset(path) -> dict[str, list[AlloyRecord]]:
     """Read a dataset JSONL strictly: a line that is not a JSON object with a
     non-empty string ``doc_id``, whose entry is dropped, or any of whose fields
-    fails to parse is an error naming ``path:line``."""
+    fails to parse is an error naming ``path:line``. The records of one
+    document share one ``DocumentId``."""
     dataset: dict[str, list[AlloyRecord]] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -503,7 +504,9 @@ def load_dataset(path) -> dict[str, list[AlloyRecord]]:
         if not isinstance(doc_id, str) or not doc_id.strip():
             raise PipelineError(f"{path}:{line_no}: line rejected: "
                                 f"doc_id must be a non-empty string, got {doc_id!r}")
-        record, issues = record_from_object(obj, DocumentId(doc_id))
+        bucket = dataset.get(doc_id)
+        source = bucket[0].source if bucket else DocumentId(doc_id)
+        record, issues = record_from_object(obj, source)
         if issues:
             raise PipelineError(f"{path}:{line_no}: line rejected: "
                                 + "; ".join(issue.message for issue in issues))

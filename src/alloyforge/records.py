@@ -466,7 +466,10 @@ def _coerce_entries(value) -> list | None:
 
 
 def load_ground_truth(path) -> list[AlloyRecord]:
-    """Load an expert-curated CSV into records, one per row, strictly validated."""
+    """Load an expert-curated CSV into records, one per row, strictly validated.
+
+    The records of one document share one ``DocumentId``.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -475,11 +478,15 @@ def load_ground_truth(path) -> list[AlloyRecord]:
         if missing:
             raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
         records = []
+        sources: dict[str, DocumentId] = {}
         for row_index, row in enumerate(reader, start=2):
             doc_id = (row.get("doc_id") or "").strip()
             if not doc_id:
                 raise GroundTruthError(f"{path}:{row_index}: empty doc_id")
-            record, issues = record_from_object(row, DocumentId(doc_id), row_index)
+            source = sources.get(doc_id)
+            if source is None:
+                source = sources[doc_id] = DocumentId(doc_id)
+            record, issues = record_from_object(row, source, row_index)
             if record is None or issues:
                 raise GroundTruthError(
                     f"{path}:{row_index}: row rejected: "

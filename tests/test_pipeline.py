@@ -397,6 +397,13 @@ class TestDatasetFiles:
         loaded = load_dataset(path)
         assert loaded == {k: v for k, v in truth_by_doc.items()}
 
+    def test_records_of_a_document_share_its_id(self, truth_by_doc, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(truth_by_doc, path)
+        for doc_id, recs in load_dataset(path).items():
+            assert recs[0].source == DocumentId(doc_id)
+            assert all(r.source is recs[0].source for r in recs)
+
     def test_extracted_pdf_records_round_trip(self, tmp_path):
         (tmp_path / "p01.pdf").write_bytes(b"%PDF-1.4 fake")
         manifest = tmp_path / "manifest.csv"

@@ -555,6 +555,11 @@ class TestGroundTruth:
         assert first.measured_composition is not None
         assert first.lattice_constant.value == pytest.approx(3.404)
 
+    def test_records_of_a_document_share_its_id(self, truth_by_doc):
+        for doc_id, recs in truth_by_doc.items():
+            assert recs[0].source == DocumentId(doc_id)
+            assert all(r.source is recs[0].source for r in recs)
+
     def test_missing_column(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("doc_id,alloy_name\nd1,foo\n", encoding="utf-8")
