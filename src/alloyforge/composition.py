@@ -76,6 +76,8 @@ class Composition:
     fractions: dict[str, float]
 
     def __post_init__(self):
+        # from_coefficients makes these checks itself, in this order and with these
+        # messages, and skips this method: keep the two in step
         if not self.fractions:
             raise EmptyFormula("composition has no elements")
         for sym, frac in self.fractions.items():
@@ -95,6 +97,11 @@ class Composition:
         sum, in one pass over the sorted symbols. Coefficients already summing
         to 1 (within 1e-9) are kept verbatim so that serialization round-trips
         are exact.
+
+        The same pass makes ``__post_init__``'s checks, in its order and with
+        its messages, so the instance is built without running them again.
+        The sum check still follows: fractions kept verbatim can sum to 1
+        within 1e-9 in input order and miss it in sorted order.
         """
         coeffs = {sym: f for sym, c in coefficients.items() if (f := float(c)) != 0.0}
         if not coeffs:
@@ -102,9 +109,22 @@ class Composition:
         total = sum(coeffs.values())
         if not math.isfinite(total) or total <= 0:
             raise CompositionError(f"coefficients sum to {total!r}")
-        if abs(total - 1.0) > 1e-9:
-            return cls({sym: coeffs[sym] / total for sym in sorted(coeffs)})
-        return cls({sym: coeffs[sym] for sym in sorted(coeffs)})
+        # a finite total means finite coefficients, which dividing by 1.0 keeps verbatim
+        divisor = total if abs(total - 1.0) > 1e-9 else 1.0
+        fractions = {}
+        for sym in sorted(coeffs):
+            if sym not in ELEMENT_SYMBOLS:
+                raise UnknownElement(f"unknown element symbol {sym!r}")
+            frac = coeffs[sym] / divisor
+            if not 0.0 < frac < math.inf:
+                raise CompositionError(f"fraction for {sym} must be positive, got {frac!r}")
+            fractions[sym] = frac
+        fraction_sum = sum(fractions.values())
+        if abs(fraction_sum - 1.0) > 1e-9:
+            raise CompositionError(f"fractions sum to {fraction_sum!r}, expected 1 within 1e-9")
+        composition = object.__new__(cls)
+        object.__setattr__(composition, "fractions", fractions)
+        return composition
 
     @property
     def elements(self) -> frozenset[str]:

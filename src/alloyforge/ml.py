@@ -780,7 +780,7 @@ def train_elasso(
 
 def predict(model: EnsembleModel, x) -> PredictionWithUncertainty:
     """Ensemble mean and population spread for one feature vector, in angstrom."""
-    vector = x.as_array() if hasattr(x, "as_array") else np.asarray(x, dtype=float)
+    vector = np.asarray(x, dtype=float)
     if vector.ndim != 1 or len(vector) != model.n_features:
         raise DimensionMismatch(
             f"expected a vector of length {model.n_features}, got shape {vector.shape}"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alloyforge.composition import (
     Composition,
+    CompositionError,
     ConsistencyReport,
     EmptyFormula,
     NothingToCompare,
@@ -202,10 +203,31 @@ class TestFromCoefficientsAgainstReference:
     @example({"Xx": 1, "Q": 2, "Fe": 1})
     @example({"Ni": 3, "Fe": -1})
     @example({"Fe": 0, "Ni": 0.0, "W": "0"})
+    # sums to 1 within 1e-9 in input order, so it is kept verbatim, but its
+    # sorted fractions sum to 1.000000001 and are refused
+    @example({"W": 0.24798206661923172, "Fe": 0.2811760115788584, "Al": 0.4708419228019098})
     def test_same_result(self, coefficients):
         assert _coefficients_outcome(Composition.from_coefficients, coefficients) == (
             _coefficients_outcome(reference_from_coefficients, coefficients)
         )
+
+
+class TestDirectConstruction:
+    """``Composition(...)`` checks its fractions itself; ``from_coefficients``
+    skips these checks because it makes them as it builds."""
+
+    @pytest.mark.parametrize("fractions, error, message", [
+        ({}, EmptyFormula, "composition has no elements"),
+        ({"Xx": 1.0}, UnknownElement, "unknown element symbol 'Xx'"),
+        ({"Fe": -0.5, "Ni": 1.5}, CompositionError, "fraction for Fe must be positive, got -0.5"),
+        ({"Fe": float("inf")}, CompositionError, "fraction for Fe must be positive, got inf"),
+        ({"Fe": 0.5, "Ni": 0.6}, CompositionError, "fractions sum to 1.1, expected 1 within 1e-9"),
+    ])
+    def test_invalid_fractions_are_refused(self, fractions, error, message):
+        with pytest.raises(CompositionError) as caught:
+            Composition(fractions)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 class TestDistances:
