@@ -6,6 +6,7 @@ for text outside the key's type or bounds. ``engine.*.`` stands for any ``engine
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -30,9 +31,12 @@ def _directory(text: str) -> str:
 
 
 def _at_least(kind, low, strict: bool = False):
-    """A parser of ``kind`` values that refuses any below ``low`` (``low`` too when strict)."""
+    """A parser of ``kind`` values that refuses any below ``low`` (``low`` too when
+    strict) and any that is not finite."""
     def parse(text: str):
         value = kind(text)
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
         if not (value > low if strict else value >= low):
             raise ValueError(f"must be {'above' if strict else 'at least'} {low}, got {value}")
         return value

@@ -10,9 +10,9 @@ caller (``pipeline.run_documents``).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -47,10 +47,6 @@ class ReplayMiss(EngineError):
     """The replay store has no transcript for this request."""
 
 
-class UnknownModel(KeyError):
-    pass
-
-
 @dataclass(frozen=True)
 class EngineRequest:
     system_text: str
@@ -64,8 +60,8 @@ class EngineRequest:
         )
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and nonnegative, got {self.temperature}")
         ids = [doc_id for doc_id, _ in self.attachments]
         if len(ids) != len(set(ids)):
             raise ValueError("attachment document ids must be unique")
@@ -234,15 +230,40 @@ class TokenBucket:
             self._sleep(wait)
 
 
-def _requests_transport(url, payload, headers, timeout):
-    import requests
+def _post_json(url, payload, headers, timeout):
+    """POST ``payload`` as JSON; the reply's status and its body decoded as JSON.
 
-    reply = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    A body that is not JSON is ``{"error": text}``. A reply that breaks HTTP
+    (``http.client.HTTPException``, a bad status line say) raises
+    ``ConnectionError``, so the engine retries it like any network failure. A
+    redirect is returned, not followed, so ``headers`` (the API key) go to
+    ``url``'s host alone. The modules load on the first call: they bring
+    ``ssl``, which commands that call nothing never need.
+    """
+    import http.client
+    import urllib.request
+    from urllib.error import HTTPError
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # the 3xx then raises HTTPError like any other status
+
+    request = urllib.request.Request(
+        url, data=json.dumps(payload, allow_nan=False).encode("utf-8"), method="POST",
+        headers={**headers, "Content-Type": "application/json"})
     try:
-        body = reply.json()
+        try:
+            with urllib.request.build_opener(NoRedirect).open(request, timeout=timeout) as reply:
+                status, raw = reply.status, reply.read()
+        except HTTPError as exc:
+            with exc:
+                status, raw = exc.code, exc.read()
+    except http.client.HTTPException as exc:
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+    try:
+        return status, json.loads(raw)
     except ValueError:
-        body = {"error": reply.text}
-    return reply.status_code, body
+        return status, {"error": raw.decode("utf-8", errors="replace")}
 
 
 def _response_from_body(body, latency_s: float) -> EngineResponse:
@@ -279,7 +300,7 @@ class HttpEngine:
         self.name = name
         self.max_retries = max_retries
         self.rate_limit = rate_limit
-        self._transport = transport or _requests_transport
+        self._transport = transport or _post_json
         self._sleep = sleep
 
     @property
@@ -329,42 +350,6 @@ class HttpEngine:
             raise RateLimited(f"{self.endpoint} still throttling after {self.max_retries} retries")
         raise EngineError(
             f"{self.endpoint} failed after retries (last status {last_status}): {error}")
-
-
-# --- cost accounting ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PriceTable:
-    prices: dict[str, tuple[float, float]]  # model -> (input $/token, output $/token)
-
-    def __post_init__(self):
-        for model, (p_in, p_out) in self.prices.items():
-            if p_in < 0 or p_out < 0:
-                raise ValueError(f"negative price for {model!r}")
-
-    @classmethod
-    def from_csv(cls, path) -> "PriceTable":
-        prices = {}
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"model", "input_price_per_token", "output_price_per_token"}
-            if not needed.issubset(reader.fieldnames or []):
-                raise ValueError(f"{path}: price table needs columns {sorted(needed)}")
-            for row in reader:
-                prices[row["model"].strip()] = (
-                    float(row["input_price_per_token"]),
-                    float(row["output_price_per_token"]),
-                )
-        return cls(prices)
-
-
-def cost_of(responses: list[EngineResponse], prices: PriceTable, model: str) -> float:
-    """Total USD cost of a list of responses under a model's token prices."""
-    if model not in prices.prices:
-        raise UnknownModel(model)
-    p_in, p_out = prices.prices[model]
-    return sum(r.input_tokens * p_in + r.output_tokens * p_out for r in responses)
 
 
 # --- configuration ------------------------------------------------------------------

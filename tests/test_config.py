@@ -81,6 +81,10 @@ def test_comments_and_defaults(tmp_path):
     (["engine.forward.endpoint = http:///v1"], 1, "engine.forward.endpoint"),
     (["engine.forward.endpoint = http://llm.example:port/v1"], 1, "engine.forward.endpoint"),
     (["engine.forward.endpoint ="], 1, "engine.forward.endpoint"),
+    (["pipeline.extract_temperature = inf"], 1,
+     "pipeline.extract_temperature = 'inf': must be finite, got inf"),
+    (["engine.forward.rate_limit_per_s = inf"], 1,
+     "engine.forward.rate_limit_per_s = 'inf': must be finite, got inf"),
 ])
 def test_rejections_name_path_line_and_key(tmp_path, lines, bad_line, key):
     path = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import threading
 
 import pytest
@@ -13,15 +14,12 @@ from alloyforge.engines import (
     EngineRequest,
     EngineResponse,
     HttpEngine,
-    PriceTable,
     RateLimited,
     RecordingEngine,
     ReplayEngine,
     ReplayMiss,
     TokenBucket,
     TranscriptStore,
-    UnknownModel,
-    cost_of,
     engine_from_config,
     transcript_key,
 )
@@ -37,6 +35,8 @@ class TestEngineRequest:
             EngineRequest(system_text="s", user_text="")
         with pytest.raises(ValueError):
             EngineRequest(system_text="s", user_text="u", temperature=-1)
+        with pytest.raises(ValueError, match="finite and nonnegative, got inf"):
+            EngineRequest(system_text="s", user_text="u", temperature=math.inf)
         with pytest.raises(ValueError):
             EngineRequest(system_text="s", user_text="u",
                           attachments=(("a", b"x"), ("a", b"y")))
@@ -327,27 +327,6 @@ class TestTokenBucket:
         assert len(taken) == 400
 
 
-class TestCosts:
-    def test_cost_of(self):
-        prices = PriceTable({"m": (3e-6, 15e-6)})
-        responses = [EngineResponse(text="", input_tokens=1000, output_tokens=500)]
-        assert cost_of(responses, prices, "m") == pytest.approx(0.0105)
-        assert cost_of([], prices, "m") == 0.0
-
-    def test_unknown_model(self):
-        with pytest.raises(UnknownModel):
-            cost_of([], PriceTable({}), "nope")
-
-    def test_price_table_csv(self, tmp_path):
-        path = tmp_path / "prices.csv"
-        path.write_text(
-            "model,input_price_per_token,output_price_per_token\nm,3e-6,15e-6\n",
-            encoding="utf-8",
-        )
-        table = PriceTable.from_csv(path)
-        assert table.prices["m"] == (3e-6, 15e-6)
-
-
 def loaded(tmp_path, pairs):
     """Write ``pairs`` as a config file and load it through the key table."""
     path = tmp_path / "engine.cfg"
@@ -365,7 +344,7 @@ class TestEngineFromConfig:
     # store, both, or neither (an error)
 
     def test_replay(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(engines, "_requests_transport", _no_network)
+        monkeypatch.setattr(engines, "_post_json", _no_network)
         cfg = loaded(tmp_path, {"engine.forward.transcript_dir": str(tmp_path / "store")})
         engine = engine_from_config(cfg, "forward")
         with pytest.raises(ReplayMiss, match=f"no transcript for key {transcript_key(req())}"):
@@ -405,7 +384,7 @@ class TestEngineFromConfig:
     # "replay" is a role with no endpoint, "http" a role with one
     @pytest.mark.parametrize("endpoint", [None, "http://fake"], ids=["replay", "http"])
     def test_without_a_model_the_store_is_transcript_dir(self, tmp_path, monkeypatch, endpoint):
-        monkeypatch.setattr(engines, "_requests_transport", _no_network)
+        monkeypatch.setattr(engines, "_post_json", _no_network)
         # a store recorded before stores were kept per model replays unchanged
         RecordingEngine(_StaticEngine("recorded"), TranscriptStore(tmp_path)).complete(req())
         cfg = Config({"engine.forward.endpoint": endpoint,
@@ -443,7 +422,7 @@ class TestEngineFromConfig:
             calls.append(payload["model"])
             return 200, {"text": f"answer from {payload['model']}"}
 
-        monkeypatch.setattr(engines, "_requests_transport", transport)
+        monkeypatch.setattr(engines, "_post_json", transport)
 
         def engine_for(model):
             return engine_from_config(Config({

@@ -1,4 +1,5 @@
 """No part of alloyforge loads scipy: contested alignment groups use its own solver.
+Nor does importing it load an HTTP client: the first engine call does.
 
 Each check runs in a fresh interpreter, whose modules are alloyforge's alone.
 """
@@ -39,10 +40,12 @@ def test_importing_every_module_loads_no_scipy():
         names = [m.name for m in pkgutil.iter_modules(alloyforge.__path__)]
         for name in names:
             importlib.import_module("alloyforge." + name)
-        print(json.dumps({"modules": names, "scipy": scipy_loaded()}))
+        http = ("urllib.request", "http.client", "ssl", "requests")
+        print(json.dumps({"modules": names, "scipy": scipy_loaded(),
+                          "http": [m for m in http if m in sys.modules]}))
     """)
-    assert {"cli", "evaluation", "optimizer", "pipeline", "ml"} <= set(seen["modules"])
-    assert seen["scipy"] == []
+    assert {"cli", "engines", "evaluation", "optimizer", "pipeline", "ml"} <= set(seen["modules"])
+    assert seen["scipy"] == [] and seen["http"] == []
 
 
 def test_uncontested_matching_and_extract_load_no_scipy(tmp_path):
