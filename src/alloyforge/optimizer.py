@@ -74,8 +74,6 @@ class Feedback:
     verdict: str                      # aligned | misaligned
 
     def __post_init__(self):
-        if not self.text:
-            raise ValueError("feedback text must be non-empty")
         if self.verdict not in (ALIGNED, MISALIGNED):
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
@@ -196,7 +194,8 @@ def extraction_loss(
     The evaluation request embeds the prompt, the document (a PDF as a
     reference to its attachment), the expert data, and the model output; the
     critique's closing ALIGNED/MISALIGNED statement becomes the verdict. An
-    unparseable verdict is conservatively treated as misaligned.
+    unparseable verdict, an empty critique included, is conservatively treated as
+    misaligned.
     """
     template = template or default_evaluation_template()
     document, attachments = corpus.request_document(doc_id)

@@ -370,6 +370,24 @@ class TestOptimize:
         assert len(history.epochs) == 3
         assert history.forward_calls == 21
 
+    def test_an_empty_critique_is_misaligned(self, corpus7, truth_by_doc):
+        # a critique with no text has no verdict statement either: it asks for
+        # a rewrite like any other, and fails neither its document nor the run
+        class SilentEvaluator:
+            def complete(self, request):
+                return EngineResponse(text="")
+
+        config = OptimizationConfig(
+            forward_engine=ScriptedForwardEngine(truth_by_doc),
+            backward_engine=ScriptedBackwardEngine(),
+            evaluator_engine=SilentEvaluator(),
+            epochs=1,
+        )
+        history = optimize(Prompt(INITIAL_PROMPT_TEXT), corpus7, truth_by_doc, config)
+        assert history.failures == []
+        assert config.backward_engine.calls == history.backward_engine_calls == 3
+        assert marker_count(history.prompts[-1].text) == 3
+
     def test_history_save_layout(self, corpus7, truth_by_doc, tmp_path):
         history = optimize(
             Prompt(INITIAL_PROMPT_TEXT), corpus7, truth_by_doc,
