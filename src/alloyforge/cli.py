@@ -207,11 +207,9 @@ def cmd_audit(args) -> int:
     dataset = pipeline.load_dataset(args.dataset)
     corpus = pipeline.CorpusStore(pipeline.ingest_corpus(args.corpus))
     engine = engine_from_config(cfg, args.engine)
-    questions = quality.default_audit_questions()
     # (document, 1-based position in it, record), in dataset order
     entries = [(doc, position, record) for doc in sorted(dataset)
                for position, record in enumerate(dataset[doc], 1)]
-    partition = quality.filter_plausible([record for _, _, record in entries])
     if not args.all_records:
         entries = [entry for entry in entries if quality.plausibility(entry[2]) != "accepted"]
 
@@ -229,11 +227,11 @@ def cmd_audit(args) -> int:
                 held[doc] = corpus.request_document(doc)
             left[doc] -= 1
             document = held[doc] if left[doc] else held.pop(doc)
-        return quality.faithfulness_audit(record, questions, engine, document)
+        return quality.faithfulness_audit(record, engine, document)
 
     results = pipeline.run_documents(attempt, entries, cfg["pipeline.parallelism"])
     reports = [result for result in results if not isinstance(result, EngineError)]
-    counts = quality.classify_errors(partition, reports)
+    counts = quality.classify_errors([record for _, _, record in entries], reports)
     lines = []
     for (doc, position, record), result in zip(entries, results):
         head = f"document {doc} record {position} ({quality.record_label(record)})"

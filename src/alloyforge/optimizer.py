@@ -11,6 +11,7 @@ only bumps the version, so the lineage stays a single chain.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -40,6 +41,7 @@ ALIGNED = "aligned"
 MISALIGNED = "misaligned"
 
 _VERDICT_RE = re.compile(r"\b(MISALIGNED|ALIGNED)\b", re.IGNORECASE)
+_SLOT_RE = re.compile(r"<<(PROMPT|DOCUMENT|EXPERT_DATA|MODEL_OUTPUT)>>")
 
 REWRITE_SYSTEM_TEXT = (
     "You improve extraction prompts. You receive the current prompt and "
@@ -142,6 +144,7 @@ class PromptHistory:
         (out_dir / "history.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@functools.cache
 def default_evaluation_template() -> str:
     return resources.files("alloyforge.data").joinpath("evaluation_prompt.txt").read_text("utf-8")
 
@@ -187,7 +190,6 @@ def extraction_loss(
     output: list[AlloyRecord],
     evaluator,
     corpus: CorpusStore,
-    template: str | None = None,
 ) -> Feedback:
     """Ask the evaluator engine to critique one document's output.
 
@@ -197,14 +199,15 @@ def extraction_loss(
     unparseable verdict, an empty critique included, is conservatively treated as
     misaligned.
     """
-    template = template or default_evaluation_template()
     document, attachments = corpus.request_document(doc_id)
-    filled = (
-        template.replace("<<PROMPT>>", prompt.text)
-        .replace("<<DOCUMENT>>", document)
-        .replace("<<EXPERT_DATA>>", serialize_record_set(truth))
-        .replace("<<MODEL_OUTPUT>>", serialize_record_set(output))
-    )
+    slots = {
+        "PROMPT": prompt.text,
+        "DOCUMENT": document,
+        "EXPERT_DATA": serialize_record_set(truth),
+        "MODEL_OUTPUT": serialize_record_set(output),
+    }
+    # one pass, so a slot marker inside a filled-in value stays literal text
+    filled = _SLOT_RE.sub(lambda slot: slots[slot.group(1)], default_evaluation_template())
     request = EngineRequest(system_text="", user_text=filled, attachments=attachments)
     response = evaluator.complete(request)
     verdicts = _VERDICT_RE.findall(response.text)
@@ -285,7 +288,6 @@ def optimize(
     if missing:
         raise ValueError(f"truth documents missing from corpus: {sorted(missing)}")
 
-    template = default_evaluation_template()
     history = PromptHistory(prompts=[initial], epochs=[])
     current = initial
     doc_ids = corpus.ids
@@ -303,7 +305,7 @@ def optimize(
         if doc_id not in truth_by_doc:
             return output, None
         return output, extraction_loss(current, doc_id, truth_by_doc[doc_id], output,
-                                       config.evaluator_engine, corpus, template)
+                                       config.evaluator_engine, corpus)
 
     for epoch in range(1, config.epochs + 1):
         epoch_outputs: dict[str, list[AlloyRecord]] = {}

@@ -91,7 +91,8 @@ class CorpusStore:
 
     def request_document(self, doc_id: str) -> tuple[str, tuple]:
         """``(text, attachments)`` a request carries of a document: a plain-text
-        document's text and none, or a one-line reference and the PDF."""
+        document's text and none, or a one-line reference and the PDF. A
+        plain-text file that is not UTF-8 raises ``PipelineError`` naming it."""
         try:
             entry = self._by_id[doc_id]
         except KeyError:
@@ -99,7 +100,11 @@ class CorpusStore:
         if entry.kind == "pdf":
             pdf = entry.path.read_bytes()
             return f"(document {doc_id} is attached as a PDF)", ((doc_id, pdf),)
-        return entry.path.read_text(encoding="utf-8"), ()
+        try:
+            return entry.path.read_text(encoding="utf-8"), ()
+        except UnicodeDecodeError as exc:
+            raise PipelineError(f"document {doc_id}: {entry.path} is not UTF-8 "
+                                f"(byte {exc.start}: {exc.reason})") from None
 
 
 def ingest_corpus(manifest_path) -> list[ManifestEntry]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .engines import EngineRequest
 from .records import AlloyRecord, record_to_object, serialize_record_set
@@ -31,6 +30,21 @@ AUDIT_SYSTEM_TEXT = (
     "justification quoting the document where possible."
 )
 
+# (tag, question) in ERROR_TAGS order; an evaluator's NO raises the tag
+AUDIT_QUESTIONS = (
+    (CONTEXTUAL_HALLUCINATION,
+     "Is the lattice constant in the extracted record truly the lattice constant of the "
+     "listed alloy itself, and not that of a precipitate, secondary phase, or other "
+     "material discussed in the document?"),
+    (SEMANTIC_MISINTERPRETATION,
+     "Is the extracted value really a lattice constant, and not a different "
+     "crystallographic quantity such as a Burgers vector magnitude, interplanar "
+     "spacing, or atomic radius?"),
+    (UNIT_ERROR,
+     "Is the extracted lattice constant expressed in angstroms, with any nanometer or "
+     "picometer value from the source correctly converted?"),
+)
+
 
 class NonPositive(ValueError):
     pass
@@ -50,16 +64,6 @@ class PlausibilityPartition:
 class RepairSuggestion:
     repaired: float
     assumed_unit: str                 # nm | pm
-
-
-@dataclass(frozen=True)
-class AuditQuestion:
-    text: str
-    flag_on_no: str | None = None
-
-    def __post_init__(self):
-        if self.flag_on_no is not None and self.flag_on_no not in ERROR_TAGS:
-            raise ValueError(f"unknown error tag {self.flag_on_no!r}")
 
 
 @dataclass
@@ -110,27 +114,10 @@ def suggest_unit_repair(value: float) -> RepairSuggestion | None:
     return None
 
 
-def default_audit_questions() -> list[AuditQuestion]:
-    """The shipped three-question audit list (ownership, identity, units)."""
-    text = resources.files("alloyforge.data").joinpath("audit_questions.txt").read_text("utf-8")
-    questions = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag, _, question = line.partition("|")
-        tag = tag.strip()
-        questions.append(AuditQuestion(text=question.strip(), flag_on_no=tag or None))
-    return questions
-
-
 def faithfulness_audit(
-    record: AlloyRecord,
-    questions: list[AuditQuestion],
-    engine,
-    document: tuple[str, tuple],
+    record: AlloyRecord, engine, document: tuple[str, tuple]
 ) -> AuditReport:
-    """Ask the evaluator engine each audit question about one record and its source.
+    """Ask the evaluator engine each of ``AUDIT_QUESTIONS`` about one record and its source.
 
     ``document`` is the ``(text, attachments)`` pair that
     ``CorpusStore.request_document`` gives for the record's document. Answers
@@ -141,11 +128,11 @@ def faithfulness_audit(
     text, attachments = document
     record_json = serialize_record_set([record])
     report = AuditReport(record=record, answers=[])
-    for question in questions:
+    for tag, question in AUDIT_QUESTIONS:
         request = EngineRequest(
             system_text=AUDIT_SYSTEM_TEXT,
             user_text=(
-                f"QUESTION: {question.text}\n\n"
+                f"QUESTION: {question}\n\n"
                 f"EXTRACTED RECORD:\n{record_json}\n\n"
                 f"DOCUMENT ({doc_id}):\n{text}"
             ),
@@ -154,26 +141,27 @@ def faithfulness_audit(
         )
         response = engine.complete(request)
         answer = response.text.strip()
-        report.answers.append((question.text, answer))
+        report.answers.append((question, answer))
         lead = _ANSWER_LEAD_RE.match(answer)
-        if lead is not None and lead.group(1).lower() == "no" and question.flag_on_no:
-            report.flags.add(question.flag_on_no)
+        if lead is not None and lead.group(1).lower() == "no":
+            report.flags.add(tag)
     return report
 
 
 def classify_errors(
-    partition: PlausibilityPartition, audits: list[AuditReport]
+    records: list[AlloyRecord], audits: list[AuditReport]
 ) -> dict[str, int]:
     """Count records per error category.
 
-    Out-of-band records with a successful unit repair count as unit errors,
-    and each audit flag counts its report's record under that tag. A record
-    may carry several tags but counts once per tag, however many sources
-    name it.
+    Those of ``records`` that ``plausibility`` puts out of band and that have a
+    unit repair count as unit errors, and each audit flag counts its report's
+    record under that tag. A record may carry several tags but counts once per
+    tag, however many sources name it.
     """
     tagged = {tag: set() for tag in ERROR_TAGS}   # tag -> ids of the records counted
-    for record in partition.rejected_low + partition.rejected_high:
-        if suggest_unit_repair(record.lattice_constant.value) is not None:
+    for record in records:
+        if (plausibility(record) != "accepted"
+                and suggest_unit_repair(record.lattice_constant.value) is not None):
             tagged[UNIT_ERROR].add(id(record))
     for report in audits:
         for tag in report.flags:

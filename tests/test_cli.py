@@ -207,8 +207,7 @@ def test_audit_command(tmp_path, capsys):
     store_dir = tmp_path / "audit_transcripts"
     corpus = CorpusStore(ingest_corpus(corpus_dir / "manifest.csv"))
     recorder = RecordingEngine(NaysayingAuditor(), TranscriptStore(store_dir))
-    quality.faithfulness_audit(suspicious, quality.default_audit_questions(), recorder,
-                               corpus.request_document("d01"))
+    quality.faithfulness_audit(suspicious, recorder, corpus.request_document("d01"))
 
     cfg = tmp_path / "audit.cfg"
     cfg.write_text(

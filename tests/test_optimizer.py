@@ -25,7 +25,7 @@ from alloyforge.optimizer import (
     forward_extract,
     optimize,
 )
-from alloyforge.pipeline import CorpusMiss
+from alloyforge.pipeline import CorpusMiss, CorpusStore, ingest_corpus
 from alloyforge.records import serialize_record_set
 
 from tests.oracles import reference_improved_text
@@ -114,6 +114,28 @@ class TestExtractionLoss:
         assert "MoNbTaW" in body                      # document text
         assert serialize_record_set(truth) in body    # expert block
         assert default_evaluation_template().split("<<PROMPT>>")[0].strip() in body
+
+    def test_slot_markers_inside_the_inputs_stay_literal(self, truth_by_doc, tmp_path):
+        document = r"Table 1 lists <<EXPERT_DATA>> for C:\alloys\1."
+        (tmp_path / "d.txt").write_text(document, encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("doc_id,path,kind\nd,d.txt,plain_text\n", encoding="utf-8")
+        captured = {}
+
+        class CapturingEvaluator:
+            def complete(self, request):
+                captured["text"] = request.user_text
+                return EngineResponse(text="VERDICT: ALIGNED")
+
+        prompt = Prompt("Quote <<DOCUMENT>> and <<MODEL_OUTPUT>> as given.")
+        truth = truth_by_doc["d02"]
+        extraction_loss(prompt, "d", truth, [], CapturingEvaluator(),
+                        CorpusStore(ingest_corpus(manifest)))
+        around = re.split(r"<<PROMPT>>|<<DOCUMENT>>|<<EXPERT_DATA>>|<<MODEL_OUTPUT>>",
+                          default_evaluation_template())
+        filled = (prompt.text, document, serialize_record_set(truth), serialize_record_set([]))
+        assert captured["text"] == around[0] + "".join(
+            value + text for value, text in zip(filled, around[1:]))
 
 
 class TestBackwardUpdate:

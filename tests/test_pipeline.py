@@ -114,6 +114,30 @@ class TestIngestCorpus:
 
 
 class TestRunExtraction:
+    def test_a_document_not_in_utf8_stops_the_run_by_name_and_resumes_once_fixed(
+            self, truth_by_doc, tmp_path):
+        docs = {"ok": "alpha", "bad": "The alloy caf\u00e9 was studied.", "ok2": "beta"}
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("doc_id,path,kind\n" + "".join(
+            f"{doc},{doc}.txt,plain_text\n" for doc in docs), encoding="utf-8")
+        for doc, text in docs.items():
+            (tmp_path / f"{doc}.txt").write_bytes(text.encode("latin-1"))
+        corpus = CorpusStore(ingest_corpus(manifest))
+        out = tmp_path / "run"
+        first = DocsSeen(ScriptedForwardEngine(truth_by_doc))
+        with pytest.raises(PipelineError) as info:
+            run_extraction(corpus, FULL_PROMPT, first, out, parallelism=1)
+        assert str(info.value) == (f"document bad: {tmp_path / 'bad.txt'} is not UTF-8 "
+                                   "(byte 13: invalid continuation byte)")
+        assert first.docs == ["ok"]
+        assert (out / "journal.jsonl").exists()
+
+        (tmp_path / "bad.txt").write_text(docs["bad"], encoding="utf-8")
+        second = DocsSeen(ScriptedForwardEngine(truth_by_doc))
+        result = run_extraction(corpus, FULL_PROMPT, second, out, parallelism=1)
+        assert second.docs == ["bad", "ok2"]
+        assert set(result.ledger.states) == set(docs)
+
     def test_statuses_and_dataset(self, corpus8, truth_by_doc, tmp_path):
         engine = ScriptedForwardEngine(truth_by_doc)
         result = run_extraction(corpus8, FULL_PROMPT, engine, tmp_path, parallelism=1)

@@ -3,14 +3,13 @@ import pytest
 
 from alloyforge.engines import EngineResponse
 from alloyforge.quality import (
+    AUDIT_QUESTIONS,
     CONTEXTUAL_HALLUCINATION,
+    ERROR_TAGS,
     SEMANTIC_MISINTERPRETATION,
     UNIT_ERROR,
-    AuditQuestion,
     NonPositive,
-    PlausibilityPartition,
     classify_errors,
-    default_audit_questions,
     faithfulness_audit,
     filter_plausible,
     quality_report_rows,
@@ -104,11 +103,8 @@ _DOCUMENT = ("The alloy was studied; details omitted.", ())
 
 
 class TestFaithfulnessAudit:
-    def test_default_questions_load(self):
-        questions = default_audit_questions()
-        assert [q.flag_on_no for q in questions] == [
-            CONTEXTUAL_HALLUCINATION, SEMANTIC_MISINTERPRETATION, UNIT_ERROR,
-        ]
+    def test_one_question_per_error_tag_in_tag_order(self):
+        assert tuple(tag for tag, _ in AUDIT_QUESTIONS) == ERROR_TAGS
 
     def test_burgers_vector_flag(self):
         engine = _ScriptedAuditEngine(
@@ -119,9 +115,7 @@ class TestFaithfulnessAudit:
                 )
             }
         )
-        report = faithfulness_audit(
-            rec(2.55), default_audit_questions(), engine, _DOCUMENT
-        )
+        report = faithfulness_audit(rec(2.55), engine, _DOCUMENT)
         assert report.flags == {SEMANTIC_MISINTERPRETATION}
 
     def test_precipitate_flag(self):
@@ -132,16 +126,11 @@ class TestFaithfulnessAudit:
                 )
             }
         )
-        report = faithfulness_audit(
-            rec(10.9), default_audit_questions(), engine, _DOCUMENT
-        )
+        report = faithfulness_audit(rec(10.9), engine, _DOCUMENT)
         assert report.flags == {CONTEXTUAL_HALLUCINATION}
 
     def test_all_yes_no_flags(self):
-        report = faithfulness_audit(
-            rec(3.2), default_audit_questions(), _ScriptedAuditEngine({}),
-            _DOCUMENT,
-        )
+        report = faithfulness_audit(rec(3.2), _ScriptedAuditEngine({}), _DOCUMENT)
         assert report.flags == set()
         assert len(report.answers) == 3
 
@@ -149,15 +138,9 @@ class TestFaithfulnessAudit:
         engine = _ScriptedAuditEngine(
             {"really a lattice constant": "The question is hard to answer."}
         )
-        report = faithfulness_audit(
-            rec(3.2), default_audit_questions(), engine, _DOCUMENT
-        )
+        report = faithfulness_audit(rec(3.2), engine, _DOCUMENT)
         assert report.flags == set()
         assert "The question is hard to answer." in [answer for _, answer in report.answers]
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            AuditQuestion("?", flag_on_no="bogus")
 
 
 class TestClassifyErrors:
@@ -165,8 +148,8 @@ class TestClassifyErrors:
         rng = np.random.default_rng(10)
         low = [rec(float(v)) for v in rng.uniform(0.28, 0.35, 21)]
         fine = [rec(float(v)) for v in rng.uniform(2.9, 3.5, 30)]
-        part = filter_plausible(low + fine)
-        counts = classify_errors(part, [])
+        unrepairable = [rec(10.9), rec()]   # out of band without a repair; no value
+        counts = classify_errors(low + fine + unrepairable, [])
         assert counts[UNIT_ERROR] == 21
         assert counts[CONTEXTUAL_HALLUCINATION] == 0
 
@@ -178,12 +161,12 @@ class TestClassifyErrors:
             AuditReport(record=rec(3.3), answers=[],
                         flags={SEMANTIC_MISINTERPRETATION, UNIT_ERROR}),
         ]
-        counts = classify_errors(PlausibilityPartition(), reports)
+        counts = classify_errors([], reports)
         assert counts[SEMANTIC_MISINTERPRETATION] == 2
         assert counts[UNIT_ERROR] == 1
 
     def test_empty(self):
-        counts = classify_errors(PlausibilityPartition(), [])
+        counts = classify_errors([], [])
         assert set(counts.values()) == {0}
 
 
