@@ -271,6 +271,13 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.data}: header must be {header} ('featurize' writes it)")
     cfg = ml.SplitConfig(train_fraction=args.train_fraction, seed=args.seed)
     X_train, X_test, y_train, y_test = ml.train_test_split(X, y, cfg)
+    # R2 is scored on each side once the model is written, so a side it cannot
+    # score is refused before any training
+    if min(len(set(y_train.tolist())), len(set(y_test.tolist()))) < 2:
+        raise ValueError(
+            f"{args.data}: --train-fraction {args.train_fraction} splits {len(y)} row(s) into "
+            f"{len(y_train)} train / {len(y_test)} test; R2 needs at least 2 rows with "
+            f"differing targets on each side, so no model was trained")
     if args.model == "esvr":
         model = ml.train_esvr(X_train, y_train, seed=args.seed)
     else:
@@ -297,10 +304,9 @@ def cmd_predict(args) -> int:
     table = features.ElementPropertyTable.from_csv(args.table) if args.table \
         else features.default_table()
     composition = parse_formula(args.composition)
-    vector = features.featurize(composition, table)
-    prediction = ml.predict(model, vector)
-    print(f"{composition.canonical_formula()}: "
-          f"{prediction.mean:.4f} +/- {prediction.std:.4f} A")
+    vector = features.featurize(composition, table).as_array()
+    means, stds = ml.predict_batch(model, vector[None, :])
+    print(f"{composition.canonical_formula()}: {means[0]:.4f} +/- {stds[0]:.4f} A")
     return 0
 
 

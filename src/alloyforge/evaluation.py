@@ -83,7 +83,7 @@ def f1(p: float, r: float) -> float:
 
 def composite_criterion(record: AlloyRecord) -> bool:
     """True for single-phase BCC records in the as-cast condition."""
-    return record.phase.kind == "BCC" and record.processing.kind == "as_cast"
+    return record.phase == "BCC" and record.processing == "as_cast"
 
 
 # --- record alignment ------------------------------------------------------------
@@ -281,11 +281,11 @@ def _field_equal(field_name: str, e: AlloyRecord, t: AlloyRecord) -> bool:
         a, b = e.lattice_constant, t.lattice_constant
         if a is None or b is None:
             return a is None and b is None
-        return abs(a.value - b.value) <= LATTICE_ABS
+        return abs(a - b) <= LATTICE_ABS
     if field_name == "phase":
-        return e.phase.kind == t.phase.kind
+        return e.phase == t.phase
     if field_name == "processing":
-        return e.processing.kind == t.processing.kind
+        return e.processing == t.processing
     raise UnknownField(field_name)
 
 

@@ -187,7 +187,7 @@ def featurize_dataset(
             issues.append((index, str(exc)))
             continue
         rows.append(vector)
-        targets.append(record.lattice_constant.value)
+        targets.append(record.lattice_constant)
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(FEATURE_NAMES)))
     y = np.asarray(targets, dtype=float)
     return FeaturizedDataset(X=X, y=y, issues=issues)

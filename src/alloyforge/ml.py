@@ -75,16 +75,6 @@ class SvrHyperParams:
             raise ValueError("gamma, cost, and epsilon must all be positive")
 
 
-@dataclass(frozen=True)
-class PredictionWithUncertainty:
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("std must be nonnegative")
-
-
 @dataclass
 class Standardizer:
     x_mean: np.ndarray
@@ -778,18 +768,8 @@ def train_elasso(
 # --- prediction and persistence -------------------------------------------------------
 
 
-def predict(model: EnsembleModel, x) -> PredictionWithUncertainty:
-    """Ensemble mean and population spread for one feature vector, in angstrom."""
-    vector = np.asarray(x, dtype=float)
-    if vector.ndim != 1 or len(vector) != model.n_features:
-        raise DimensionMismatch(
-            f"expected a vector of length {model.n_features}, got shape {vector.shape}"
-        )
-    means, stds = predict_batch(model, vector[None, :])
-    return PredictionWithUncertainty(mean=float(means[0]), std=float(stds[0]))
-
-
 def predict_batch(model: EnsembleModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble mean and population spread for each row of ``X``, in angstrom."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DimensionMismatch(

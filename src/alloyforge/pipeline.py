@@ -630,14 +630,13 @@ def summarize(dataset: dict[str, list[AlloyRecord]]) -> SummaryReport:
     with_lattice = [r for r in records if r.lattice_constant is not None]
     phase_counts: dict[str, int] = {}
     for record in with_lattice:
-        phase_counts[record.phase.kind] = phase_counts.get(record.phase.kind, 0) + 1
-    bcc = [r for r in with_lattice if r.phase.kind == "BCC"]
+        phase_counts[record.phase] = phase_counts.get(record.phase, 0) + 1
+    bcc = [r for r in with_lattice if r.phase == "BCC"]
     processing_counts: dict[str, int] = {}
     for record in bcc:
-        kind = record.processing.kind
-        processing_counts[kind] = processing_counts.get(kind, 0) + 1
-    as_cast_bcc = [r for r in bcc if r.processing.kind == "as_cast"]
-    values = [r.lattice_constant.value for r in as_cast_bcc
+        processing_counts[record.processing] = processing_counts.get(record.processing, 0) + 1
+    as_cast_bcc = [r for r in bcc if r.processing == "as_cast"]
+    values = [r.lattice_constant for r in as_cast_bcc
               if quality.plausibility(r) == "accepted"]
     histogram = _histogram(values, width=0.1)
     bands = [quality.plausibility(r) for r in with_lattice]

@@ -81,9 +81,9 @@ def plausibility(record: AlloyRecord) -> str:
     accepted; the screen applies to reported values only.
     """
     length = record.lattice_constant
-    if length is None or PLAUSIBLE_LO < length.value < PLAUSIBLE_HI:
+    if length is None or PLAUSIBLE_LO < length < PLAUSIBLE_HI:
         return "accepted"
-    return "rejected_low" if length.value <= PLAUSIBLE_LO else "rejected_high"
+    return "rejected_low" if length <= PLAUSIBLE_LO else "rejected_high"
 
 
 def filter_plausible(records: list[AlloyRecord]) -> PlausibilityPartition:
@@ -161,7 +161,7 @@ def classify_errors(
     tagged = {tag: set() for tag in ERROR_TAGS}   # tag -> ids of the records counted
     for record in records:
         if (plausibility(record) != "accepted"
-                and suggest_unit_repair(record.lattice_constant.value) is not None):
+                and suggest_unit_repair(record.lattice_constant) is not None):
             tagged[UNIT_ERROR].add(id(record))
     for report in audits:
         for tag in report.flags:
@@ -183,7 +183,7 @@ def quality_report_rows(
     for label, bucket in (("implausible_low", partition.rejected_low),
                           ("implausible_high", partition.rejected_high)):
         for record in bucket:
-            value = record.lattice_constant.value
+            value = record.lattice_constant
             repair = suggest_unit_repair(value)
             rows.append(
                 {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -64,52 +65,31 @@ class DocumentId:
 
 
 @dataclass(frozen=True, slots=True)
-class PhaseLabel:
-    kind: str = "unknown"
-
-    def __post_init__(self):
-        if self.kind not in PHASE_KINDS:
-            raise RecordError(f"unknown phase kind {self.kind!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class ProcessingCondition:
-    kind: str = "unreported"
-
-    def __post_init__(self):
-        if self.kind not in PROCESSING_KINDS:
-            raise RecordError(f"unknown processing kind {self.kind!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class LengthAngstrom:
-    """A positive length in angstroms; the text it was read from stays in the
-    record's ``raw_fields``."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise RecordError(f"length must be positive, got {self.value!r}")
-
-
-@dataclass(frozen=True, slots=True)
 class AlloyRecord:
     """One extracted or curated entry; ``raw_fields`` holds the exact text of
-    each present field, keyed by schema key, and is what serialization writes."""
+    each present field, keyed by schema key, and is what serialization writes.
+    ``phase`` is one of ``PHASE_KINDS``, ``processing`` one of
+    ``PROCESSING_KINDS``, and ``lattice_constant`` a positive, finite length
+    in angstroms."""
 
     source: DocumentId
     alloy_name: str | None = None
     nominal_composition: Composition | None = None
     measured_composition: Composition | None = None
-    phase: PhaseLabel = PhaseLabel()
-    processing: ProcessingCondition = ProcessingCondition()
-    lattice_constant: LengthAngstrom | None = None
+    phase: str = "unknown"
+    processing: str = "unreported"
+    lattice_constant: float | None = None
     raw_fields: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.alloy_name is None and self.nominal_composition is None:
             raise RecordError("record needs at least one of alloy_name / nominal_composition")
+        if self.phase not in PHASE_KINDS:
+            raise RecordError(f"unknown phase kind {self.phase!r}")
+        if self.processing not in PROCESSING_KINDS:
+            raise RecordError(f"unknown processing kind {self.processing!r}")
+        if self.lattice_constant is not None:
+            _positive_length(self.lattice_constant)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,8 +150,8 @@ def is_missing(value) -> bool:
 
 
 @lru_cache(maxsize=_KIND_CACHE_SIZE)
-def _phase_of(text: str) -> PhaseLabel:
-    """The phase label of text already known not to be missing."""
+def _phase_of(text: str) -> str:
+    """The phase kind of text already known not to be missing."""
     low = " ".join(str(text).split()).lower()
     structures = set()
     if _BCC_RE.search(low):
@@ -185,42 +165,43 @@ def _phase_of(text: str) -> PhaseLabel:
     if "amorphous" in low or "glass" in low:
         structures.add("amorphous")
     if _MULTIPHASE_RE.search(low) or len(structures) > 1:
-        return PhaseLabel("multiphase")
+        return "multiphase"
     if structures == {"bcc"}:
-        return PhaseLabel("BCC")
+        return "BCC"
     if structures == {"fcc"}:
-        return PhaseLabel("FCC")
+        return "FCC"
     if structures == {"hcp"}:
-        return PhaseLabel("HCP")
+        return "HCP"
     if structures == {"amorphous"}:
-        return PhaseLabel("amorphous")
-    return PhaseLabel("other")
+        return "amorphous"
+    return "other"
 
 
 @lru_cache(maxsize=_KIND_CACHE_SIZE)
-def _processing_of(text: str) -> ProcessingCondition:
-    """The processing condition of text already known not to be missing."""
+def _processing_of(text: str) -> str:
+    """The processing kind of text already known not to be missing."""
     low = " ".join(str(text).split()).lower()
     if any(p in low for p in ("anneal", "homogeniz", "heat treat", "heat-treat", "aged", "aging")):
-        return ProcessingCondition("annealed")
+        return "annealed"
     if any(p in low for p in ("additive", "laser melt", "slm", "lpbf", "3d print",
                               "electron beam melt", "directed energy")):
-        return ProcessingCondition("additive")
+        return "additive"
     if any(p in low for p in ("powder", "sinter", "mechanical alloy", "spark plasma", "milling")):
-        return ProcessingCondition("powder_processed")
+        return "powder_processed"
     if any(p in low for p in ("as-cast", "as cast", "cast", "arc melt", "arc-melt", "solidif")):
-        return ProcessingCondition("as_cast")
-    return ProcessingCondition("other")
+        return "as_cast"
+    return "other"
 
 
-def parse_length(text) -> LengthAngstrom:
+def parse_length(text) -> float:
     """Parse a lattice-constant string into angstroms; a value marked 'nm' or
     'pm' is scaled, any other is taken as angstroms. A value written with a
-    decimal comma is refused rather than truncated."""
+    decimal comma, or one that is not positive and finite, is refused rather
+    than kept."""
     raw = str(text)
     # an unsigned decimal alone is its own value, with no symbol and no unit
     if _BARE_NUMBER_RE.fullmatch(raw):
-        return LengthAngstrom(float(raw))
+        return _positive_length(float(raw))
     for match in _LENGTH_VALUE_RE.finditer(raw):
         if match["value"]:
             break
@@ -240,7 +221,14 @@ def parse_length(text) -> LengthAngstrom:
         value *= 10.0
     elif "pm" in low and _PM_RE.search(low):
         value /= 100.0
-    return LengthAngstrom(value)
+    return _positive_length(value)
+
+
+def _positive_length(value: float) -> float:
+    """``value``, refused unless it is a positive, finite length."""
+    if not 0 < value < math.inf:
+        raise RecordError(f"length must be positive and finite, got {value!r}")
+    return value
 
 
 # --- record <-> JSON object -----------------------------------------------------
@@ -306,9 +294,9 @@ def record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
         nominal_composition=nominal,
         measured_composition=measured,
         # values holds present text only, so the missing checks are not repeated
-        phase=_phase_of(values["phase"]) if "phase" in values else PhaseLabel("unknown"),
+        phase=_phase_of(values["phase"]) if "phase" in values else "unknown",
         processing=(_processing_of(values["processing_condition"])
-                    if "processing_condition" in values else ProcessingCondition("unreported")),
+                    if "processing_condition" in values else "unreported"),
         lattice_constant=lattice,
         raw_fields=values,
     )

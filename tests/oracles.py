@@ -26,10 +26,7 @@ from alloyforge.records import (
     AlloyRecord,
     DocumentId,
     FieldParseIssue,
-    LengthAngstrom,
     MalformedOutput,
-    PhaseLabel,
-    ProcessingCondition,
     RecordError,
     _coerce_entries,
     _phase_of,
@@ -243,10 +240,11 @@ def reference_is_missing(value) -> bool:
     return text in ("", "not found")
 
 
-def reference_parse_length(text) -> LengthAngstrom:
+def reference_parse_length(text) -> float:
     """``records.parse_length`` before bare numbers were read directly, and
     before glued units and decimal commas were handled: a unit counts only as
-    a word of its own, and "3,60" reads as 3."""
+    a word of its own, and "3,60" reads as 3. A value that is not positive
+    and finite is refused, by the same rule and message."""
     raw = str(text)
     value_text = next(
         (m["value"] for m in _REF_LENGTH_VALUE_RE.finditer(raw) if m["value"]), None
@@ -259,7 +257,9 @@ def reference_parse_length(text) -> LengthAngstrom:
         value *= 10.0
     elif _REF_PM_RE.search(low):
         value /= 100.0
-    return LengthAngstrom(value)
+    if not 0 < value < math.inf:
+        raise RecordError(f"length must be positive and finite, got {value!r}")
+    return value
 
 
 def reference_record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
@@ -313,9 +313,9 @@ def reference_record_from_object(obj: dict, source: DocumentId, entry_index: int
         alloy_name=alloy_name,
         nominal_composition=nominal,
         measured_composition=measured,
-        phase=_phase_of(values["phase"]) if "phase" in values else PhaseLabel("unknown"),
+        phase=_phase_of(values["phase"]) if "phase" in values else "unknown",
         processing=(_processing_of(values["processing_condition"])
-                    if "processing_condition" in values else ProcessingCondition("unreported")),
+                    if "processing_condition" in values else "unreported"),
         lattice_constant=lattice,
         raw_fields=dict(values),
     )

@@ -564,6 +564,32 @@ def test_train_refuses_a_header_other_than_the_descriptors(tmp_path, capsys, nam
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("targets, fraction, split", [
+    ((3.1, 3.2, 3.3, 3.4), "0.8", "4 row(s) into 3 train / 1 test"),
+    ((3.2,) * 10, "0.5", "10 row(s) into 5 train / 5 test"),
+])
+def test_train_refuses_a_split_r2_cannot_score_before_training(
+        tmp_path, monkeypatch, capsys, targets, fraction, split):
+    from alloyforge import ml
+    from alloyforge.features import FEATURE_NAMES, TARGET_COLUMN
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a split R2 cannot score")
+
+    monkeypatch.setattr(ml, "train_esvr", no_training)
+    path = tmp_path / "features.csv"
+    rows = [",".join(FEATURE_NAMES + (TARGET_COLUMN,))]
+    rows += [",".join([str(1.0 + i)] * 6 + [str(t)]) for i, t in enumerate(targets)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc = main(["train", "--model", "esvr", "--data", str(path), "--train-fraction", fraction,
+               "--out", str(tmp_path / "model.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: --train-fraction {fraction} splits {split}; R2 needs at least 2 rows "
+        "with differing targets on each side, so no model was trained\n")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_extract_parallelism_flag_overrides_the_config_and_is_at_least_one(
         tmp_path, monkeypatch, capsys):
     from alloyforge import pipeline

@@ -14,7 +14,7 @@ from alloyforge.features import (
     featurize_dataset,
     load_feature_csv,
 )
-from alloyforge.records import DocumentId, make_record
+from alloyforge.records import DocumentId, make_record, record_from_object
 
 from tests.oracles import reference_featurize
 
@@ -152,6 +152,19 @@ class TestFeaturizeDataset:
         assert data.X.shape == (1, 6)
         assert data.y.tolist() == [3.2]
         assert [i for i, _ in data.issues] == [1, 2]
+
+    def test_an_infinite_lattice_constant_is_a_field_issue_and_no_row(self, table):
+        for text in ("1e999", "3e400 nm"):
+            record, issues = record_from_object(
+                {"nominal_composition": "MoNbTaW", "lattice_constant_angstrom": text}, DOC)
+            assert [(i.field, i.entry_dropped) for i in issues] == [
+                ("lattice_constant_angstrom", False)]
+            assert "positive and finite" in issues[0].message
+            assert record.lattice_constant is None
+            assert "lattice_constant_angstrom" not in record.raw_fields
+            data = featurize_dataset([record], table)
+            assert data.X.shape == (0, 6)
+            assert data.issues == [(0, "no lattice constant")]
 
     def test_empty(self, table):
         data = featurize_dataset([], table)

@@ -573,27 +573,27 @@ def _two_constant_estimators(values):
 class TestPredict:
     def test_hand_mean_and_std(self):
         model = _two_constant_estimators([3.0, 3.2])
-        pred = ml.predict(model, np.zeros(6))
-        assert pred.mean == pytest.approx(3.1)
-        assert pred.std == pytest.approx(0.1)
+        means, stds = ml.predict_batch(model, np.zeros((1, 6)))
+        assert means.tolist() == [pytest.approx(3.1)]
+        assert stds.tolist() == [pytest.approx(0.1)]
 
     def test_dimension_mismatch(self):
         model = _two_constant_estimators([3.0, 3.2])
         with pytest.raises(ml.DimensionMismatch):
-            ml.predict(model, np.zeros(4))
+            ml.predict_batch(model, np.zeros((1, 4)))
 
     def test_std_permutation_invariant(self):
         a = _two_constant_estimators([3.0, 3.2, 3.4])
         b = _two_constant_estimators([3.4, 3.0, 3.2])
-        assert ml.predict(a, np.zeros(6)).std == pytest.approx(
-            ml.predict(b, np.zeros(6)).std
+        assert ml.predict_batch(a, np.zeros((1, 6)))[1] == pytest.approx(
+            ml.predict_batch(b, np.zeros((1, 6)))[1]
         )
 
     def test_std_invariant_under_ensemble_duplication(self):
         base = _two_constant_estimators([3.0, 3.2, 3.4])
         doubled = _two_constant_estimators([3.0, 3.2, 3.4, 3.0, 3.2, 3.4])
-        assert ml.predict(doubled, np.zeros(6)).std == pytest.approx(
-            ml.predict(base, np.zeros(6)).std, abs=1e-12
+        assert ml.predict_batch(doubled, np.zeros((1, 6)))[1] == pytest.approx(
+            ml.predict_batch(base, np.zeros((1, 6)))[1], abs=1e-12
         )
 
     def test_feature_vector_input(self):
@@ -601,7 +601,7 @@ class TestPredict:
 
         model = _two_constant_estimators([3.0, 3.2])
         vector = FeatureVector(1, 2, 3, 4, 5, 6)
-        assert ml.predict(model, vector).mean == pytest.approx(3.1)
+        assert ml.predict_batch(model, [vector])[0] == pytest.approx([3.1])
 
 
 class TestStandardizationInvariance:

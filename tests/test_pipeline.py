@@ -542,7 +542,7 @@ class TestSummarize:
         assert sum(report.bcc_processing_counts.values()) == bcc
         assert sum(c for _, _, c in report.histogram) == len(
             [1 for records in truth_by_doc.values() for r in records
-             if r.phase.kind == "BCC" and r.processing.kind == "as_cast"
+             if r.phase == "BCC" and r.processing == "as_cast"
              and r.lattice_constant is not None]
         )
 

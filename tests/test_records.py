@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import pickle
 import re
 import time
@@ -15,13 +16,13 @@ from alloyforge.composition import Composition, parse_formula
 from alloyforge.records import (
     MISSING_SENTINEL,
     SCHEMA_KEYS,
+    AlloyRecord,
     DocumentId,
     GroundTruthError,
-    LengthAngstrom,
     MalformedOutput,
     MissingColumn,
-    PhaseLabel,
-    ProcessingCondition,
+    PHASE_KINDS,
+    PROCESSING_KINDS,
     RecordError,
     group_by_doc,
     is_missing,
@@ -62,33 +63,33 @@ class TestFieldNormalization:
         assert not is_missing("3.19")
 
     def test_phase_tokens(self):
-        assert phase_of("bcc").kind == "BCC"
-        assert phase_of("body-centred cubic").kind == "BCC"
-        assert phase_of("body-centered cubic (BCC)").kind == "BCC"
-        assert phase_of("FCC solid solution").kind == "FCC"
-        assert phase_of("hexagonal close-packed").kind == "HCP"
-        assert phase_of("amorphous").kind == "amorphous"
-        assert phase_of("BCC + FCC") == PhaseLabel("multiphase")
-        assert phase_of("dual-phase BCC").kind == "multiphase"
-        assert phase_of("BCC with B2 ordering").kind == "multiphase"
+        assert phase_of("bcc") == "BCC"
+        assert phase_of("body-centred cubic") == "BCC"
+        assert phase_of("body-centered cubic (BCC)") == "BCC"
+        assert phase_of("FCC solid solution") == "FCC"
+        assert phase_of("hexagonal close-packed") == "HCP"
+        assert phase_of("amorphous") == "amorphous"
+        assert phase_of("BCC + FCC") == "multiphase"
+        assert phase_of("dual-phase BCC") == "multiphase"
+        assert phase_of("BCC with B2 ordering") == "multiphase"
         for ordered in ("B2", "L12", "Laves phase", "sigma"):
-            assert phase_of(ordered) == PhaseLabel("other")
-        assert phase_of("face-centred cubic") == PhaseLabel("FCC")
-        assert phase_of("metallic glass") == PhaseLabel("amorphous")
-        assert phase_of("BCC + B2") == PhaseLabel("multiphase")
-        assert phase_of("C14 structure") == PhaseLabel("other")
-        assert phase_of("Not found") == PhaseLabel("unknown")
+            assert phase_of(ordered) == "other"
+        assert phase_of("face-centred cubic") == "FCC"
+        assert phase_of("metallic glass") == "amorphous"
+        assert phase_of("BCC + B2") == "multiphase"
+        assert phase_of("C14 structure") == "other"
+        assert phase_of("Not found") == "unknown"
 
     def test_processing_tokens(self):
-        assert processing_of("as-cast").kind == "as_cast"
-        assert processing_of("arc-melted and cast").kind == "as_cast"
-        assert processing_of("annealed at 1200 C").kind == "annealed"
-        assert processing_of("as-cast then annealed").kind == "annealed"
-        assert processing_of("powder metallurgy").kind == "powder_processed"
-        assert processing_of("spark plasma sintering").kind == "powder_processed"
-        assert processing_of("selective laser melting (SLM)").kind == "additive"
-        assert processing_of("Not found").kind == "unreported"
-        assert processing_of("magnetron sputtered film") == ProcessingCondition("other")
+        assert processing_of("as-cast") == "as_cast"
+        assert processing_of("arc-melted and cast") == "as_cast"
+        assert processing_of("annealed at 1200 C") == "annealed"
+        assert processing_of("as-cast then annealed") == "annealed"
+        assert processing_of("powder metallurgy") == "powder_processed"
+        assert processing_of("spark plasma sintering") == "powder_processed"
+        assert processing_of("selective laser melting (SLM)") == "additive"
+        assert processing_of("Not found") == "unreported"
+        assert processing_of("magnetron sputtered film") == "other"
 
     def test_record_fields_map_sentinels_and_text_to_kinds(self):
         # record_from_object classifies only text it found present; sentinel
@@ -110,8 +111,7 @@ class TestFieldNormalization:
         for text, (phase, processing) in expected.items():
             obj = {"alloy_name": "HfNbTaTiZr", "phase": text, "processing_condition": text}
             record, _ = record_from_object(obj, DocumentId("d01"))
-            assert (record.phase, record.processing) == (
-                PhaseLabel(phase), ProcessingCondition(processing))
+            assert (record.phase, record.processing) == (phase, processing)
 
     def test_cached_kinds_equal_the_uncached_parse(self):
         vocabulary = [
@@ -126,29 +126,31 @@ class TestFieldNormalization:
         for text in vocabulary * 2:  # the second pass reads the cache
             assert _phase_of(text) == _phase_of.__wrapped__(text)
             assert _processing_of(text) == _processing_of.__wrapped__(text)
+            assert _phase_of(text) in PHASE_KINDS
+            assert _processing_of(text) in PROCESSING_KINDS
         assert _phase_of.cache_info().hits >= len(vocabulary)
 
     def test_length_units(self):
-        assert parse_length("3.19") == LengthAngstrom(3.19)
-        assert parse_length("0.319 nm").value == 3.19
-        assert parse_length("319 pm").value == 3.19
-        assert parse_length("3.19 Å") == LengthAngstrom(3.19)
-        assert parse_length("3.19 angstrom").value == 3.19
-        assert parse_length("0.360 nm").value == pytest.approx(3.60, abs=1e-12)
-        assert parse_length("360 pm").value == pytest.approx(3.60, abs=1e-12)
-        assert parse_length("3.60 angstrom") == LengthAngstrom(3.60)
-        assert parse_length("3.19 +/- 0.02").value == 3.19
+        assert parse_length("3.19") == 3.19
+        assert parse_length("0.319 nm") == 3.19
+        assert parse_length("319 pm") == 3.19
+        assert parse_length("3.19 Å") == 3.19
+        assert parse_length("3.19 angstrom") == 3.19
+        assert parse_length("0.360 nm") == pytest.approx(3.60, abs=1e-12)
+        assert parse_length("360 pm") == pytest.approx(3.60, abs=1e-12)
+        assert parse_length("3.60 angstrom") == 3.60
+        assert parse_length("3.19 +/- 0.02") == 3.19
         # a space-group symbol before the value is not read as the number
-        assert parse_length("Fm-3m, 3.60 Å") == LengthAngstrom(3.60)
-        assert parse_length("Im-3m 0.319 nm") == LengthAngstrom(3.19)
-        assert parse_length("P63/mmc a=3.2 Å") == LengthAngstrom(3.2)
+        assert parse_length("Fm-3m, 3.60 Å") == 3.60
+        assert parse_length("Im-3m 0.319 nm") == 3.19
+        assert parse_length("P63/mmc a=3.2 Å") == 3.2
         # a unit glued to its number is still the unit, but not inside a word
-        assert parse_length("0.36nm").value == pytest.approx(3.60, abs=1e-12)
-        assert parse_length("360pm").value == pytest.approx(3.60, abs=1e-12)
-        assert parse_length("a = 0.3601nm").value == pytest.approx(3.601, abs=1e-12)
-        assert parse_length("0.319NM").value == pytest.approx(3.19, abs=1e-12)
-        assert parse_length("3.19 Å (xnm)") == LengthAngstrom(3.19)
-        assert parse_length("3.19 Å, 5nmol") == LengthAngstrom(3.19)
+        assert parse_length("0.36nm") == pytest.approx(3.60, abs=1e-12)
+        assert parse_length("360pm") == pytest.approx(3.60, abs=1e-12)
+        assert parse_length("a = 0.3601nm") == pytest.approx(3.601, abs=1e-12)
+        assert parse_length("0.319NM") == pytest.approx(3.19, abs=1e-12)
+        assert parse_length("3.19 Å (xnm)") == 3.19
+        assert parse_length("3.19 Å, 5nmol") == 3.19
         for text in ("unreadable", "-3.2", "0 nm"):
             with pytest.raises(RecordError):
                 parse_length(text)
@@ -167,24 +169,27 @@ class TestFieldNormalization:
         with pytest.raises(RecordError, match=r"decimal comma after '3\.6' in lattice field '3\.6,3\.7'$"):
             parse_length("3.6,3.7")
         # a comma that does not follow the value's digits is no decimal comma
-        assert parse_length("3.60 Å, 298 K") == LengthAngstrom(3.60)
-        assert parse_length("Fm-3m, 3.60 Å") == LengthAngstrom(3.60)
+        assert parse_length("3.60 Å, 298 K") == 3.60
+        assert parse_length("Fm-3m, 3.60 Å") == 3.60
 
     def test_type_invariants(self):
-        with pytest.raises(RecordError):
-            PhaseLabel("cubic")
-        with pytest.raises(RecordError):
-            ProcessingCondition("forged")
-        with pytest.raises(RecordError):
-            LengthAngstrom(-1.0)
+        with pytest.raises(RecordError, match="unknown phase kind 'cubic'"):
+            AlloyRecord(DOC, alloy_name="W", phase="cubic")
+        with pytest.raises(RecordError, match="unknown processing kind 'forged'"):
+            AlloyRecord(DOC, alloy_name="W", processing="forged")
+        for length in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(RecordError, match="length must be positive and finite"):
+                AlloyRecord(DOC, alloy_name="W", lattice_constant=length)
+        for text in ("-1", "0", "1e999"):
+            with pytest.raises(RecordError, match="length must be positive and finite"):
+                parse_length(text)
         with pytest.raises(RecordError):
             make_record(DOC)                  # name or composition required
 
     def test_value_classes_are_frozen_slotted_and_pickle(self):
         record = make_record(DOC, alloy_name="MoNbTaW", nominal_composition="MoNbTaW",
                              phase="BCC", processing="as-cast", lattice_constant="3.19")
-        values = (record, record.source, record.nominal_composition, record.phase,
-                  record.processing, record.lattice_constant,
+        values = (record, record.source, record.nominal_composition,
                   record_from_object({"phase": "BCC"}, DOC)[1][0])
         for value in values:
             assert not hasattr(value, "__dict__")
@@ -268,7 +273,7 @@ _SENTINEL_OR_NON_TEXT = st.one_of(_SENTINEL_VARIANTS, _SENTINELS, _NON_TEXT)
 
 def _length_outcome(parse, text):
     try:
-        return parse(text).value.hex()
+        return parse(text).hex()
     except RecordError as exc:
         return type(exc), str(exc)
 
@@ -365,9 +370,9 @@ class TestParseRecordSet:
         result = parse_record_set(text, DOC)
         assert len(result.records) == 1 and not result.issues
         record = result.records[0]
-        assert record.lattice_constant.value == pytest.approx(3.19)
-        assert record.phase.kind == "BCC"
-        assert record.processing.kind == "as_cast"
+        assert record.lattice_constant == pytest.approx(3.19)
+        assert record.phase == "BCC"
+        assert record.processing == "as_cast"
 
     def test_not_found_lattice_absent(self):
         text = json.dumps([{"alloy_name": "MoNbTaW", "lattice_constant_angstrom": "Not found"}])
@@ -541,7 +546,7 @@ class TestRecordWritesBackItsText:
     def test_make_record_writes_a_bare_number_as_printed(self):
         for number, text in ((3, "3"), (3.2, "3.2"), (np.float64(3.2), "3.2")):
             record = make_record(DOC, alloy_name="MoNbTaW", lattice_constant=number)
-            assert record.lattice_constant.value == float(text)
+            assert record.lattice_constant == float(text)
             assert record_to_object(record)["lattice_constant_angstrom"] == text
 
 
@@ -553,7 +558,7 @@ class TestGroundTruth:
         first = truth_records[0]
         assert first.nominal_composition == parse_formula("HfNbTaTiZr")
         assert first.measured_composition is not None
-        assert first.lattice_constant.value == pytest.approx(3.404)
+        assert first.lattice_constant == pytest.approx(3.404)
 
     def test_records_of_a_document_share_its_id(self, truth_by_doc):
         for doc_id, recs in truth_by_doc.items():
