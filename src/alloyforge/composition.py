@@ -251,6 +251,8 @@ def l1_distance(a: Composition, b: Composition) -> float:
     the order in which the support set is walked (which follows string
     hashing and so changes between processes).
     """
+    if a is b:
+        return 0.0  # the sum of zero differences
     fa, fb = a.fractions, b.fractions
     support = fa.keys() | fb.keys()
     return math.fsum(abs(fa.get(sym, 0.0) - fb.get(sym, 0.0)) for sym in support)
@@ -276,16 +278,26 @@ def consistency_check(record) -> list[ConsistencyReport]:
     composition, and the measured composition. A pair is flagged when its L1
     distance exceeds ``CONSISTENCY_L1`` or its cosine similarity falls below
     ``CONSISTENCY_COSINE``.
+
+    A name written with the exact text of a composition field that parsed
+    (``record.raw_fields`` keeps only those) is that field's composition and
+    is not parsed again.
     """
     sources: list[tuple[str, Composition]] = []
-    name = getattr(record, "alloy_name", None)
+    name = record.alloy_name
     if name:
-        try:
-            sources.append(("alloy_name", parse_formula(name)))
-        except CompositionError:
-            pass
+        raw = record.raw_fields
+        if name == raw.get("nominal_composition"):
+            sources.append(("alloy_name", record.nominal_composition))
+        elif name == raw.get("measured_composition"):
+            sources.append(("alloy_name", record.measured_composition))
+        else:
+            try:
+                sources.append(("alloy_name", parse_formula(name)))
+            except CompositionError:
+                pass
     for label in ("nominal_composition", "measured_composition"):
-        comp = getattr(record, label, None)
+        comp = getattr(record, label)
         if comp is not None:
             sources.append((label, comp))
     if len(sources) < 2:
@@ -293,9 +305,13 @@ def consistency_check(record) -> list[ConsistencyReport]:
             f"record has {len(sources)} parseable composition source(s); need at least 2"
         )
     reports = []
+    # sources holding one object repeat a pair of objects, which is scored once
+    scores: dict[tuple[int, int], tuple[float, float]] = {}
     for (label_a, comp_a), (label_b, comp_b) in combinations(sources, 2):
-        l1 = l1_distance(comp_a, comp_b)
-        cos = cosine_similarity(comp_a, comp_b)
+        pair = (id(comp_a), id(comp_b))
+        if pair not in scores:
+            scores[pair] = l1_distance(comp_a, comp_b), cosine_similarity(comp_a, comp_b)
+        l1, cos = scores[pair]
         reports.append(
             ConsistencyReport(
                 l1=l1,

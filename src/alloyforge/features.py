@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -196,9 +197,10 @@ def featurize_dataset(
 def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Read a feature matrix CSV produced by ``FeaturizedDataset.export_csv``.
 
-    Raises ``ValueError`` naming the path for a file with no header, and the
-    path and line for a row whose field count differs from the header's or
-    that holds a non-numeric cell.
+    Raises ``ValueError`` naming the path for a file with no header, the path
+    and line for a row whose field count differs from the header's or that
+    holds a non-numeric cell, and the path, line and column for a ``nan`` or
+    infinite cell, which no descriptor or lattice constant can be.
     """
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -218,9 +220,16 @@ def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
                     f"the header has {len(header)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                column = next(i for i, v in enumerate(values) if not math.isfinite(v))
+                raise ValueError(
+                    f"{path}: line {reader.line_num}, column {header[column]}: "
+                    f"{row[column]!r} is not a finite number"
+                )
+            rows.append(values)
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         return np.empty((0, len(names))), np.empty(0), names

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from .engines import EngineRequest
-from .records import AlloyRecord, record_to_object, serialize_record_set
+from .records import MISSING_SENTINEL, AlloyRecord, serialize_record_set
 
 CONTEXTUAL_HALLUCINATION = "contextual_hallucination"
 SEMANTIC_MISINTERPRETATION = "semantic_misinterpretation"
@@ -171,7 +171,7 @@ def classify_errors(
 
 def record_label(record: AlloyRecord) -> str:
     """The alloy name, else the nominal-composition text, naming a record in reports."""
-    return record.alloy_name or record_to_object(record)["nominal_composition"]
+    return record.alloy_name or record.raw_fields.get("nominal_composition", MISSING_SENTINEL)
 
 
 def quality_report_rows(

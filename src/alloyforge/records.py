@@ -264,11 +264,16 @@ def record_from_object(obj: dict, source: DocumentId, entry_index: int = 0):
     for key in ("nominal_composition", "measured_composition"):
         composition = None
         if key in values:
-            try:
-                composition = parse_formula(values[key])
-            except CompositionError as exc:
-                issues.append(FieldParseIssue(entry_index, key, str(exc)))
-                del values[key]
+            # measured text equal to nominal text that parsed (a nominal text
+            # that failed has left ``values``) is the nominal composition
+            if compositions and values[key] == values.get("nominal_composition"):
+                composition = compositions[0]
+            else:
+                try:
+                    composition = parse_formula(values[key])
+                except CompositionError as exc:
+                    issues.append(FieldParseIssue(entry_index, key, str(exc)))
+                    del values[key]
         compositions.append(composition)
     nominal, measured = compositions
     lattice = None

@@ -11,10 +11,14 @@ from itertools import combinations, permutations
 import numpy as np
 
 from alloyforge.composition import (
+    CONSISTENCY_COSINE,
+    CONSISTENCY_L1,
     ELEMENT_SYMBOLS,
     Composition,
     CompositionError,
+    ConsistencyReport,
     EmptyFormula,
+    NothingToCompare,
     UnknownElement,
     UnresolvedVariable,
     UnsupportedUnits,
@@ -387,6 +391,32 @@ def reference_cosine_similarity(a: Composition, b: Composition) -> float:
     norm_a = math.sqrt(sum(a.get(sym) ** 2 for sym in support))
     norm_b = math.sqrt(sum(b.get(sym) ** 2 for sym in support))
     return min(1.0, max(0.0, dot / (norm_a * norm_b)))
+
+
+def reference_consistency_check(record: AlloyRecord) -> list[ConsistencyReport]:
+    """``composition.consistency_check`` with every source's text parsed afresh:
+    the alloy name, then the nominal and measured text the record was read
+    from, each by ``reference_parse_formula``, and every pair scored on its own."""
+    sources = []
+    if record.alloy_name:
+        try:
+            sources.append(("alloy_name", reference_parse_formula(record.alloy_name)))
+        except CompositionError:
+            pass
+    for label in ("nominal_composition", "measured_composition"):
+        if label in record.raw_fields:
+            sources.append((label, reference_parse_formula(record.raw_fields[label])))
+    if len(sources) < 2:
+        raise NothingToCompare(
+            f"record has {len(sources)} parseable composition source(s); need at least 2"
+        )
+    reports = []
+    for (label_a, comp_a), (label_b, comp_b) in combinations(sources, 2):
+        l1 = l1_distance(comp_a, comp_b)
+        cos = reference_cosine_similarity(comp_a, comp_b)
+        flagged = l1 > CONSISTENCY_L1 or cos < CONSISTENCY_COSINE
+        reports.append(ConsistencyReport(l1, cos, flagged, (label_a, label_b)))
+    return reports
 
 
 # The SMO solver with one numpy pass per quantity, and the ELASSO trainer whose

@@ -412,6 +412,22 @@ def test_train_on_bad_feature_csv_names_the_problem(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_train_refuses_a_non_finite_target_and_writes_no_model(tmp_path, capsys):
+    from alloyforge.features import FEATURE_NAMES, TARGET_COLUMN
+
+    path = tmp_path / "features.csv"
+    rows = [",".join(FEATURE_NAMES + (TARGET_COLUMN,))]
+    rows += [",".join([str(1.0 + 0.1 * i)] * 6 + ["nan" if i == 7 else str(3.0 + 0.01 * i)])
+             for i in range(20)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc = main(["train", "--model", "elasso", "--data", str(path), "--bootstrap", "2",
+               "--out", str(tmp_path / "model.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 9, column {TARGET_COLUMN}: 'nan' is not a finite number\n")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_predict_names_elements_missing_from_the_table(tmp_path, capsys):
     import numpy as np
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alloyforge.composition import (
@@ -22,10 +22,11 @@ from alloyforge.composition import (
     l1_distance,
     parse_formula,
 )
-from alloyforge.records import DocumentId, make_record
+from alloyforge.records import DocumentId, make_record, record_from_object
 
 from tests.oracles import (
     random_composition,
+    reference_consistency_check,
     reference_cosine_similarity,
     reference_from_coefficients,
     reference_parse_formula,
@@ -278,6 +279,20 @@ class TestDistances:
             a, b = (comps[int(i)] for i in rng.integers(0, len(comps), 2))
             assert cosine_similarity(a, b) == reference_cosine_similarity(a, b)
 
+    def test_cosine_similarity_of_one_object_and_one_element_same_bits_as_reference(self):
+        rng = np.random.default_rng(2025)
+        comps = [random_composition(rng, max_elements=7) for _ in range(200)]
+        comps += [parse_formula(text) for text in ("Al", "W", "Fe2", "Al0.5Ni0.5", "CoCrFeMnNi",
+                                                    "Al0.3CoCrFeNi", "Mo25Nb25Ta25W25")]
+        singles = [parse_formula(symbol) for symbol in ("Al", "Co", "Nb", "W", "Zr")]
+        for a in comps + singles:
+            assert cosine_similarity(a, a) == reference_cosine_similarity(a, a)
+            assert l1_distance(a, a) == 0.0
+        for a in singles:
+            for b in comps + singles:
+                assert cosine_similarity(a, b) == reference_cosine_similarity(a, b)
+                assert cosine_similarity(b, a) == reference_cosine_similarity(b, a)
+
     def test_l1_distance_is_independent_of_string_hashing(self):
         # element sets iterate in hash order, which PYTHONHASHSEED changes
         script = (
@@ -339,3 +354,42 @@ class TestConsistencyCheck:
         assert {r.compared_pair for r in reports} == {
             ("nominal_composition", "measured_composition")
         }
+
+
+# composition texts for the name, nominal and measured fields of one record,
+# few enough that equal texts are common: two texts of one composition, a
+# one-element one, texts that fail to parse as a field (and are then no
+# source, though a name may repeat them), names that are no formula, and the
+# sentinel
+_CONSISTENCY_TEXTS = ("MoNbTaW", "Mo25Nb25Ta25W25", "CoCrFeNi", "Al0.5CoCrFeNi", "W",
+                      "CoCrFeNix", "Fe50Ni50 wt%", "Not found")
+_NAME_TEXTS = _CONSISTENCY_TEXTS + ("alloy B2-type", "HEA-1", "")
+
+
+def _consistency_outcome(check, record):
+    try:
+        reports = check(record)
+    except NothingToCompare as exc:
+        return NothingToCompare, str(exc)
+    return [(r.l1.hex(), r.cosine.hex(), r.flagged, r.compared_pair) for r in reports]
+
+
+class TestConsistencyCheckAgainstReference:
+    """Sources that reuse a field's composition give the reports of parsing
+    every source's text afresh, bit for bit, and the same ``NothingToCompare``."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(_NAME_TEXTS), st.sampled_from(_CONSISTENCY_TEXTS),
+           st.sampled_from(_CONSISTENCY_TEXTS))
+    @example("MoNbTaW", "MoNbTaW", "MoNbTaW")
+    @example("CoCrFeNix", "CoCrFeNix", "CoCrFeNi")
+    @example("CoCrFeNi", "Al0.5CoCrFeNi", "CoCrFeNi")
+    @example("Mo25Nb25Ta25W25", "MoNbTaW", "MoNbTaW")
+    @example("W", "Fe50Ni50 wt%", "W")
+    def test_same_reports(self, name, nominal, measured):
+        obj = {"alloy_name": name, "nominal_composition": nominal,
+               "measured_composition": measured}
+        record, _ = record_from_object(obj, DocumentId("docX"))
+        assume(record is not None)
+        assert _consistency_outcome(consistency_check, record) == (
+            _consistency_outcome(reference_consistency_check, record))

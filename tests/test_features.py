@@ -191,6 +191,20 @@ class TestFeaturizeDataset:
         with pytest.raises(ValueError, match="features.csv: line 3: could not convert"):
             load_feature_csv(path)
 
+    @pytest.mark.parametrize("row, column, cell", [
+        ("1,2,nan", "lattice_constant_angstrom", "nan"),
+        ("inf,2,3", "a", "inf"),
+        ("1, -Infinity ,3", "b", " -Infinity "),
+        ("NaN,inf,3", "a", "NaN"),
+    ])
+    def test_load_non_finite_cell_names_line_and_column(self, tmp_path, row, column, cell):
+        path = tmp_path / "features.csv"
+        path.write_text(f"a,b,lattice_constant_angstrom\n1,2,3\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_feature_csv(path)
+        assert str(caught.value) == (
+            f"{path}: line 4, column {column}: {cell!r} is not a finite number")
+
     @pytest.mark.parametrize("row", ["1,2", "1,2,3,4"])
     def test_load_wrong_field_count_names_line(self, tmp_path, row):
         path = tmp_path / "features.csv"

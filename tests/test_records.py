@@ -271,6 +271,13 @@ _FIELD_VALUES = {
 _SENTINEL_OR_NON_TEXT = st.one_of(_SENTINEL_VARIANTS, _SENTINELS, _NON_TEXT)
 
 
+def _measured_as_nominal(obj):
+    """``obj`` with its measured composition written as its nominal one's value."""
+    if "nominal_composition" not in obj:
+        return obj
+    return {**obj, "measured_composition": obj["nominal_composition"]}
+
+
 def _length_outcome(parse, text):
     try:
         return parse(text).hex()
@@ -300,7 +307,7 @@ class TestFieldParsersAgainstReference:
     @given(st.fixed_dictionaries(
         {},
         optional={key: values | _SENTINEL_OR_NON_TEXT for key, values in _FIELD_VALUES.items()},
-    ))
+    ).flatmap(lambda obj: st.sampled_from([obj, _measured_as_nominal(obj)])))
     def test_record_from_object(self, obj):
         assume(not _CHANGED_LENGTH.search(str(obj.get("lattice_constant_angstrom"))))
         assert record_from_object(obj, DOC, 3) == reference_record_from_object(obj, DOC, 3)
@@ -534,6 +541,28 @@ class TestRecordWritesBackItsText:
         written = record_to_object(record)
         for key in SCHEMA_KEYS:
             assert written[key] == (MISSING_SENTINEL if is_missing(obj[key]) else obj[key])
+
+    def test_measured_text_equal_to_nominal_is_the_nominal_composition(self):
+        obj = {"alloy_name": "HEA-1", "nominal_composition": "Al0.5CoCrFeNi (at.%)",
+               "measured_composition": "Al0.5CoCrFeNi (at.%)"}
+        record, issues = record_from_object(obj, DOC)
+        assert not issues
+        assert record.measured_composition is record.nominal_composition
+        assert record.nominal_composition == parse_formula("Al0.5CoCrFeNi")
+        assert record_to_object(record)["measured_composition"] == "Al0.5CoCrFeNi (at.%)"
+        # a different text of the same composition is parsed on its own
+        other, _ = record_from_object({**obj, "measured_composition": "Al0.5CoCrFeNi"}, DOC)
+        assert other.measured_composition == other.nominal_composition
+        assert other.measured_composition is not other.nominal_composition
+
+    def test_measured_text_equal_to_a_bad_nominal_is_reported_for_both(self):
+        obj = {"alloy_name": "HEA-1", "nominal_composition": "Co1.1Cr0.9Nix",
+               "measured_composition": "Co1.1Cr0.9Nix"}
+        record, issues = record_from_object(obj, DOC)
+        assert record.nominal_composition is None and record.measured_composition is None
+        assert [issue.field for issue in issues] == ["nominal_composition",
+                                                     "measured_composition"]
+        assert set(record.raw_fields) == {"alloy_name"}
 
     def test_make_record_rejects_a_bad_formula(self):
         with pytest.raises(RecordError, match="symbolic subscript 'x'"):
