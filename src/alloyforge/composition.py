@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import combinations
@@ -69,8 +70,15 @@ class NothingToCompare(CompositionError):
     """Fewer than two parseable composition sources on the record."""
 
 
+class _WeakReferable:
+    """A slotted base that lets a slotted subclass be weakly referenced
+    (``dataclass(weakref_slot=True)`` needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class Composition:
+class Composition(_WeakReferable):
     """Element symbol -> atomic fraction; fractions are positive and sum to 1."""
 
     fractions: dict[str, float]
@@ -177,6 +185,10 @@ class ConsistencyReport:
     compared_pair: tuple[str, str]
 
 
+# exact formula text -> its Composition, while anything else holds that Composition
+_PARSED: "weakref.WeakValueDictionary[str, Composition]" = weakref.WeakValueDictionary()
+
+
 def parse_formula(text: str) -> Composition:
     """Parse a chemical formula with optional real subscripts into a Composition.
 
@@ -184,7 +196,21 @@ def parse_formula(text: str) -> Composition:
     are summed; parenthesized groups distribute their trailing multiplier over
     the group's coefficients. Whitespace, hyphens, and middle dots separate
     constituents and are ignored.
+
+    Equal texts give one shared Composition while anything holds it: each
+    parsed text is kept in a weak-value memo, which keeps no Composition
+    alive, so an entry goes when the last holder of its Composition does. A
+    text that fails to parse is not kept and fails afresh on every call.
     """
+    composition = _PARSED.get(text)
+    if composition is None:
+        # threads that miss one text together each parse it; the last store
+        # wins, and their compositions are equal
+        composition = _PARSED[text] = _parse_formula(text)
+    return composition
+
+
+def _parse_formula(text: str) -> Composition:
     if text is None:
         raise EmptyFormula("formula is None")
     # every match of either pattern contains its guard, so the guards skip no match
@@ -262,12 +288,15 @@ def cosine_similarity(a: Composition, b: Composition) -> float:
     """Cosine of the two fraction vectors over the union support, in [0, 1].
 
     A composition's fractions are positive and sum to 1, so neither norm is 0.
+    Each sum is ``math.fsum``, exact and rounded once, so the zero terms off
+    each support are left out and the result depends neither on the order
+    the elements are walked nor on the interpreter (builtin ``sum`` of floats
+    is compensated from Python 3.12 and plain before it).
     """
     fa, fb = a.fractions, b.fractions
-    support = sorted(fa.keys() | fb.keys())
-    dot = sum(fa.get(sym, 0.0) * fb.get(sym, 0.0) for sym in support)
-    norm_a = math.sqrt(sum(fa.get(sym, 0.0) ** 2 for sym in support))
-    norm_b = math.sqrt(sum(fb.get(sym, 0.0) ** 2 for sym in support))
+    dot = math.fsum(fa[sym] * fb[sym] for sym in fa.keys() & fb.keys())
+    norm_a = math.sqrt(math.fsum(x ** 2 for x in fa.values()))
+    norm_b = math.sqrt(math.fsum(x ** 2 for x in fb.values()))
     return min(1.0, max(0.0, dot / (norm_a * norm_b)))
 
 
@@ -278,24 +307,13 @@ def consistency_check(record) -> list[ConsistencyReport]:
     composition, and the measured composition. A pair is flagged when its L1
     distance exceeds ``CONSISTENCY_L1`` or its cosine similarity falls below
     ``CONSISTENCY_COSINE``.
-
-    A name written with the exact text of a composition field that parsed
-    (``record.raw_fields`` keeps only those) is that field's composition and
-    is not parsed again.
     """
     sources: list[tuple[str, Composition]] = []
-    name = record.alloy_name
-    if name:
-        raw = record.raw_fields
-        if name == raw.get("nominal_composition"):
-            sources.append(("alloy_name", record.nominal_composition))
-        elif name == raw.get("measured_composition"):
-            sources.append(("alloy_name", record.measured_composition))
-        else:
-            try:
-                sources.append(("alloy_name", parse_formula(name)))
-            except CompositionError:
-                pass
+    if record.alloy_name:
+        try:
+            sources.append(("alloy_name", parse_formula(record.alloy_name)))
+        except CompositionError:
+            pass
     for label in ("nominal_composition", "measured_composition"):
         comp = getattr(record, label)
         if comp is not None:

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import re
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -383,13 +384,18 @@ def reference_featurize(composition: Composition, table) -> np.ndarray:
     return acc
 
 
+def _exact_sum(terms) -> float:
+    """The float terms added exactly as fractions, rounded to a float once."""
+    return float(sum((Fraction(term) for term in terms), Fraction(0)))
+
+
 def reference_cosine_similarity(a: Composition, b: Composition) -> float:
     """Cosine over the sorted union of the two element sets, each fraction read
-    through ``Composition.get``."""
+    through ``Composition.get``, each sum exact and rounded once."""
     support = sorted(a.elements | b.elements)
-    dot = sum(a.get(sym) * b.get(sym) for sym in support)
-    norm_a = math.sqrt(sum(a.get(sym) ** 2 for sym in support))
-    norm_b = math.sqrt(sum(b.get(sym) ** 2 for sym in support))
+    dot = _exact_sum(a.get(sym) * b.get(sym) for sym in support)
+    norm_a = math.sqrt(_exact_sum(a.get(sym) ** 2 for sym in support))
+    norm_b = math.sqrt(_exact_sum(b.get(sym) ** 2 for sym in support))
     return min(1.0, max(0.0, dot / (norm_a * norm_b)))
 
 

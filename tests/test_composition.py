@@ -1,13 +1,19 @@
 import os
+import pickle
+import random
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from alloyforge import composition
 from alloyforge.composition import (
     Composition,
     CompositionError,
@@ -97,6 +103,59 @@ class TestParseFormula:
         for tiny in (1e-5, 3.3e-7, 1e-12):
             comp = Composition.from_coefficients({"Mo": 1, "Nb": 0.5, "W": tiny})
             assert parse_formula(comp.full_precision_formula()) == comp
+
+
+class TestParseMemo:
+    """Equal texts share one Composition while anything holds it; the memo
+    keeps no failure and nothing alive."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("AlxCoCrFeNi", UnresolvedVariable),
+        ("Fe 70 wt% Cr 30 wt%", UnsupportedUnits),
+    ])
+    def test_a_failing_text_fails_alike_on_every_call(self, text, error):
+        outcomes = []
+        for _ in range(3):
+            with pytest.raises(CompositionError) as caught:
+                parse_formula(text)
+            outcomes.append((type(caught.value), str(caught.value)))
+        assert outcomes[0][0] is error
+        assert outcomes == [outcomes[0]] * 3
+        assert text not in composition._PARSED
+
+    def test_threads_parsing_the_same_texts_get_equal_compositions(self):
+        rng = random.Random(30)
+        symbols = ("Al", "Co", "Cr", "Fe", "Hf", "Mo", "Nb", "Ni", "Ta", "Ti", "V", "W", "Zr")
+        texts = ["".join(f"{sym}{rng.randint(1, 999) / 100}"
+                         for sym in rng.sample(symbols, rng.randint(2, 6)))
+                 for _ in range(4000)]
+        results = [None] * 4
+
+        def parse_all(k):
+            results[k] = [parse_formula(text) for text in texts]
+
+        threads = [threading.Thread(target=parse_all, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        # every text starts as a miss, so the threads race to fill each entry
+        with mock.patch.object(composition, "_PARSED", type(composition._PARSED)()):
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [reference_parse_formula(text) for text in texts]
+        for result in results:
+            assert result == expected
+
+    def test_a_pickled_composition_is_equal_and_weakly_referable(self):
+        comp = parse_formula("Mo25Nb25Ta25W25")
+        loaded = pickle.loads(pickle.dumps(comp))
+        assert loaded == comp and loaded is not comp
+        assert weakref.ref(loaded)() is loaded
 
 
 # one- and two-letter symbols sharing a first letter, non-symbols, subscripts,
@@ -292,6 +351,24 @@ class TestDistances:
             for b in comps + singles:
                 assert cosine_similarity(a, b) == reference_cosine_similarity(a, b)
                 assert cosine_similarity(b, a) == reference_cosine_similarity(b, a)
+
+    # pairs whose cosine Python 3.11's plain and 3.12's compensated builtin
+    # ``sum`` round to different bits
+    @pytest.mark.parametrize("a, b, expected", [
+        ({"Cr": 0.26, "Ni": 0.25, "Ta": 0.49}, {"Cr": 0.1, "Fe": 0.29, "W": 0.61},
+         "0x1.0058f0a4e18f0p-4"),
+        ({"Co": 0.18, "Fe": 0.23, "W": 0.59}, {"Al": 0.14, "Co": 0.4, "Fe": 0.27, "Ti": 0.19},
+         "0x1.8445a46b27bdcp-2"),
+        ({"Al": 0.39, "Nb": 0.1, "Ti": 0.51}, {"Al": 0.07, "Co": 0.25, "Nb": 0.22, "Ti": 0.46},
+         "0x1.86f6d07f9bea0p-1"),
+        ({"Co": 0.2, "Cr": 0.2, "Fe": 0.2, "Mn": 0.2, "Ni": 0.2},
+         {"Co": 0.2, "Cr": 0.21, "Fe": 0.18, "Mn": 0.23, "Ni": 0.18}, "0x1.fdb620affdd2dp-1"),
+    ])
+    def test_cosine_similarity_has_the_same_bits_on_every_python(self, a, b, expected):
+        comp_a, comp_b = Composition(a), Composition(b)
+        assert cosine_similarity(comp_a, comp_b).hex() == expected
+        assert cosine_similarity(comp_b, comp_a).hex() == expected
+        assert reference_cosine_similarity(comp_a, comp_b).hex() == expected
 
     def test_l1_distance_is_independent_of_string_hashing(self):
         # element sets iterate in hash order, which PYTHONHASHSEED changes

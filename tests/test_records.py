@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import math
 import pickle
 import re
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,9 +13,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alloyforge import records
+from alloyforge import composition, records
 from alloyforge.composition import Composition, parse_formula
+from alloyforge.pipeline import load_dataset
 from alloyforge.records import (
+    GROUND_TRUTH_COLUMNS,
     MISSING_SENTINEL,
     SCHEMA_KEYS,
     AlloyRecord,
@@ -593,6 +597,27 @@ class TestGroundTruth:
         for doc_id, recs in truth_by_doc.items():
             assert recs[0].source == DocumentId(doc_id)
             assert all(r.source is recs[0].source for r in recs)
+
+    def test_a_dataset_and_a_truth_file_share_one_composition_while_held(self, tmp_path):
+        text = "Al0.3CoCrFeNi (at.%)"
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text(json.dumps({"doc_id": "d1", "alloy_name": "HEA-1",
+                                       "nominal_composition": text}) + "\n", encoding="utf-8")
+        truth = tmp_path / "truth.csv"
+        truth.write_text(",".join(GROUND_TRUTH_COLUMNS) + "\n"
+                         f"d1,HEA-1,{text},{text},BCC,as-cast,3.59\n", encoding="utf-8")
+        # an empty memo of the module's own kind, so no other test's entries count
+        with mock.patch.object(composition, "_PARSED", type(composition._PARSED)()) as memo:
+            extracted = load_dataset(dataset)["d1"]
+            expert = load_ground_truth(truth)
+            nominal = extracted[0].nominal_composition
+            assert expert[0].nominal_composition is nominal
+            assert expert[0].measured_composition is nominal
+            held = weakref.ref(nominal)
+            del extracted, expert, nominal
+            gc.collect()
+            assert held() is None
+            assert len(memo) == 0
 
     def test_missing_column(self, tmp_path):
         bad = tmp_path / "bad.csv"
