@@ -14,7 +14,7 @@ import threading
 from pathlib import Path
 
 from . import config as config_mod
-from . import evaluation, features, ml, optimizer, pipeline, quality
+from . import evaluation, optimizer, pipeline, quality
 from .composition import parse_formula
 from .engines import EngineError, engine_from_config
 from .records import group_by_doc, load_ground_truth
@@ -249,6 +249,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    from . import features   # numpy loads for the modeling commands only
+
     dataset = pipeline.load_dataset(args.dataset)
     table = features.ElementPropertyTable.from_csv(args.table) if args.table \
         else features.default_table()
@@ -265,6 +267,8 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import features, ml
+
     X, y, names = features.load_feature_csv(args.data)
     if names != features.FEATURE_NAMES:
         header = ",".join(features.FEATURE_NAMES + (features.TARGET_COLUMN,))
@@ -294,12 +298,14 @@ def cmd_train(args) -> int:
         print(f"SVR grid fits stopped at the SMO iteration cap: "
               f"{model.extra['svr_nonconverged']}")
     else:
-        print(f"LASSO fits stopped at the sweep cap: {model.extra['lasso_capped']}")
+        print(f"LASSO paths stopped at the step cap: {model.extra['lasso_capped']}")
     print(f"model written to {args.out}")
     return 0
 
 
 def cmd_predict(args) -> int:
+    from . import features, ml
+
     model = ml.load_model(args.model)
     table = features.ElementPropertyTable.from_csv(args.table) if args.table \
         else features.default_table()

@@ -3,8 +3,8 @@
 Two model families are provided: bootstrap ensembles of RBF-kernel epsilon-SVR
 estimators (dual solved by SMO with second-order working-set selection, warm
 started along each gamma's ascending cost grid) and bootstrap ensembles of
-LASSO estimators (cyclic coordinate descent with a KKT-certified active-set
-finish, per-resample penalty chosen by 10-fold cross-validation). Ensemble
+LASSO estimators (the exact homotopy path over each resample's penalty grid,
+per-resample penalty chosen by 10-fold cross-validation). Ensemble
 spread (population standard deviation of member predictions) is reported as
 the prediction uncertainty.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -27,12 +26,10 @@ DEFAULT_ENSEMBLE_SIZES = (10, 20, 30, 40, 50, 75, 100)
 DEFAULT_EPSILON = 0.1          # tube width in standardized target units
 SVR_TOL = 1e-3                 # KKT violation at which SMO stops
 ESVR_VAL_FRACTION = 0.25       # share of the training set carved off for validation
-LASSO_TOL = 1e-8
 CV_FOLDS = 10
-_PATH_TOL = 1e-6               # looser tolerance for the warm-started path fits
-_KKT_RTOL = 1e-10              # relative slack of the LASSO active-set certificate
 _PIVOT_RTOL = 1e-10            # Cholesky pivot share below which gram[A, A] is singular
-_FEATURE_SIGN_STEPS = 20       # step budget of one active-set finish
+_EVENT_RTOL = 1e-9             # an event this close to the last one is its rounding
+_PATH_STEPS = 20               # step cap of one LASSO homotopy path, per feature
 _TAU = 1e-12
 
 logger = logging.getLogger(__name__)
@@ -470,206 +467,101 @@ def train_esvr(
     )
 
 
-# --- LASSO via cyclic coordinate descent ---------------------------------------------
+# --- LASSO via the homotopy path ---------------------------------------------------
 
 
-def _soft_threshold(z: float, lam: float) -> float:
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
+def _lasso_path(gram, corr, grid):
+    """Exact minimizers of (1/2) w'Gram w - corr'w + lam*||w||_1 along ``grid``.
 
+    With Gram = X'X/n and corr = X'y/n this is the LASSO
+    (1/2n)||y - Xw||^2 + lam*||w||_1. The homotopy (LARS with the lasso
+    modification; Osborne, Presnell & Turlach 2000, Efron et al. 2004) starts
+    at the shutoff penalty max|corr|, where w = 0, and follows the solution
+    down: on a stretch with active set A and signs s it is
+    w[A] = gram[A, A]^-1 (corr[A] - lam * s), linear in lam, and it bends
+    where an inactive correlation |corr - gram w| reaches lam (the feature
+    joins) or an active coefficient reaches zero (it drops). An event within
+    ``_EVENT_RTOL`` of the penalty where the same feature just changed is
+    that change's rounding and is skipped. A feature whose join would leave
+    gram[A, A] with a Cholesky pivot at or below ``_PIVOT_RTOL`` of its
+    diagonal entry never joins: in exact arithmetic it is a combination of
+    the active columns, whose correlation stays within the penalty.
 
-class _LassoPath:
-    """One LASSO problem's moments as Python lists, and the Cholesky factors
-    of gram[A, A] built so far for the supports A met along its penalty path.
-
-    The fits along one path share it: consecutive penalties usually keep the
-    support, so its factor is built once. A singular support maps to None.
+    ``grid`` is decreasing and nonnegative. Returns (W, capped): W[k] solves
+    the problem at grid[k], and is zero at or above the shutoff. capped is
+    True when the path took ``_PATH_STEPS`` steps per feature with grid
+    points left; those points then hold the coefficients at the last bend.
     """
-
-    def __init__(self, gram, corr, diag):
-        self.gram_rows = np.asarray(gram, dtype=float).tolist()
-        self.corr = np.asarray(corr, dtype=float).tolist()
-        self.diag = np.asarray(diag, dtype=float).tolist()
-        self.factors = {}   # support tuple -> lower-triangular rows, or None
-
-
-def _cholesky(gram_rows, active):
-    """Lower-triangular rows of the Cholesky factor of gram[A, A] for A = ``active``.
-
-    None when a pivot is at or below ``_PIVOT_RTOL`` of its diagonal entry
-    (gram[A, A] near-singular).
-    """
-    chol = []
-    for a, j in enumerate(active):
-        row = gram_rows[j]
-        lrow = []
-        for b in range(a):
-            lb = chol[b]
-            lrow.append((row[active[b]] - sum(map(operator.mul, lrow, lb))) / lb[b])
-        pivot = row[j] - sum(map(operator.mul, lrow, lrow))
-        if not pivot > _PIVOT_RTOL * row[j]:
-            return None
-        lrow.append(math.sqrt(pivot))
-        chol.append(lrow)
-    return chol
-
-
-def _cholesky_solve(chol, rhs):
-    """Solve L L' v = rhs by forward and back substitution; v as a list."""
-    m = len(chol)
-    z = []
-    for a in range(m):
-        la = chol[a]
-        z.append((rhs[a] - sum(map(operator.mul, la, z))) / la[a])
-    v = [0.0] * m
-    for a in reversed(range(m)):
-        v[a] = (z[a] - sum(chol[k][a] * v[k] for k in range(a + 1, m))) / chol[a][a]
-    return v
-
-
-def _lasso_objective(gram_rows, corr, lam, x):
-    """(1/2) x'Gram x - corr'x + lam*||x||_1, the LASSO objective less a constant."""
-    total = 0.0
-    for j, xj in enumerate(x):
-        if xj:
-            row = gram_rows[j]
-            total += xj * (0.5 * sum(map(operator.mul, row, x)) - corr[j]) + lam * abs(xj)
-    return total
-
-
-def _active_set_solution(gram_rows, corr, lam, w, factors=None):
-    """Finish a coordinate-descent iterate ``w`` exactly, or return None.
-
-    Feature-sign search (Lee, Battle, Raina & Ng 2007, NIPS 19), an active-set
-    method: on the support A of w with signs s it solves
-    gram[A, A] v = corr[A] - lam * s[A] and moves to the lowest-objective point
-    among v and the points where the segment from w to v crosses zero on some
-    coordinate; once w is optimal on A, the zero coordinate with the largest
-    |corr - gram w| above lam joins A. Each step lowers the objective. A
-    returned w passes the subgradient certificate to a slack of ``_KKT_RTOL``
-    times max(lam, max|corr|): corr - gram w = lam * sign(w) where w != 0, and
-    |corr - gram w| <= lam where w = 0. A near-singular gram[A, A] or
-    ``_FEATURE_SIGN_STEPS`` steps without a certificate give None.
-    ``factors`` caches the Cholesky factor of each support (a
-    ``_LassoPath.factors``); without it the call keeps its own.
-    """
-    p = len(corr)
-    if factors is None:
-        factors = {}
-    slack = _KKT_RTOL * max(lam, max(map(abs, corr), default=0.0))
-    for _ in range(_FEATURE_SIGN_STEPS):
-        grad = [c - sum(map(operator.mul, row, w)) for c, row in zip(corr, gram_rows)]
-        signs = [(x > 0.0) - (x < 0.0) for x in w]
-        if all(abs(g - lam * s) <= slack for g, s in zip(grad, signs) if s):
-            zeros = [j for j in range(p) if not signs[j]]
-            j_add = max(zeros, key=lambda j: abs(grad[j]), default=None)
-            if j_add is None or abs(grad[j_add]) <= lam + slack:
-                return w
-            signs[j_add] = 1 if grad[j_add] > 0.0 else -1
-        active = [j for j in range(p) if signs[j]]
-        support = tuple(active)
-        if support not in factors:
-            factors[support] = _cholesky(gram_rows, active)
-        chol = factors[support]
-        if chol is None:
-            return None
-        v = _cholesky_solve(chol, [corr[j] - lam * signs[j] for j in active])
-        target = [0.0] * p
-        for j, vj in zip(active, v):
-            target[j] = vj
-        best = target
-        # the points where the segment from w to target crosses zero
-        crossing = [j for j in active if w[j] * target[j] < 0.0]
-        if crossing:
-            best_f = _lasso_objective(gram_rows, corr, lam, target)
-            for j in crossing:
-                t = w[j] / (w[j] - target[j])
-                x = [a + t * (b - a) for a, b in zip(w, target)]
-                x[j] = 0.0
-                f = _lasso_objective(gram_rows, corr, lam, x)
-                if f < best_f:
-                    best, best_f = x, f
-        w = best
-    return None
-
-
-def _lasso_cd(gram, corr, diag, lam, tol, max_iter, w0=None, path=None):
-    """Minimize (1/2n)||y - Xw||^2 + lam*||w||_1 given Gram = X'X/n, corr = X'y/n.
-
-    Cyclic coordinate descent with an exact active-set finish. Once a sweep
-    leaves the sign pattern of w as it found it (the first sweep compares with
-    ``w0``), or moves no coordinate by more than ``tol``, ``_active_set_solution``
-    finishes from w, and its result is returned if it passes the subgradient
-    certificate; otherwise the sweeps go on, and the finish is not tried again
-    until the sign pattern changes. Returns (w, capped): capped is True when the
-    sweeps reached ``max_iter`` with neither a certified solution nor a sweep
-    below ``tol``, and w is then the last iterate, as plain descent leaves it.
-
-    ``path``, a ``_LassoPath`` of the same gram, corr and diag, is shared by
-    the fits along one penalty path: it holds their list forms and the
-    Cholesky factors built so far. Without one, the call makes its own.
-
-    The sweep loop runs on plain Python floats; for the handful of features
-    used here that is severalfold faster than numpy scalar indexing.
-    """
-    if path is None:
-        path = _LassoPath(gram, corr, diag)
-    gram_rows, corr_list, diag_list = path.gram_rows, path.corr, path.diag
-    p, lam = len(corr_list), float(lam)
-    w = [0.0] * p if w0 is None else np.asarray(w0, dtype=float).tolist()
-    gw = [sum(map(operator.mul, row, w)) for row in gram_rows]
-    signs = [(x > 0.0) - (x < 0.0) for x in w]
-    failed = None
-    for _ in range(max_iter):
-        biggest = 0.0
-        for j in range(p):
-            dj = diag_list[j]
-            if dj <= 0.0:
-                continue
-            rho = corr_list[j] - gw[j] + dj * w[j]
-            new = _soft_threshold(rho, lam) / dj
-            delta = new - w[j]
-            if delta != 0.0:
-                col = gram_rows[j]
-                for i in range(p):
-                    gw[i] += col[i] * delta
-                w[j] = new
-                if -delta > biggest:
-                    biggest = -delta
-                elif delta > biggest:
-                    biggest = delta
-        found, signs = signs, [(x > 0.0) - (x < 0.0) for x in w]
-        if (signs == found or biggest <= tol) and signs != failed:
-            exact = _active_set_solution(gram_rows, corr_list, lam, w, path.factors)
-            if exact is not None:
-                return np.asarray(exact), False
-            failed = signs
-        if biggest <= tol:
-            return np.asarray(w), False
-    return np.asarray(w), True
+    gram = np.asarray(gram, dtype=float)
+    corr = np.asarray(corr, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    p, m = len(corr), len(grid)
+    W = np.zeros((m, p))
+    lam = float(np.max(np.abs(corr), initial=0.0))
+    k = int(np.count_nonzero(grid >= lam))   # grid points where w = 0
+    if k == m:
+        return W, False
+    diag = np.diag(gram)
+    # row j: corr[j], the sign of w[j] while j is active, gram[j]
+    system = np.column_stack([corr, np.zeros(p), gram])
+    events = np.empty((3, p))   # per feature, the penalty where it reaches +lam, -lam, 0
+    active = []
+    changed = int(np.argmax(np.abs(corr)))   # the feature the next step adds or drops
+    system[changed, 1] = 1.0 if corr[changed] > 0.0 else -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_PATH_STEPS * p):
+            if changed in active:
+                active.remove(changed)
+            else:
+                active.append(changed)
+            rows = system[active]
+            gram_rows = rows[:, 2:]
+            # w[A] = a - lam * d; the other columns give the pivot each inactive
+            # feature would add to the Cholesky factor of gram[A, A]
+            solved = np.linalg.solve(gram_rows[:, active], rows)
+            a, d = solved[:, 0], solved[:, 1]
+            pivot = diag - np.einsum("ij,ij->j", gram_rows, solved[:, 2:])
+            # off A, corr - gram w = alpha + lam * beta
+            alpha, beta = corr - a @ gram_rows, d @ gram_rows
+            np.divide(alpha, 1.0 - beta, out=events[0])
+            np.divide(alpha, -1.0 - beta, out=events[1])
+            events[:2, pivot <= _PIVOT_RTOL * diag] = 0.0
+            events[:2, active] = 0.0
+            events[2] = 0.0
+            events[2, active] = a / d
+            just = events[:, changed]   # the change just made echoes near lam
+            just[just >= lam * (1.0 - _EVENT_RTOL)] = 0.0
+            events[~((events > 0.0) & (events < lam))] = 0.0
+            kind, changed = divmod(int(events.argmax()), p)
+            lam = events.item(kind, changed)
+            if kind < 2:
+                system[changed, 1] = 1.0 - 2.0 * kind
+            # the grid points on this stretch, down to the next bend (to 0 after the last)
+            stop = int(np.count_nonzero(grid >= lam))
+            W[k:stop, active] = a - grid[k:stop, None] * d
+            if stop == m:
+                return W, False
+            k = stop
+    W[k:, active] = a - lam * d   # stopped at the cap: the rest hold the last bend
+    return W, True
 
 
 def _centered_moments(X: np.ndarray, y: np.ndarray):
-    """(x_mean, y_mean, Gram = Xc'Xc/n, corr = Xc'yc/n, diag(Gram)) for centered Xc, yc."""
+    """(x_mean, y_mean, Gram = Xc'Xc/n, corr = Xc'yc/n) for centered Xc, yc."""
     n = len(y)
     x_mean, y_mean = X.mean(axis=0), float(y.mean())
     Xc, yc = X - x_mean, y - y_mean
-    gram = Xc.T @ Xc / n
-    return x_mean, y_mean, gram, Xc.T @ yc / n, np.diag(gram).copy()
+    return x_mean, y_mean, Xc.T @ Xc / n, Xc.T @ yc / n
 
 
 def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float):
-    """Fit one LASSO by cyclic coordinate descent; returns (coef, intercept)."""
+    """Fit one LASSO, read off the homotopy path; returns (coef, intercept)."""
     if lam < 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
-    x_mean, y_mean, gram, corr, diag = _centered_moments(
+    x_mean, y_mean, gram, corr = _centered_moments(
         np.asarray(X, dtype=float), np.asarray(y, dtype=float))
-    w, _ = _lasso_cd(gram, corr, diag, lam, LASSO_TOL, 100_000)
-    intercept = y_mean - float(x_mean @ w)
-    return w, intercept
+    w = _lasso_path(gram, corr, [lam])[0][0]
+    return w, y_mean - float(x_mean @ w)
 
 
 def lasso_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -688,9 +580,11 @@ def train_elasso(
 
     Each of the ``B`` resamples carries its own penalty, chosen to minimize
     mean squared error under ``CV_FOLDS``-fold cross-validation over a
-    50-point logarithmic grid below that resample's shutoff penalty.
-    ``extra["lasso_capped"]`` counts the LASSO fits (path, refit and final)
-    that stopped at their sweep cap without a certified solution.
+    50-point logarithmic grid below that resample's shutoff penalty. Each
+    fold scores the whole grid from one homotopy path, and the resample's
+    coefficients are read off its own path, run down to the chosen penalty.
+    ``extra["lasso_capped"]`` counts the paths (``CV_FOLDS`` + 1 per
+    resample) that stopped at their step cap.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -707,12 +601,12 @@ def train_elasso(
     Z, u = std.x(X), std.y(y)
     children = np.random.SeedSequence(seed).spawn(B)
 
-    estimators, fits, capped = [], 0, 0
+    estimators, capped = [], 0
     for b in range(B):
         rng = np.random.default_rng(children[b])
         picks = rng.integers(0, n, n)
         Zb, ub = Z[picks], u[picks]
-        xm, ym, gram, corr, diag = _centered_moments(Zb, ub)
+        xm, ym, gram, corr = _centered_moments(Zb, ub)
         lam_max = float(np.max(np.abs(corr)))
         if lam_max <= 0:
             lam_max = 1e-8
@@ -722,39 +616,22 @@ def train_elasso(
         cv_errors = np.zeros(len(grid))
         for fold in range(CV_FOLDS):
             val_mask = fold_ids == fold
-            Zv, uv = Zb[val_mask], ub[val_mask]
-            fxm, fym, fgram, fcorr, fdiag = _centered_moments(Zb[~val_mask], ub[~val_mask])
-            fold_path, Zc = _LassoPath(fgram, fcorr, fdiag), Zv - fxm
-            preds, w = [], None
-            for lam in grid:
-                # scoring fits ride the warm-started path; loose tolerance and a
-                # small sweep cap keep ill-conditioned resamples from stalling
-                w, hit_cap = _lasso_cd(fgram, fcorr, fdiag, lam, _PATH_TOL, 300, w0=w,
-                                       path=fold_path)
-                capped += hit_cap
-                preds.append(Zc @ w)
-            # one (penalty, sample) array scores the fold: each row's mean sums
-            # in the order a one-penalty mean would. A stacked Zc @ W.T would
-            # save the matrix-vector products but round them differently.
-            err = np.array(preds)
-            err += fym
-            err -= uv
-            cv_errors += np.mean(np.square(err, out=err), axis=1)
-        best_idx = int(np.argmin(cv_errors))
-        best_lam = float(grid[best_idx])
-        full_path, w = _LassoPath(gram, corr, diag), None
-        for lam in grid[: best_idx + 1]:
-            w, hit_cap = _lasso_cd(gram, corr, diag, float(lam), _PATH_TOL, 300, w0=w,
-                                   path=full_path)
+            fxm, fym, fgram, fcorr = _centered_moments(Zb[~val_mask], ub[~val_mask])
+            W, hit_cap = _lasso_path(fgram, fcorr, grid)
             capped += hit_cap
-        w, hit_cap = _lasso_cd(gram, corr, diag, best_lam, LASSO_TOL, 5_000, w0=w,
-                               path=full_path)
+            # (validation sample, penalty) errors of the whole grid
+            err = (Zb[val_mask] - fxm) @ W.T
+            err += fym - ub[val_mask, None]
+            cv_errors += np.mean(np.square(err, out=err), axis=0)
+        best_idx = int(np.argmin(cv_errors))
+        W, hit_cap = _lasso_path(gram, corr, grid[: best_idx + 1])
         capped += hit_cap
-        fits += CV_FOLDS * len(grid) + best_idx + 2
-        intercept = ym - float(xm @ w)
-        estimators.append(LassoEstimator(coef=w, intercept=intercept, lam=best_lam))
+        w = W[-1]
+        estimators.append(LassoEstimator(
+            coef=w, intercept=ym - float(xm @ w), lam=float(grid[best_idx])))
     if capped:
-        logger.warning("%d of %d LASSO fits stopped at the sweep cap", capped, fits)
+        logger.warning("%d of %d LASSO paths stopped at the step cap",
+                       capped, B * (CV_FOLDS + 1))
 
     return EnsembleModel(
         kind="elasso",

@@ -38,20 +38,15 @@ from alloyforge.records import (
     _processing_of,
 )
 from alloyforge.ml import (
-    _FEATURE_SIGN_STEPS,
-    _KKT_RTOL,
-    _PATH_TOL,
     _PIVOT_RTOL,
     _TAU,
     CV_FOLDS,
-    LASSO_TOL,
     DimensionMismatch,
     EnsembleModel,
     LassoEstimator,
     Standardizer,
     TooFewSamples,
     _centered_moments,
-    _soft_threshold,
     logger,
 )
 
@@ -425,9 +420,11 @@ def reference_consistency_check(record: AlloyRecord) -> list[ConsistencyReport]:
     return reports
 
 
-# The SMO solver with one numpy pass per quantity, and the ELASSO trainer whose
-# certified descent builds each Cholesky factor afresh and scores each penalty
-# on its own. The tuned versions in ``alloyforge.ml`` must match them bit for bit.
+# The SMO solver with one numpy pass per quantity, which ``alloyforge.ml`` must
+# match bit for bit, and the coordinate-descent ELASSO trainer whose certified
+# descent builds each Cholesky factor afresh and scores each penalty on its own.
+# The homotopy path in ``alloyforge.ml`` rounds differently: it must choose the
+# same penalties, with coefficients within a stated tolerance.
 
 
 def reference_smo_epsilon_svr(K, y, cost, epsilon, tol, max_iter, beta0=None):
@@ -543,6 +540,22 @@ def reference_smo_epsilon_svr(K, y, cost, epsilon, tol, max_iter, beta0=None):
         bias = ((m_up if m_up > -np.inf else 0.0) + (m_low if m_low < np.inf else 0.0)) / 2.0
     beta = alpha[0] - alpha[1]
     return beta, bias, iterations, converged
+
+
+# The coordinate-descent ELASSO that the homotopy path replaced: its tolerances,
+# certificate slack and step budget, as the package had them.
+LASSO_TOL = 1e-8
+_PATH_TOL = 1e-6               # looser tolerance for the warm-started path fits
+_KKT_RTOL = 1e-10              # relative slack of the LASSO active-set certificate
+_FEATURE_SIGN_STEPS = 20       # step budget of one active-set finish
+
+
+def _soft_threshold(z: float, lam: float) -> float:
+    if z > lam:
+        return z - lam
+    if z < -lam:
+        return z + lam
+    return 0.0
 
 
 def _ref_solve_on_support(gram_rows, rhs, active):
@@ -687,6 +700,7 @@ def reference_train_elasso(
     y,
     B: int = 1000,
     seed: int = 0,
+    lasso=reference_certified_lasso_cd,
 ) -> EnsembleModel:
     """Train a bootstrap LASSO ensemble.
 
@@ -694,7 +708,9 @@ def reference_train_elasso(
     mean squared error under ``CV_FOLDS``-fold cross-validation over a
     50-point logarithmic grid below that resample's shutoff penalty.
     ``extra["lasso_capped"]`` counts the LASSO fits (path, refit and final)
-    that stopped at their sweep cap without a certified solution.
+    that stopped at their sweep cap without a certified solution. Every fit
+    is ``lasso(gram, corr, diag, lam, tol, max_iter, w0=w)``, which returns
+    (w, capped).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -716,7 +732,8 @@ def reference_train_elasso(
         rng = np.random.default_rng(children[b])
         picks = rng.integers(0, n, n)
         Zb, ub = Z[picks], u[picks]
-        xm, ym, gram, corr, diag = _centered_moments(Zb, ub)
+        xm, ym, gram, corr = _centered_moments(Zb, ub)
+        diag = np.diag(gram).copy()
         lam_max = float(np.max(np.abs(corr)))
         if lam_max <= 0:
             lam_max = 1e-8
@@ -727,13 +744,13 @@ def reference_train_elasso(
         for fold in range(CV_FOLDS):
             val_mask = fold_ids == fold
             Zv, uv = Zb[val_mask], ub[val_mask]
-            fxm, fym, fgram, fcorr, fdiag = _centered_moments(Zb[~val_mask], ub[~val_mask])
+            fxm, fym, fgram, fcorr = _centered_moments(Zb[~val_mask], ub[~val_mask])
+            fdiag = np.diag(fgram).copy()
             w = None
             for g_idx, lam in enumerate(grid):
                 # scoring fits ride the warm-started path; loose tolerance and a
                 # small sweep cap keep ill-conditioned resamples from stalling
-                w, hit_cap = reference_certified_lasso_cd(
-                    fgram, fcorr, fdiag, lam, _PATH_TOL, 300, w0=w)
+                w, hit_cap = lasso(fgram, fcorr, fdiag, lam, _PATH_TOL, 300, w0=w)
                 capped += hit_cap
                 pred = (Zv - fxm) @ w + fym
                 cv_errors[g_idx] += float(np.mean((pred - uv) ** 2))
@@ -741,11 +758,9 @@ def reference_train_elasso(
         best_lam = float(grid[best_idx])
         w = None
         for lam in grid[: best_idx + 1]:
-            w, hit_cap = reference_certified_lasso_cd(
-                gram, corr, diag, float(lam), _PATH_TOL, 300, w0=w)
+            w, hit_cap = lasso(gram, corr, diag, float(lam), _PATH_TOL, 300, w0=w)
             capped += hit_cap
-        w, hit_cap = reference_certified_lasso_cd(
-            gram, corr, diag, best_lam, LASSO_TOL, 5_000, w0=w)
+        w, hit_cap = lasso(gram, corr, diag, best_lam, LASSO_TOL, 5_000, w0=w)
         capped += hit_cap
         fits += CV_FOLDS * len(grid) + best_idx + 2
         intercept = ym - float(xm @ w)

@@ -120,7 +120,7 @@ def test_featurize_train_predict_flow(workspace, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "test R2" in out
-    assert "LASSO fits stopped at the sweep cap: 0" in out
+    assert "LASSO paths stopped at the step cap: 0" in out
 
     rc = main(["train", "--model", "esvr", "--data", str(work / "features.csv"),
                "--out", str(work / "esvr.json"), "--seed", "1"])

@@ -47,11 +47,38 @@ def assert_svr_kkt(K, y, beta, bias, hp, tol):
 
 
 def correlated_moments(rng, n=60, p=6, noise=0.05):
-    """Gram, corr and diag of a standardized problem whose columns share one factor."""
+    """Gram and corr of a standardized problem whose columns share one factor."""
     X = rng.normal(size=(n, 1)) + noise * rng.normal(size=(n, p))
     y = X @ rng.normal(size=p) + rng.normal(0, 0.1, n)
-    _, _, gram, corr, diag = ml._centered_moments(standardize(X), (y - y.mean()) / y.std())
-    return gram, corr, diag
+    _, _, gram, corr = ml._centered_moments(standardize(X), (y - y.mean()) / y.std())
+    return gram, corr
+
+
+def rejoin_moments():
+    """Gram and corr of a problem whose LASSO path drops feature 1 and rejoins it.
+
+    Feature 1 follows the sum of features 0 and 2, so it joins first with a
+    positive sign; its least-squares coefficient is negative.
+    """
+    rng = np.random.default_rng(48)
+    x0, x2, e = rng.normal(size=(3, 80))
+    x1 = 0.65 * (x0 + x2) + 0.35 * e
+    X = np.column_stack([x0, x1, x2, rng.normal(size=(80, 3))])
+    y = x0 + x2 - 0.3 * x1 + rng.normal(0, 0.05, 80)
+    return ml._centered_moments(X, y)[2:]
+
+
+def lasso_grid(corr):
+    """train_elasso's 50-point grid, from the shutoff penalty down to 1e-4 of it."""
+    lam_max = float(np.max(np.abs(corr)))
+    return np.geomspace(lam_max, lam_max * 1e-4, 50)
+
+
+def correlated_elasso_problem():
+    rng = np.random.default_rng(46)
+    X = rng.normal(size=(80, 1)) + 0.2 * rng.normal(size=(80, 6))
+    y = X @ np.array([0.5, 0.3, -0.2, 0.1, 0.0, 0.05]) + rng.normal(0, 0.05, 80)
+    return X, y
 
 
 def assert_lasso_kkt(gram, corr, w, lam, slack):
@@ -274,30 +301,33 @@ class TestLasso:
 
 
 class TestLassoActiveSetFinish:
-    """``_lasso_cd`` as the ELASSO path calls it: loose tolerance, 300-sweep cap."""
+    """``_lasso_path``, the active-set homotopy behind every ELASSO fit."""
 
     def test_certified_on_correlated_problems(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
-            gram, corr, diag = correlated_moments(rng, n=int(rng.integers(30, 100)))
+            gram, corr = correlated_moments(rng, n=int(rng.integers(30, 100)))
             assert np.linalg.cond(gram) >= 500
-            lam = float(rng.uniform(0.001, 0.5)) * float(np.max(np.abs(corr)))
-            w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300)
+            grid = lasso_grid(corr)
+            W, capped = ml._lasso_path(gram, corr, grid)
             assert not capped
-            assert_lasso_kkt(gram, corr, w, lam, 1e-9)
+            for w, lam in zip(W, grid):
+                assert_lasso_kkt(gram, corr, w, lam, 1e-9)
 
-    def test_certified_from_a_wrong_warm_start(self):
-        rng = np.random.default_rng(43)
-        for trial in range(20):
-            gram, corr, diag = correlated_moments(rng)
-            lam = float(rng.uniform(0.05, 0.5)) * float(np.max(np.abs(corr)))
-            exact, _ = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300)
-            # zero the true support and put flipped weight everywhere else
-            w0 = np.where(exact == 0.0, -rng.uniform(0.5, 2.0, 6), 0.0)
-            w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300, w0=w0)
-            assert not capped
-            assert_lasso_kkt(gram, corr, w, lam, 1e-9)
-            assert np.max(np.abs(w - exact)) <= 1e-9
+    def test_a_dropped_feature_rejoins_with_the_opposite_sign(self):
+        # skipping the feature that just dropped for the whole next step, not
+        # only for its rounding echo, would keep it out for good
+        gram, corr = rejoin_moments()
+        grid = lasso_grid(corr)
+        W, capped = ml._lasso_path(gram, corr, grid)
+        assert not capped
+        signs = np.sign(W[:, 1]).tolist()
+        runs = [s for k, s in enumerate(signs) if k == 0 or s != signs[k - 1]]
+        assert runs == [0.0, 1.0, 0.0, -1.0]
+        w = None
+        for got, lam in zip(W, grid):
+            w = reference_lasso_cd(gram, corr, np.diag(gram), lam, 1e-14, 100_000, w0=w)
+            assert np.max(np.abs(got - w)) <= 1e-9
 
     def test_zero_variance_column(self):
         rng = np.random.default_rng(44)
@@ -305,66 +335,68 @@ class TestLassoActiveSetFinish:
             X = rng.normal(size=(40, 1)) + 0.05 * rng.normal(size=(40, 5))
             X = np.column_stack([X[:, :2], np.full(40, 3.0), X[:, 2:]])
             y = X[:, [0, 1, 3, 4, 5]] @ rng.normal(size=5) + rng.normal(0, 0.1, 40)
-            _, _, gram, corr, diag = ml._centered_moments(X, y)
-            assert diag[2] == 0.0
-            lam = float(rng.uniform(0.01, 0.5)) * float(np.max(np.abs(corr)))
-            w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300)
+            _, _, gram, corr = ml._centered_moments(X, y)
+            assert gram[2, 2] == 0.0
+            grid = lasso_grid(corr)
+            W, capped = ml._lasso_path(gram, corr, grid)
             assert not capped
-            assert w[2] == 0.0
-            assert_lasso_kkt(gram, corr, w, lam, 1e-9)
+            assert np.all(W[:, 2] == 0.0)
+            for w, lam in zip(W, grid):
+                assert_lasso_kkt(gram, corr, w, lam, 1e-9)
 
-    def test_duplicate_column_falls_back_to_descent(self):
-        # with both copies of a column in the support, gram[A, A] is singular:
-        # the finish must refuse it and leave the plain descent result
+    def test_duplicate_column_joins_once(self):
+        # with both copies of a column active, gram[A, A] would be singular: the
+        # second copy never joins, and the first carries the weight of both
         rng = np.random.default_rng(45)
         X = rng.normal(size=(50, 4))
         X = np.column_stack([X, X[:, 0]])
         y = X[:, :4] @ np.array([1.5, -1.0, 0.5, 0.25]) + rng.normal(0, 0.1, 50)
-        _, _, gram, corr, diag = ml._centered_moments(X, y)
-        lam = 0.05 * float(np.max(np.abs(corr)))
-        w0 = np.array([0.7, 0.0, 0.0, 0.0, 0.7])
-        w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300, w0=w0)
+        _, _, gram, corr = ml._centered_moments(X, y)
+        grid = np.append(lasso_grid(corr), 0.0)
+        W, capped = ml._lasso_path(gram, corr, grid)
         assert not capped
-        assert w[0] > 0.0 and w[4] > 0.0
-        assert ml._active_set_solution(gram.tolist(), corr.tolist(), lam, w.tolist()) is None
-        assert np.array_equal(
-            w, reference_lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 300, w0=w0))
-        assert_lasso_kkt(gram, corr, w, lam, 1e-4)
+        assert np.count_nonzero(W[-1]) == 4
+        assert not np.any((W[:, 0] != 0.0) & (W[:, 4] != 0.0))
+        for w, lam in zip(W, grid):
+            assert_lasso_kkt(gram, corr, w, lam, 1e-9)
 
-    def test_sweep_cap_is_reported(self):
-        # one sweep from zero changes every sign, so no finish is tried yet
-        gram, corr, diag = correlated_moments(np.random.default_rng(47))
-        lam = 0.01 * float(np.max(np.abs(corr)))
-        w, capped = ml._lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 1)
+    def test_step_cap_is_reported(self, monkeypatch):
+        # the path past the cap holds the coefficients at the last bend it reached
+        gram, corr = rejoin_moments()
+        grid = lasso_grid(corr)
+        full, _ = ml._lasso_path(gram, corr, grid)
+        monkeypatch.setattr(ml, "_PATH_STEPS", 1)   # one step per feature: 6 steps
+        W, capped = ml._lasso_path(gram, corr, grid)
         assert capped
-        assert np.array_equal(w, reference_lasso_cd(gram, corr, diag, lam, ml._PATH_TOL, 1))
+        same = np.all(W == full, axis=1)
+        reached = int(np.argmin(same))
+        assert 0 < reached and not same[reached:].any()
+        assert np.all(W[reached:] == W[reached])
 
-    def test_elasso_same_penalties_as_plain_descent(self, monkeypatch):
+    def test_elasso_same_penalties_as_plain_descent(self):
         # each resample must choose the penalty plain descent chooses; plain
         # descent is slow on correlated columns, so the problem stays small
-        rng = np.random.default_rng(46)
-        X = rng.normal(size=(80, 1)) + 0.2 * rng.normal(size=(80, 6))
-        y = X @ np.array([0.5, 0.3, -0.2, 0.1, 0.0, 0.05]) + rng.normal(0, 0.05, 80)
+        X, y = correlated_elasso_problem()
         assert np.linalg.cond(np.corrcoef(X.T)) >= 200
-        certified = ml.train_elasso(X, y, B=10, seed=3)
-        monkeypatch.setattr(
-            ml, "_lasso_cd", lambda *a, path=None, **k: (reference_lasso_cd(*a, **k), False))
-        plain = ml.train_elasso(X, y, B=10, seed=3)
-        assert [e.lam for e in certified.estimators] == [e.lam for e in plain.estimators]
-        for a, b in zip(certified.estimators, plain.estimators):
+        path = ml.train_elasso(X, y, B=10, seed=3)
+        plain = reference_train_elasso(
+            X, y, B=10, seed=3, lasso=lambda *a, **k: (reference_lasso_cd(*a, **k), False))
+        assert [e.lam for e in path.estimators] == [e.lam for e in plain.estimators]
+        for a, b in zip(path.estimators, plain.estimators):
             assert np.max(np.abs(a.coef - b.coef)) <= 1e-5
             assert a.intercept == pytest.approx(b.intercept, abs=1e-5)
-        assert certified.extra["lasso_capped"] == 0
+        assert path.extra["lasso_capped"] == 0
 
     def test_elasso_counts_and_logs_capped_fits(self, monkeypatch, caplog):
         X, y = vegard_data(n=40)
-        monkeypatch.setattr(ml, "_lasso_cd", lambda *a, **k: (np.zeros(6), True))
+        monkeypatch.setattr(
+            ml, "_lasso_path", lambda gram, corr, grid: (np.zeros((len(grid), 6)), True))
         with caplog.at_level(logging.WARNING, "alloyforge.ml"):
             model = ml.train_elasso(X, y, B=2, seed=2)
-        # all CV errors tie, so the first penalty wins: per resample 10 folds
-        # x 50 penalties, a one-penalty refit path and the final fit
-        assert model.extra["lasso_capped"] == 2 * (500 + 1 + 1)
-        assert "1004 of 1004 LASSO fits stopped at the sweep cap" in caplog.text
+        # all CV errors tie, so the first penalty wins: per resample 10 fold
+        # paths and the full-sample path
+        assert model.extra["lasso_capped"] == 2 * (10 + 1)
+        assert "22 of 22 LASSO paths stopped at the step cap" in caplog.text
 
 
 class TestEnsembles:
@@ -480,19 +512,26 @@ def assert_same_smo(K, y, cost, epsilon, tol, max_iter, beta0=None):
     assert got[1:] == want[1:]   # bias, iterations, converged
 
 
-def assert_same_elasso(X, y, B, seed):
+def same_elasso_penalties(X, y, B, seed):
+    """train_elasso and its coordinate-descent oracle, which chose the same penalties."""
     got = ml.train_elasso(X, y, B=B, seed=seed)
     want = reference_train_elasso(X, y, B=B, seed=seed)
     assert got.extra == want.extra
     assert len(got.estimators) == len(want.estimators) == B
+    assert [a.lam for a in got.estimators] == [b.lam for b in want.estimators]
+    return got, want
+
+
+def assert_same_elasso(X, y, B, seed):
+    got, want = same_elasso_penalties(X, y, B, seed)
     for a, b in zip(got.estimators, want.estimators):
-        assert a.lam == b.lam
-        assert a.coef.tobytes() == b.coef.tobytes()
-        assert a.intercept == b.intercept
+        assert np.max(np.abs(a.coef - b.coef)) <= 1e-10
+        assert abs(a.intercept - b.intercept) <= 1e-10
 
 
 class TestSameBitsAsReference:
-    """The solvers against the reference copies in ``tests.oracles``: every bit."""
+    """The solvers against the reference copies in ``tests.oracles``: SMO to
+    every bit; ELASSO to the same penalties, with coefficients within 1e-10."""
 
     def test_smo_cold_and_warm_starts(self):
         rng = np.random.default_rng(60)
@@ -540,19 +579,20 @@ class TestSameBitsAsReference:
         assert (tmp_path / "tuned.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_elasso_correlated_problem(self):
-        # the problem of test_elasso_same_penalties_as_plain_descent
-        rng = np.random.default_rng(46)
-        X = rng.normal(size=(80, 1)) + 0.2 * rng.normal(size=(80, 6))
-        y = X @ np.array([0.5, 0.3, -0.2, 0.1, 0.0, 0.05]) + rng.normal(0, 0.05, 80)
+        X, y = correlated_elasso_problem()
         assert_same_elasso(X, y, B=10, seed=3)
 
     def test_elasso_duplicate_column(self):
-        # supports holding both copies are singular: their cached factor is None
+        # how the two copies share their weight is not unique, so only the
+        # penalties and what the coefficients predict are compared; the oracle's
+        # finish refuses supports holding both copies, so its descent stops at
+        # the sweep tolerance LASSO_TOL
         rng = np.random.default_rng(45)
         X = rng.normal(size=(50, 4))
         X = np.column_stack([X, X[:, 0]])
         y = X[:, :4] @ np.array([1.5, -1.0, 0.5, 0.25]) + rng.normal(0, 0.1, 50)
-        assert_same_elasso(X, y, B=6, seed=1)
+        got, want = same_elasso_penalties(X, y, B=6, seed=1)
+        assert np.max(np.abs(ml.predict_batch(got, X)[0] - ml.predict_batch(want, X)[0])) <= 1e-8
 
     def test_elasso_vegard_problem(self):
         X, y = vegard_data(n=60)

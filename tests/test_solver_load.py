@@ -1,5 +1,6 @@
 """No part of alloyforge loads scipy: contested alignment groups use its own solver.
-Nor does importing it load an HTTP client: the first engine call does.
+Nor does importing it load an HTTP client: the first engine call does. Only the
+modeling commands (featurize, train, predict) load numpy.
 
 Each check runs in a fresh interpreter, whose modules are alloyforge's alone.
 """
@@ -109,3 +110,43 @@ def test_a_contested_group_loads_the_solver_and_matches_the_oracle():
     assert seen["first_solve"] == [7, 9] and seen["scipy"] == []
     assert seen["optima"] == [seen["pairs"]]
     assert seen["pairs"] == [[0, 0], [1, 1], [2, 3], [3, 4], [4, 5], [5, 7], [6, 8]]
+
+
+def test_only_the_modeling_commands_load_numpy(tmp_path):
+    (tmp_path / "run.cfg").write_text("optimizer.epochs = 1\n", encoding="utf-8")
+    seen = _run(f"""
+        from alloyforge import cli
+        from alloyforge.engines import EngineResponse
+        from alloyforge.records import group_by_doc, load_ground_truth
+        from tests.scripted import (
+            ScriptedBackwardEngine, ScriptedEvaluatorEngine, ScriptedForwardEngine)
+
+        class Yes:
+            def complete(self, request):
+                return EngineResponse(text="YES", input_tokens=0, output_tokens=1,
+                                      latency_s=0.0)
+
+        truth_csv = {str(FIXTURES / "ground_truth.csv")!r}
+        truth = group_by_doc(load_ground_truth(truth_csv))
+        roles = {{"forward": ScriptedForwardEngine(truth), "backward": ScriptedBackwardEngine(),
+                  "evaluator": ScriptedEvaluatorEngine(), "auditor": Yes()}}
+        cli.engine_from_config = lambda cfg, role: roles[role]
+        common = ["--config", "run.cfg", "--corpus", {str(FIXTURES / "manifest.csv")!r}]
+        dataset = ["--dataset", "run/dataset.jsonl"]
+        commands = [
+            ["extract", *common, "--out", "run"],
+            ["optimize", *common, "--truth", truth_csv, "--out", "history"],
+            ["evaluate", "--extracted", "run/dataset.jsonl", "--truth", truth_csv],
+            ["clean", *dataset, "--out", "cleaned"],
+            ["audit", *common, *dataset, "--engine", "auditor", "--out", "audit.txt"],
+            ["report", *dataset],
+            ["featurize", *dataset, "--out", "features.csv"],
+        ]
+        seen = {{}}
+        for argv in commands:
+            seen[argv[0]] = [cli.main(argv), "numpy" in sys.modules]
+        print(json.dumps(seen))
+    """, tmp_path)
+    assert seen == {command: [0, False] for command in
+                    ("extract", "optimize", "evaluate", "clean", "audit", "report")} | {
+        "featurize": [0, True]}
