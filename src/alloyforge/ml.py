@@ -28,7 +28,6 @@ SVR_TOL = 1e-3                 # KKT violation at which SMO stops
 ESVR_VAL_FRACTION = 0.25       # share of the training set carved off for validation
 CV_FOLDS = 10
 _PIVOT_RTOL = 1e-10            # Cholesky pivot share below which gram[A, A] is singular
-_EVENT_RTOL = 1e-9             # an event this close to the last one is its rounding
 _PATH_STEPS = 20               # step cap of one LASSO homotopy path, per feature
 _TAU = 1e-12
 
@@ -480,12 +479,16 @@ def _lasso_path(gram, corr, grid):
     down: on a stretch with active set A and signs s it is
     w[A] = gram[A, A]^-1 (corr[A] - lam * s), linear in lam, and it bends
     where an inactive correlation |corr - gram w| reaches lam (the feature
-    joins) or an active coefficient reaches zero (it drops). An event within
-    ``_EVENT_RTOL`` of the penalty where the same feature just changed is
-    that change's rounding and is skipped. A feature whose join would leave
-    gram[A, A] with a Cholesky pivot at or below ``_PIVOT_RTOL`` of its
-    diagonal entry never joins: in exact arithmetic it is a combination of
-    the active columns, whose correlation stays within the penalty.
+    joins) or an active coefficient reaches zero (it drops). Only a
+    correlation that moves toward the penalty and a coefficient that shrinks
+    count: their other crossings lie above lam, where the path has been, so
+    the rounding echo of a bend just taken is never taken again. A crossing
+    that rounding puts just above lam is taken at lam, so features whose
+    correlations tie join one after another at the same penalty. A feature
+    whose join would leave gram[A, A] with a Cholesky pivot at or below
+    ``_PIVOT_RTOL`` of its diagonal entry never joins: in exact arithmetic it
+    is a combination of the active columns, whose correlation stays within
+    the penalty.
 
     ``grid`` is decreasing and nonnegative. Returns (W, capped): W[k] solves
     the problem at grid[k], and is zero at or above the shutoff. capped is
@@ -521,17 +524,20 @@ def _lasso_path(gram, corr, grid):
             solved = np.linalg.solve(gram_rows[:, active], rows)
             a, d = solved[:, 0], solved[:, 1]
             pivot = diag - np.einsum("ij,ij->j", gram_rows, solved[:, 2:])
-            # off A, corr - gram w = alpha + lam * beta
+            # off A, corr - gram w = alpha + lam * beta, which moves toward +lam
+            # as lam falls where beta < 1 and toward -lam where beta > -1
             alpha, beta = corr - a @ gram_rows, d @ gram_rows
             np.divide(alpha, 1.0 - beta, out=events[0])
             np.divide(alpha, -1.0 - beta, out=events[1])
+            events[0, ~(beta < 1.0)] = 0.0
+            events[1, ~(beta > -1.0)] = 0.0
             events[:2, pivot <= _PIVOT_RTOL * diag] = 0.0
             events[:2, active] = 0.0
+            # on A, w[j] shrinks as lam falls where it has the sign opposite to d[j]
             events[2] = 0.0
-            events[2, active] = a / d
-            just = events[:, changed]   # the change just made echoes near lam
-            just[just >= lam * (1.0 - _EVENT_RTOL)] = 0.0
-            events[~((events > 0.0) & (events < lam))] = 0.0
+            events[2, active] = np.where(rows[:, 1] * d < 0.0, a / d, 0.0)
+            events[~(events > 0.0)] = 0.0
+            np.minimum(events, lam, out=events)
             kind, changed = divmod(int(events.argmax()), p)
             lam = events.item(kind, changed)
             if kind < 2:

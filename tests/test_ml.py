@@ -276,6 +276,16 @@ class TestLasso:
             nnz.append(int(np.sum(np.abs(coef) > 1e-10)))
         assert all(a >= b for a, b in zip(nnz, nnz[1:]))
 
+    def test_exactly_tied_correlations(self):
+        # orthogonal columns whose correlations tie: both join at the shutoff
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        coef, intercept = ml.fit_lasso(X, y, 0.1)
+        assert coef == pytest.approx([0.8, 0.8], abs=1e-12)
+        assert intercept == 0.0
+        coef, _ = ml.fit_lasso(X, y, 0.0)
+        assert coef == pytest.approx([1.0, 1.0], abs=1e-12)
+
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             ml.fit_lasso(np.zeros((5, 2)), np.zeros(5), -0.1)
@@ -314,9 +324,73 @@ class TestLassoActiveSetFinish:
             for w, lam in zip(W, grid):
                 assert_lasso_kkt(gram, corr, w, lam, 1e-9)
 
+    def test_certified_on_exactly_tied_correlations(self):
+        # three of four orthogonal columns tie at the shutoff, one of them
+        # negative; the solution is the soft threshold of each correlation
+        X = np.vstack([np.eye(4), -np.eye(4)])
+        y = np.array([1.0, 1.0, 0.5, -1.0, -1.0, -1.0, -0.5, 1.0])
+        _, _, gram, corr = ml._centered_moments(X, y)
+        assert corr.tolist() == [0.25, 0.25, 0.125, -0.25]
+        grid = np.append(lasso_grid(corr), 0.0)
+        W, capped = ml._lasso_path(gram, corr, grid)
+        assert not capped
+        for w, lam in zip(W, grid):
+            assert_lasso_kkt(gram, corr, w, lam, 1e-12)
+            expected = np.sign(corr) * np.maximum(np.abs(corr) - lam, 0.0) / 0.25
+            assert np.max(np.abs(w - expected)) <= 1e-12
+
+    def test_crossings_rounded_above_the_penalty(self):
+        # in the first design two correlations tie at the shutoff, in the second
+        # two crossings coincide mid-path; rounding puts the second crossing a
+        # hair above the penalty of the first, and it must be taken there
+        designs = [
+            ([[0, -1, -1, -1], [0, -1, 1, -1], [0, 1, 1, 0], [0, 1, 0, 1],
+              [1, 0, 0, -1], [0, 1, 0, -1]], [2, -1, 1, -1, 2, -1]),
+            ([[-1, -1, 1], [1, 0, 0], [1, 1, -1], [1, 0, 1], [0, 0, 0], [1, 0, -1]],
+             [-1, 0, 2, -2, -1, 2]),
+        ]
+        for X, y in designs:
+            _, _, gram, corr = ml._centered_moments(np.array(X, float), np.array(y, float))
+            grid = np.geomspace(np.max(np.abs(corr)), np.max(np.abs(corr)) * 1e-3, 8)
+            W, capped = ml._lasso_path(gram, corr, grid)
+            assert not capped
+            assert np.all(W[0] == 0.0)
+            w = None
+            for got, lam in zip(W, grid):
+                w = reference_lasso_cd(gram, corr, np.diag(gram), lam, 1e-14, 100_000, w0=w)
+                assert np.max(np.abs(got - w)) <= 1e-9
+
+    def test_same_objective_as_descent_on_integer_designs(self):
+        # designs of -1, 0 and 1 tie correlations and events often, and some
+        # carry a multiple of another column
+        def objective(w, lam):
+            return 0.5 * w @ gram @ w - corr @ w + lam * np.sum(np.abs(w))
+
+        rng = np.random.default_rng(49)
+        ties = 0
+        for trial in range(150):
+            n, p = int(rng.integers(4, 14)), int(rng.integers(2, 7))
+            X = rng.integers(-1, 2, size=(n, p)).astype(float)
+            if trial % 3 == 0:
+                X[:, -1] = X[:, 0] * rng.choice([1.0, -1.0, 2.0])
+            y = rng.integers(-2, 3, size=n).astype(float)
+            _, _, gram, corr = ml._centered_moments(X, y)
+            lam_max = float(np.max(np.abs(corr)))
+            if lam_max == 0.0:
+                continue
+            ties += np.count_nonzero(np.abs(corr) == lam_max) > 1
+            grid = np.geomspace(lam_max, lam_max * 1e-3, 8)
+            W, capped = ml._lasso_path(gram, corr, grid)
+            assert not capped
+            w = None
+            for got, lam in zip(W, grid):
+                w = reference_lasso_cd(gram, corr, np.diag(gram), lam, 1e-12, 100_000, w0=w)
+                assert objective(got, lam) <= objective(np.asarray(w), lam) + 1e-9 * lam_max**2
+        assert ties >= 20
+
     def test_a_dropped_feature_rejoins_with_the_opposite_sign(self):
-        # skipping the feature that just dropped for the whole next step, not
-        # only for its rounding echo, would keep it out for good
+        # skipping the feature that just dropped for the whole next step would
+        # keep it out for good
         gram, corr = rejoin_moments()
         grid = lasso_grid(corr)
         W, capped = ml._lasso_path(gram, corr, grid)
