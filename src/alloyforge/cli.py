@@ -168,6 +168,7 @@ def cmd_optimize(args) -> int:
     )
     print(f"per-epoch recall (nominal composition): {recalls}")
     print(f"failed document attempts: {len(history.failures)}")
+    print(f"manifest documents without expert data, not called: {len(corpus.ids) - len(truth)}")
     print(f"history written to {args.out}")
     return 0
 

@@ -1,12 +1,12 @@
 """Feedback-driven prompt optimization.
 
-Each epoch walks the training corpus in manifest order, batch by batch: the
-forward engine extracts records with the current prompt, the evaluator engine
-critiques each document's output against the expert reference (a textual
-gradient with an ALIGNED/MISALIGNED verdict), and the backward engine rewrites
-the prompt once per batch from the batch's concatenated critiques. A batch
-whose critiques are all aligned, or that has none, skips the rewrite call and
-only bumps the version, so the lineage stays a single chain.
+Each epoch walks the corpus documents that have expert data in manifest order,
+batch by batch: the forward engine extracts records with the current prompt,
+the evaluator engine critiques each document's output against the expert
+reference (a textual gradient with an ALIGNED/MISALIGNED verdict), and the
+backward engine rewrites the prompt once per batch from the batch's critiques.
+A batch whose critiques are all aligned, or whose documents all failed, skips
+the rewrite call and only bumps the version, so the lineage stays one chain.
 """
 
 from __future__ import annotations
@@ -117,10 +117,12 @@ class PromptHistory:
         """Persist prompt_v<N>.txt files plus a history.jsonl metric trail."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for prompt in self.prompts:
-            (out_dir / f"prompt_v{prompt.version}.txt").write_text(
-                prompt.text, encoding="utf-8"
-            )
+        texts = {f"prompt_v{prompt.version}.txt": prompt.text for prompt in self.prompts}
+        for name, text in texts.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+        for path in out_dir.glob("prompt_v*.txt"):  # versions of an earlier, longer run
+            if path.name not in texts and re.fullmatch(r"prompt_v(0|[1-9][0-9]*)\.txt", path.name):
+                path.unlink()
         by_final_version = {snap.final_version: snap for snap in self.epochs}
         lines = []
         for prompt in self.prompts:
@@ -228,8 +230,8 @@ def backward_update(prompt: Prompt, feedbacks: list[Feedback], engine) -> Prompt
     """Produce the next prompt version from a batch of critiques.
 
     Critiques are concatenated in the order given (document order). When all
-    of them are aligned, or there are none, the rewrite call is skipped and
-    only the version is bumped.
+    of them are aligned, or there are none because every document of the batch
+    failed, the rewrite call is skipped and only the version is bumped.
     """
     stale = [f.doc for f in feedbacks if f.prompt_version != prompt.version]
     if stale:
@@ -274,36 +276,35 @@ def optimize(
 ) -> PromptHistory:
     """Run the full multi-epoch loop and return the versioned prompt trail.
 
-    Per epoch, the corpus is partitioned into batches of ``batch_size`` in
-    manifest order; each batch contributes one backward update. The history
-    snapshot for an epoch scores the union of that epoch's per-document
-    outputs against the full expert reference. Each document's forward and
-    evaluator calls run together, concurrently above parallelism 1. An engine
-    error from either call fails only that document: it is logged, recorded
-    in ``history.failures`` and left out of the epoch's outputs. Any other
-    exception, an authentication failure included, keeps the batch's later
-    documents from being called and propagates.
+    Per epoch, only the corpus documents that have expert data are called, in
+    batches of ``batch_size`` in manifest order; each batch makes one backward
+    update, and an empty expert reference is refused before any call. An
+    epoch's snapshot scores the union of its outputs against the full reference.
+    Each document's forward and evaluator calls run together, concurrently
+    above parallelism 1. An engine error from either call fails only that
+    document: it is logged, recorded in ``history.failures`` and left out of
+    the epoch's outputs. Any other exception, an authentication failure
+    included, keeps the batch's later documents from being called and propagates.
     """
+    if not truth_by_doc:
+        raise ValueError("the expert reference names no document")
     missing = [doc_id for doc_id in truth_by_doc if doc_id not in corpus]
     if missing:
         raise ValueError(f"truth documents missing from corpus: {sorted(missing)}")
 
     history = PromptHistory(prompts=[initial], epochs=[])
     current = initial
-    doc_ids = corpus.ids
+    doc_ids = [doc_id for doc_id in corpus.ids if doc_id in truth_by_doc]
     batches = [
         doc_ids[start : start + config.batch_size]
         for start in range(0, len(doc_ids), config.batch_size)
     ]
 
     def attempt(doc_id: str):
-        """Forward-extract one document under the batch's prompt and critique the
-        output when the document has expert data."""
+        """Forward-extract one document under the batch's prompt and critique the output."""
         output = forward_extract(
             current, doc_id, config.forward_engine, corpus, config.forward_temperature
         )
-        if doc_id not in truth_by_doc:
-            return output, None
         return output, extraction_loss(current, doc_id, truth_by_doc[doc_id], output,
                                        config.evaluator_engine, corpus)
 
@@ -319,15 +320,13 @@ def optimize(
                                    doc_id, current.version, result)
                     continue
                 epoch_outputs[doc_id], feedback = result
-                if feedback is not None:
-                    feedbacks.append(feedback)
+                feedbacks.append(feedback)
             if any(f.verdict == MISALIGNED for f in feedbacks):
                 history.backward_engine_calls += 1
             current = replace(backward_update(current, feedbacks, config.backward_engine),
                               epoch=epoch)
             history.prompts.append(current)
-        scored = {doc_id: epoch_outputs.get(doc_id, []) for doc_id in truth_by_doc}
-        report = evaluation.evaluate_run(scored, truth_by_doc)
+        report = evaluation.evaluate_run(epoch_outputs, truth_by_doc)
         history.epochs.append(
             EpochSnapshot(epoch=epoch, final_version=current.version, metrics=report.metrics)
         )

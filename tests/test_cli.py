@@ -184,6 +184,24 @@ def test_optimize_command(workspace, truth_by_doc, capsys):
     assert final["metrics"]["nominal_composition"]["recall"] >= 0.9
 
 
+def test_optimize_refuses_an_empty_expert_reference(tmp_path, monkeypatch, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text((FIXTURES / "ground_truth.csv").read_text().splitlines()[0] + "\n",
+                     encoding="utf-8")
+    engines = {"forward": ScriptedForwardEngine({}),
+               "backward": ScriptedBackwardEngine(),
+               "evaluator": ScriptedEvaluatorEngine()}
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: engines[role])
+    cfg = tmp_path / "optimize.cfg"
+    cfg.write_text("", encoding="utf-8")
+    rc = main(["optimize", "--config", str(cfg), "--corpus", str(FIXTURES / "manifest8.csv"),
+               "--truth", str(truth), "--out", str(tmp_path / "history")])
+    assert rc == 1
+    assert "error: the expert reference names no document" in capsys.readouterr().err
+    assert [engine.calls for engine in engines.values()] == [0, 0, 0]
+    assert not (tmp_path / "history").exists()
+
+
 def test_audit_command(tmp_path, capsys):
     from alloyforge import quality
     from alloyforge.engines import EngineResponse

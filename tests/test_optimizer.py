@@ -267,26 +267,48 @@ class TestOptimize:
         assert history.recalls() == [1.0]
 
     def test_corpus_larger_than_truth(self, corpus8, truth_by_doc):
-        # documents without expert data are extracted but contribute no critique
-        config = scripted_config(truth_by_doc)
+        # d08 has no expert data, so it is never called: every forward call is scored
+        requested = []
+
+        class Forward(ScriptedForwardEngine):
+            def complete(self, request):
+                requested.append(re.search(r"Document (\S+):", request.user_text).group(1))
+                return super().complete(request)
+
+        config = OptimizationConfig(
+            forward_engine=Forward(truth_by_doc),
+            backward_engine=ScriptedBackwardEngine(),
+            evaluator_engine=ScriptedEvaluatorEngine(),
+        )
         history = optimize(Prompt(INITIAL_PROMPT_TEXT), corpus8, truth_by_doc, config)
-        assert history.forward_calls == 24                    # 3 epochs x 8 documents
-        assert len(history.prompts) == 1 + 3 * 3              # ceil(8/3) batches per epoch
-        assert all(doc != "d08" for doc, _, _ in history.failures)
+        assert history.forward_calls == config.forward_engine.calls == 21  # 3 epochs x 7
+        assert "d08" not in requested
+        assert len(history.prompts) == 1 + 3 * 3              # ceil(7/3) batches per epoch
         assert history.recalls()[-1] >= 0.9
 
-    def test_truth_less_batch_keeps_the_chain_consecutive(self, corpus8, truth_by_doc):
-        # batches of 7 leave d08, which has no expert data, alone in each
-        # epoch's second batch: that batch bumps the version without a rewrite
-        config = scripted_config(truth_by_doc, batch_size=7)
-        history = optimize(Prompt(INITIAL_PROMPT_TEXT), corpus8, truth_by_doc, config)
-        assert [p.version for p in history.prompts] == list(range(7))
-        assert [p.parent_version for p in history.prompts] == [None] + list(range(6))
-        assert [p.epoch for p in history.prompts] == [0, 1, 1, 2, 2, 3, 3]
-        texts = [p.text for p in history.prompts]
-        assert texts[2::2] == texts[1::2]
-        assert config.backward_engine.calls == history.backward_engine_calls == 3
-        assert config.evaluator_engine.calls == 3 * 7
+    def test_documents_without_expert_data_change_nothing(self, corpus7, corpus8,
+                                                          truth_by_doc, tmp_path):
+        # batches of 7 hold the 7 annotated documents whether or not the manifest
+        # also lists d08, so both runs write the same bytes
+        configs = {}
+        for name, corpus in (("seven", corpus7), ("eight", corpus8)):
+            configs[name] = scripted_config(truth_by_doc, batch_size=7)
+            history = optimize(Prompt(INITIAL_PROMPT_TEXT), corpus, truth_by_doc, configs[name])
+            assert [p.version for p in history.prompts] == [0, 1, 2, 3]
+            history.save(tmp_path / name)
+        for config in configs.values():
+            assert config.forward_engine.calls == config.evaluator_engine.calls == 3 * 7
+        files = {name: {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+                 for name in configs}
+        assert sorted(files["eight"]) == ["history.jsonl"] + [f"prompt_v{v}.txt" for v in range(4)]
+        assert files["eight"] == files["seven"]
+
+    def test_empty_truth_rejected_before_any_call(self, corpus8, truth_by_doc):
+        config = scripted_config(truth_by_doc)
+        with pytest.raises(ValueError, match="expert reference names no document"):
+            optimize(Prompt(INITIAL_PROMPT_TEXT), corpus8, {}, config)
+        engines = (config.forward_engine, config.backward_engine, config.evaluator_engine)
+        assert [engine.calls for engine in engines] == [0, 0, 0]
 
     def test_missing_truth_doc_rejected(self, corpus7, truth_by_doc):
         config = scripted_config(truth_by_doc)
@@ -426,3 +448,25 @@ class TestOptimize:
         final = json.loads(lines[-1])
         assert final["metrics"] is not None
         assert final["version"] == 9
+
+    def test_a_shorter_save_removes_stale_prompt_files(self, corpus7, truth_by_doc, tmp_path):
+        long, short = (
+            optimize(Prompt(INITIAL_PROMPT_TEXT), corpus7, truth_by_doc,
+                     scripted_config(truth_by_doc, batch_size=batch_size))
+            for batch_size in (3, 7)
+        )
+        assert (len(long.prompts), len(short.prompts)) == (10, 4)
+        out = tmp_path / "hist"
+        long.save(out)
+        others = ("notes.txt", "prompt_v9.txt.bak", "prompt_v07.txt", "prompt_vx.txt")
+        for name in others:
+            (out / name).write_text("kept", encoding="utf-8")
+        short.save(out)
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ("history.jsonl", *others, *(f"prompt_v{v}.txt" for v in range(4)))
+        )
+        assert len((out / "history.jsonl").read_text().splitlines()) == 4
+        for prompt in short.prompts:
+            assert (out / f"prompt_v{prompt.version}.txt").read_text() == prompt.text
+        for name in others:
+            assert (out / name).read_text() == "kept"

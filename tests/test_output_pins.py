@@ -128,8 +128,9 @@ def test_audit_report(run_dir, tmp_path, monkeypatch, capsys):
 
 
 def test_optimize_outputs(truth_by_doc, tmp_path, monkeypatch, capsys):
-    # batches of 7 over the 8-document manifest leave d08, which has no
-    # expert data, alone in every epoch's second batch
+    # d08, which has no expert data, is counted and never called, so batches of 7
+    # over the 8-document manifest write the bytes the 7-document manifest.csv
+    # run writes: one version per epoch
     engines = {"forward": ScriptedForwardEngine(truth_by_doc),
                "backward": ScriptedBackwardEngine(),
                "evaluator": ScriptedEvaluatorEngine()}
@@ -142,13 +143,13 @@ def test_optimize_outputs(truth_by_doc, tmp_path, monkeypatch, capsys):
                  "--truth", str(FIXTURES / "ground_truth.csv"),
                  "--prompt", str(tmp_path / "prompt.txt"),
                  "--out", str(tmp_path / "history")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "manifest documents without expert data, not called: 1" in out
+    assert engines["forward"].calls == engines["evaluator"].calls == 21
     assert {path.name: _sha(path) for path in sorted((tmp_path / "history").iterdir())} == {
-        "history.jsonl": "a69161ebd22f04e9119094335c9226cd23bbfaf289a816600a5455e275c5fcee",
+        "history.jsonl": "e6bd14c8cf8099a0b5dfd4583ff8238b4c8eebdd8d317f983e9f089912307f55",
         "prompt_v0.txt": "0781bfd7c4eb0f8f7f15bff20f6d8532331747589ad7da89ae6a5f18cd6ea6f4",
         "prompt_v1.txt": "1651deb23a32b03ceafa93528d80e6cf3f0700a61032864e580e017bfe673584",
-        "prompt_v2.txt": "1651deb23a32b03ceafa93528d80e6cf3f0700a61032864e580e017bfe673584",
-        "prompt_v3.txt": "c2495fa8790589485f9bc07602af3c3d8791dadc8975ff70c1933403506c20dc",
-        "prompt_v4.txt": "c2495fa8790589485f9bc07602af3c3d8791dadc8975ff70c1933403506c20dc",
-        "prompt_v5.txt": "285a4427ecf4242846fc506402d3a217a709f265ecba7de450cb7c0c2eb5243a",
-        "prompt_v6.txt": "285a4427ecf4242846fc506402d3a217a709f265ecba7de450cb7c0c2eb5243a",
+        "prompt_v2.txt": "c2495fa8790589485f9bc07602af3c3d8791dadc8975ff70c1933403506c20dc",
+        "prompt_v3.txt": "285a4427ecf4242846fc506402d3a217a709f265ecba7de450cb7c0c2eb5243a",
     }
