@@ -177,7 +177,6 @@ def cmd_evaluate(args) -> int:
     extracted = pipeline.load_dataset(args.extracted)
     truth = group_by_doc(load_ground_truth(args.truth))
     fields = tuple(f.strip() for f in args.fields.split(",") if f.strip())
-    extracted = {doc: recs for doc, recs in extracted.items() if doc in truth}
     report = evaluation.evaluate_run(extracted, truth, fields=fields)
     print(report.to_table())
     if args.out:
@@ -213,6 +212,9 @@ def cmd_audit(args) -> int:
                for position, record in enumerate(dataset[doc], 1)]
     if not args.all_records:
         entries = [entry for entry in entries if quality.plausibility(entry[2]) != "accepted"]
+    missing = sorted({doc for doc, _, _ in entries if doc not in corpus})
+    if missing:
+        raise ValueError(f"dataset documents missing from the corpus manifest: {missing}")
 
     # entries come in document order: a document is read when its first record
     # is audited and let go after its last, so each is read once per run and

@@ -50,22 +50,6 @@ class CompositionError(ValueError):
     """Base class for composition parsing and arithmetic failures."""
 
 
-class EmptyFormula(CompositionError):
-    pass
-
-
-class UnknownElement(CompositionError):
-    pass
-
-
-class UnresolvedVariable(CompositionError):
-    """A symbolic subscript (e.g. "x") appeared with no numeric binding."""
-
-
-class UnsupportedUnits(CompositionError):
-    """Weight-percent compositions are rejected rather than misread as atomic."""
-
-
 class NothingToCompare(CompositionError):
     """Fewer than two parseable composition sources on the record."""
 
@@ -87,10 +71,10 @@ class Composition(_WeakReferable):
         # from_coefficients makes these checks itself, in this order and with these
         # messages, and skips this method: keep the two in step
         if not self.fractions:
-            raise EmptyFormula("composition has no elements")
+            raise CompositionError("composition has no elements")
         for sym, frac in self.fractions.items():
             if sym not in ELEMENT_SYMBOLS:
-                raise UnknownElement(f"unknown element symbol {sym!r}")
+                raise CompositionError(f"unknown element symbol {sym!r}")
             if not (frac > 0.0) or not math.isfinite(frac):
                 raise CompositionError(f"fraction for {sym} must be positive, got {frac!r}")
         total = sum(self.fractions.values())
@@ -113,7 +97,7 @@ class Composition(_WeakReferable):
         """
         coeffs = {sym: f for sym, c in coefficients.items() if (f := float(c)) != 0.0}
         if not coeffs:
-            raise EmptyFormula("no nonzero coefficients")
+            raise CompositionError("no nonzero coefficients")
         total = sum(coeffs.values())
         if not math.isfinite(total) or total <= 0:
             raise CompositionError(f"coefficients sum to {total!r}")
@@ -122,7 +106,7 @@ class Composition(_WeakReferable):
         fractions = {}
         for sym in sorted(coeffs):
             if sym not in ELEMENT_SYMBOLS:
-                raise UnknownElement(f"unknown element symbol {sym!r}")
+                raise CompositionError(f"unknown element symbol {sym!r}")
             frac = coeffs[sym] / divisor
             if not 0.0 < frac < math.inf:
                 raise CompositionError(f"fraction for {sym} must be positive, got {frac!r}")
@@ -212,10 +196,10 @@ def parse_formula(text: str) -> Composition:
 
 def _parse_formula(text: str) -> Composition:
     if text is None:
-        raise EmptyFormula("formula is None")
+        raise CompositionError("formula is None")
     # every match of either pattern contains its guard, so the guards skip no match
     if "wt" in text.lower() and _WT_PERCENT_RE.search(text):
-        raise UnsupportedUnits(f"weight-percent composition not supported: {text!r}")
+        raise CompositionError(f"weight-percent composition not supported: {text!r}")
     s = _AT_PERCENT_RE.sub(" ", text) if "%" in text else text
     # the coefficients of each open group, innermost last
     groups: list[dict[str, float]] = [{}]
@@ -250,7 +234,7 @@ def _reject_symbol(s: str, i: int, symbol: str) -> None:
     followed by a lowercase letter, which is a symbolic subscript.
     """
     if len(symbol) == 2 and symbol[0] in ELEMENT_SYMBOLS:
-        raise UnresolvedVariable(
+        raise CompositionError(
             f"symbolic subscript {symbol[1]!r} at position {i + 1} in {s!r} has no numeric value"
         )
     _reject_character(s, i)
@@ -262,9 +246,9 @@ def _reject_character(s: str, i: int) -> None:
     if ch.isupper():
         two = s[i : i + 2]
         bad = two if len(two) == 2 and two[1].islower() else ch
-        raise UnknownElement(f"unknown element symbol {bad!r} at position {i} in {s!r}")
+        raise CompositionError(f"unknown element symbol {bad!r} at position {i} in {s!r}")
     if ch.islower():
-        raise UnresolvedVariable(
+        raise CompositionError(
             f"symbolic subscript {ch!r} at position {i} in {s!r} has no numeric value"
         )
     raise CompositionError(f"unexpected character {ch!r} at position {i} in {s!r}")

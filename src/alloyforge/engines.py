@@ -35,16 +35,8 @@ class AuthError(EngineError):
     pass
 
 
-class RateLimited(EngineError):
-    """Retries were exhausted while the backend kept throttling."""
-
-
 class ContextTooLong(EngineError):
     """The document cannot fit the engine context; callers reject the document."""
-
-
-class ReplayMiss(EngineError):
-    """The replay store has no transcript for this request."""
 
 
 @dataclass(frozen=True)
@@ -112,11 +104,11 @@ def transcript_key(request: EngineRequest) -> str:
 
 
 class TranscriptStore:
-    """Directory of <key>.request / <key>.response files, UTF-8, write-once."""
+    """Directory of <key>.request / <key>.response files, UTF-8, write-once;
+    the directory is created when the first transcript is recorded."""
 
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
 
     def _paths(self, key: str) -> tuple[Path, Path]:
@@ -140,6 +132,7 @@ class TranscriptStore:
         with self._lock:
             if resp_path.exists():
                 return
+            self.root.mkdir(parents=True, exist_ok=True)
             # constant "model" and "options" for the reason given in transcript_key
             request_blob = {
                 "model": "",
@@ -192,11 +185,12 @@ class _NoNetwork:
     """The inner engine of a replay engine: a request the store lacks is a miss."""
 
     def complete(self, request: EngineRequest) -> EngineResponse:
-        raise ReplayMiss(f"no transcript for key {transcript_key(request)}")
+        raise EngineError(f"no transcript for key {transcript_key(request)}")
 
 
 class ReplayEngine(RecordingEngine):
-    """Serves recorded responses only; any novel request is a ReplayMiss."""
+    """Serves recorded responses only; any novel request raises an ``EngineError``
+    naming its transcript key."""
 
     def __init__(self, store: TranscriptStore):
         super().__init__(_NoNetwork(), store)
@@ -347,7 +341,7 @@ class HttpEngine:
             if attempt < self.max_retries:
                 self._sleep(min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**attempt))
         if last_status == 429:
-            raise RateLimited(f"{self.endpoint} still throttling after {self.max_retries} retries")
+            raise EngineError(f"{self.endpoint} still throttling after {self.max_retries} retries")
         raise EngineError(
             f"{self.endpoint} failed after retries (last status {last_status}): {error}")
 

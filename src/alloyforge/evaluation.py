@@ -27,14 +27,6 @@ _COST_EPS = 1e-12
 _DUAL_SLACK = 1e-6
 
 
-class UnknownField(ValueError):
-    pass
-
-
-class DocumentMismatch(ValueError):
-    """An extracted document id is absent from the truth corpus."""
-
-
 @dataclass
 class ConfusionCounts:
     tp: int = 0
@@ -267,7 +259,7 @@ def _check_fields(fields) -> None:
         raise ValueError("no fields to score")
     for index, name in enumerate(fields):
         if name not in SCORABLE_FIELDS:
-            raise UnknownField(name)
+            raise ValueError(f"unknown field {name!r}")
         if name in fields[:index]:
             raise ValueError(f"field {name!r} is listed twice")
 
@@ -286,7 +278,7 @@ def _field_equal(field_name: str, e: AlloyRecord, t: AlloyRecord) -> bool:
         return e.phase == t.phase
     if field_name == "processing":
         return e.processing == t.processing
-    raise UnknownField(field_name)
+    raise ValueError(f"unknown field {field_name!r}")
 
 
 def score_entities(
@@ -380,14 +372,10 @@ def evaluate_run(
     truth_by_doc: dict[str, list[AlloyRecord]],
     fields=DEFAULT_FIELDS,
 ) -> EvaluationReport:
-    """Match and score per document, summing counts before computing metrics."""
+    """Match and score each document the truth names, summing counts before
+    computing metrics; extracted documents outside the truth are left out."""
     fields = tuple(fields)
     _check_fields(fields)
-    unknown_docs = set(extracted_by_doc) - set(truth_by_doc)
-    if unknown_docs:
-        raise DocumentMismatch(
-            f"extracted documents absent from truth corpus: {sorted(unknown_docs)}"
-        )
     totals = {name: ConfusionCounts() for name in fields}
     for doc_id in truth_by_doc:
         extracted = extracted_by_doc.get(doc_id, [])

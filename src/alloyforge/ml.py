@@ -34,18 +34,6 @@ _TAU = 1e-12
 logger = logging.getLogger(__name__)
 
 
-class TooFewSamples(ValueError):
-    pass
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
-class ConstantTarget(ValueError):
-    pass
-
-
 class NonConvergence(Warning):
     """The SMO loop hit its iteration cap; the best iterate was returned."""
 
@@ -141,9 +129,9 @@ def train_test_split(X, y, cfg: SplitConfig):
     y = np.asarray(y, dtype=float)
     n = len(X)
     if len(y) != n:
-        raise DimensionMismatch(f"X has {n} rows but y has {len(y)}")
+        raise ValueError(f"X has {n} rows but y has {len(y)}")
     if n < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {n}")
+        raise ValueError(f"need at least 2 samples, got {n}")
     n_train = int(math.floor(cfg.train_fraction * n + 1e-9))
     n_train = min(max(n_train, 1), n - 1)
     perm = np.random.default_rng(cfg.seed).permutation(n)
@@ -156,12 +144,12 @@ def r2(y_true, y_pred) -> float:
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if len(y_true) != len(y_pred):
-        raise DimensionMismatch("y_true and y_pred lengths differ")
+        raise ValueError("y_true and y_pred lengths differ")
     if len(y_true) < 2:
-        raise TooFewSamples("r2 needs at least 2 samples")
+        raise ValueError("r2 needs at least 2 samples")
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     if ss_tot == 0.0:
-        raise ConstantTarget("r2 undefined for a constant target")
+        raise ValueError("r2 undefined for a constant target")
     ss_res = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -391,9 +379,9 @@ def train_esvr(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) != len(y):
-        raise DimensionMismatch("X and y lengths differ")
+        raise ValueError("X and y lengths differ")
     if len(X) < 2:
-        raise TooFewSamples("need at least 2 training samples")
+        raise ValueError("need at least 2 training samples")
 
     std = Standardizer.fit(X, y)
     Z, u = std.x(X), std.y(y)
@@ -595,10 +583,10 @@ def train_elasso(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) != len(y):
-        raise DimensionMismatch("X and y lengths differ")
+        raise ValueError("X and y lengths differ")
     n = len(y)
     if n < CV_FOLDS:
-        raise TooFewSamples(
+        raise ValueError(
             f"need at least {CV_FOLDS} samples for {CV_FOLDS}-fold CV, got {n}")
     if B < 1:
         raise ValueError("B must be at least 1")
@@ -655,7 +643,7 @@ def predict_batch(model: EnsembleModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble mean and population spread for each row of ``X``, in angstrom."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise DimensionMismatch(
+        raise ValueError(
             f"expected shape (n, {model.n_features}), got {X.shape}"
         )
     Z = model.standardization.x(X)

@@ -56,18 +56,6 @@ class PipelineError(Exception):
     pass
 
 
-class DuplicateId(PipelineError):
-    pass
-
-
-class UnreadablePath(PipelineError):
-    pass
-
-
-class CorpusMiss(PipelineError):
-    """A document id was requested that the corpus does not contain."""
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     doc: DocumentId
@@ -96,7 +84,7 @@ class CorpusStore:
         try:
             entry = self._by_id[doc_id]
         except KeyError:
-            raise CorpusMiss(doc_id) from None
+            raise PipelineError(f"document {doc_id!r} is not in the corpus manifest") from None
         if entry.kind == "pdf":
             pdf = entry.path.read_bytes()
             return f"(document {doc_id} is attached as a PDF)", ((doc_id, pdf),)
@@ -123,13 +111,13 @@ def ingest_corpus(manifest_path) -> list[ManifestEntry]:
                 raise PipelineError(f"{where}: row needs columns {sorted(needed)}")
             doc_id = row["doc_id"].strip()
             if doc_id in seen:
-                raise DuplicateId(f"{where}: duplicate id {doc_id!r}")
+                raise PipelineError(f"{where}: duplicate id {doc_id!r}")
             seen.add(doc_id)
             path = Path(row["path"].strip())
             if not path.is_absolute():
                 path = manifest_path.parent / path
             if not path.is_file():
-                raise UnreadablePath(f"{where}: cannot read {path}")
+                raise PipelineError(f"{where}: cannot read {path}")
             kind = row["kind"].strip()
             if kind not in ("pdf", "plain_text"):
                 raise PipelineError(f"{where}: unknown document kind {kind!r}")
@@ -301,12 +289,9 @@ def run_documents(attempt, doc_ids, parallelism: int) -> list:
             return None
         try:
             return attempt(doc_id)
-        except AuthError:
-            stop.set()
-            raise
-        except EngineError as exc:
-            return exc
-        except BaseException:
+        except BaseException as exc:
+            if isinstance(exc, EngineError) and not isinstance(exc, AuthError):
+                return exc
             stop.set()
             raise
 

@@ -46,10 +46,6 @@ AUDIT_QUESTIONS = (
 )
 
 
-class NonPositive(ValueError):
-    pass
-
-
 @dataclass
 class PlausibilityPartition:
     accepted: list[AlloyRecord] = field(default_factory=list)
@@ -103,7 +99,7 @@ def suggest_unit_repair(value: float) -> RepairSuggestion | None:
     are never applied silently.
     """
     if not value > 0:
-        raise NonPositive(f"lattice value must be positive, got {value!r}")
+        raise ValueError(f"lattice value must be positive, got {value!r}")
     lo, hi = REPAIR_BAND
     if lo <= value <= hi:
         return None

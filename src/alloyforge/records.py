@@ -47,14 +47,6 @@ class MalformedOutput(RecordError):
     """No parseable record block was found in the model output."""
 
 
-class GroundTruthError(RecordError):
-    pass
-
-
-class MissingColumn(GroundTruthError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class DocumentId:
     id: str
@@ -464,19 +456,19 @@ def load_ground_truth(path) -> list[AlloyRecord]:
         header = reader.fieldnames or []
         missing = [column for column in GROUND_TRUTH_COLUMNS if column not in header]
         if missing:
-            raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
+            raise RecordError(f"{path}: missing column(s) {', '.join(missing)}")
         records = []
         sources: dict[str, DocumentId] = {}
         for row_index, row in enumerate(reader, start=2):
             doc_id = (row.get("doc_id") or "").strip()
             if not doc_id:
-                raise GroundTruthError(f"{path}:{row_index}: empty doc_id")
+                raise RecordError(f"{path}:{row_index}: empty doc_id")
             source = sources.get(doc_id)
             if source is None:
                 source = sources[doc_id] = DocumentId(doc_id)
             record, issues = record_from_object(row, source, row_index)
             if record is None or issues:
-                raise GroundTruthError(
+                raise RecordError(
                     f"{path}:{row_index}: row rejected: "
                     + "; ".join(i.message for i in issues)
                 )

@@ -18,11 +18,7 @@ from alloyforge.composition import (
     Composition,
     CompositionError,
     ConsistencyReport,
-    EmptyFormula,
     NothingToCompare,
-    UnknownElement,
-    UnresolvedVariable,
-    UnsupportedUnits,
     l1_distance,
 )
 from alloyforge.features import PROPERTY_COLUMNS, ElementNotInTable
@@ -41,11 +37,9 @@ from alloyforge.ml import (
     _PIVOT_RTOL,
     _TAU,
     CV_FOLDS,
-    DimensionMismatch,
     EnsembleModel,
     LassoEstimator,
     Standardizer,
-    TooFewSamples,
     _centered_moments,
     logger,
 )
@@ -161,9 +155,9 @@ def reference_parse_formula(text: str) -> Composition:
     """The formula parser as a plain character walk: both unit patterns scanned
     over the whole string, each element read symbol first, then subscript."""
     if text is None:
-        raise EmptyFormula("formula is None")
+        raise CompositionError("formula is None")
     if _REF_WT_PERCENT_RE.search(text):
-        raise UnsupportedUnits(f"weight-percent composition not supported: {text!r}")
+        raise CompositionError(f"weight-percent composition not supported: {text!r}")
     cleaned = _REF_AT_PERCENT_RE.sub(" ", text)
     coeffs, pos = _ref_parse_sequence(cleaned, 0, depth=0)
     if pos != len(cleaned):
@@ -198,7 +192,7 @@ def _ref_parse_sequence(s: str, i: int, depth: int) -> tuple[dict[str, float], i
             coeffs[sym] = coeffs.get(sym, 0.0) + coeff
             continue
         if ch.islower():
-            raise UnresolvedVariable(
+            raise CompositionError(
                 f"symbolic subscript {ch!r} at position {i} in {s!r} has no numeric value"
             )
         raise CompositionError(f"unexpected character {ch!r} at position {i} in {s!r}")
@@ -215,7 +209,7 @@ def _ref_parse_element(s: str, i: int) -> tuple[str, int]:
     if one in ELEMENT_SYMBOLS:
         return one, i + 1
     bad = two if len(two) == 2 and two[1].islower() else one
-    raise UnknownElement(f"unknown element symbol {bad!r} at position {i} in {s!r}")
+    raise CompositionError(f"unknown element symbol {bad!r} at position {i} in {s!r}")
 
 
 def _ref_parse_coefficient(s: str, i: int) -> tuple[float, int]:
@@ -358,7 +352,7 @@ def reference_from_coefficients(coefficients) -> Composition:
     normalize in input order, then sort the items."""
     coeffs = {sym: f for sym, c in coefficients.items() if (f := float(c)) != 0.0}
     if not coeffs:
-        raise EmptyFormula("no nonzero coefficients")
+        raise CompositionError("no nonzero coefficients")
     total = sum(coeffs.values())
     if not math.isfinite(total) or total <= 0:
         raise CompositionError(f"coefficients sum to {total!r}")
@@ -715,10 +709,10 @@ def reference_train_elasso(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) != len(y):
-        raise DimensionMismatch("X and y lengths differ")
+        raise ValueError("X and y lengths differ")
     n = len(y)
     if n < CV_FOLDS:
-        raise TooFewSamples(
+        raise ValueError(
             f"need at least {CV_FOLDS} samples for {CV_FOLDS}-fold CV, got {n}")
     if B < 1:
         raise ValueError("B must be at least 1")

@@ -202,6 +202,22 @@ def test_optimize_refuses_an_empty_expert_reference(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "history").exists()
 
 
+def test_a_refused_optimize_creates_no_transcript_directory(tmp_path, capsys):
+    # a store's directory is made by its first recorded transcript, and a
+    # refused run records none
+    truth = tmp_path / "truth.csv"
+    truth.write_text((FIXTURES / "ground_truth.csv").read_text().splitlines()[0] + "\n",
+                     encoding="utf-8")
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text("".join(f"engine.{role}.transcript_dir = {tmp_path / 'transcripts' / role}\n"
+                           for role in ("forward", "backward", "evaluator")), encoding="utf-8")
+    rc = main(["optimize", "--config", str(cfg), "--corpus", str(FIXTURES / "manifest8.csv"),
+               "--truth", str(truth), "--out", str(tmp_path / "history")])
+    assert rc == 1
+    assert "error: the expert reference names no document" in capsys.readouterr().err
+    assert not (tmp_path / "transcripts").exists()
+
+
 def test_audit_command(tmp_path, capsys):
     from alloyforge import quality
     from alloyforge.engines import EngineResponse
@@ -392,6 +408,51 @@ def test_audit_engine_error_fails_only_its_record(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "audit.txt").exists()
     if parallelism == 1:
         assert len(auditor.records) == 1
+
+
+def test_audit_refuses_a_document_the_manifest_lacks_before_any_call(
+        tmp_path, monkeypatch, capsys):
+    argv = _audit_workspace(tmp_path, {
+        "d01": [_record("d01", composition="MoNbTaW", lattice=0.3216)],
+        "p09": [_record("p09", composition="NbTaTiV", lattice=0.325)],
+    })
+    auditor = ScriptedAuditor()
+    monkeypatch.setattr(cli, "engine_from_config", lambda cfg, role: auditor)
+    assert main(argv) == 1
+    assert ("error: dataset documents missing from the corpus manifest: ['p09']"
+            in capsys.readouterr().err)
+    assert auditor.records == []
+    assert not (tmp_path / "audit.txt").exists()
+
+    # with the evaluator answering from a transcript store, no store directory is left
+    monkeypatch.undo()
+    cfg = Path(argv[argv.index("--config") + 1])
+    cfg.write_text(f"engine.evaluator.transcript_dir = {tmp_path / 'transcripts'}\n",
+                   encoding="utf-8")
+    assert main(argv) == 1
+    assert "['p09']" in capsys.readouterr().err
+    assert not (tmp_path / "transcripts").exists()
+
+
+def test_evaluate_names_an_unknown_field(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset({"d01": [_record("d01", composition="MoNbTaW", lattice=3.216)]}, dataset)
+    rc = main(["evaluate", "--extracted", str(dataset),
+               "--truth", str(FIXTURES / "ground_truth.csv"), "--fields", "foo"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown field 'foo'\n"
+
+
+def test_evaluate_leaves_out_documents_the_truth_does_not_name(tmp_path, capsys):
+    records = {"d01": [_record("d01", composition="MoNbTaW", lattice=3.216)]}
+    tables = []
+    for extra in ({}, {"p09": [_record("p09", composition="NbTaTiV", lattice=3.25)]}):
+        dataset = tmp_path / "dataset.jsonl"
+        write_dataset({**records, **extra}, dataset)
+        assert main(["evaluate", "--extracted", str(dataset),
+                     "--truth", str(FIXTURES / "ground_truth.csv")]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):

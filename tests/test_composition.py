@@ -18,11 +18,7 @@ from alloyforge.composition import (
     Composition,
     CompositionError,
     ConsistencyReport,
-    EmptyFormula,
     NothingToCompare,
-    UnknownElement,
-    UnresolvedVariable,
-    UnsupportedUnits,
     consistency_check,
     cosine_similarity,
     l1_distance,
@@ -52,19 +48,19 @@ class TestParseFormula:
         assert comp.fractions["Co"] == pytest.approx(0.285714, abs=1e-6)
 
     def test_symbolic_subscript_rejected(self):
-        with pytest.raises(UnresolvedVariable):
+        with pytest.raises(CompositionError, match="symbolic subscript 'x' at position 2"):
             parse_formula("AlxCoCrFeNi")
 
     def test_unknown_element(self):
-        with pytest.raises(UnknownElement):
+        with pytest.raises(CompositionError, match="unknown element symbol 'Qx'"):
             parse_formula("Qx2Fe")
 
     def test_empty(self):
-        with pytest.raises(EmptyFormula):
+        with pytest.raises(CompositionError, match="no nonzero coefficients"):
             parse_formula("")
 
     def test_weight_percent_rejected(self):
-        with pytest.raises(UnsupportedUnits):
+        with pytest.raises(CompositionError, match="weight-percent composition not supported"):
             parse_formula("Fe 70 wt% Cr 30 wt%")
 
     def test_atomic_percent_marker_stripped(self):
@@ -110,8 +106,8 @@ class TestParseMemo:
     keeps no failure and nothing alive."""
 
     @pytest.mark.parametrize("text, error", [
-        ("AlxCoCrFeNi", UnresolvedVariable),
-        ("Fe 70 wt% Cr 30 wt%", UnsupportedUnits),
+        ("AlxCoCrFeNi", CompositionError),
+        ("Fe 70 wt% Cr 30 wt%", CompositionError),
     ])
     def test_a_failing_text_fails_alike_on_every_call(self, text, error):
         outcomes = []
@@ -277,8 +273,8 @@ class TestDirectConstruction:
     skips these checks because it makes them as it builds."""
 
     @pytest.mark.parametrize("fractions, error, message", [
-        ({}, EmptyFormula, "composition has no elements"),
-        ({"Xx": 1.0}, UnknownElement, "unknown element symbol 'Xx'"),
+        ({}, CompositionError, "composition has no elements"),
+        ({"Xx": 1.0}, CompositionError, "unknown element symbol 'Xx'"),
         ({"Fe": -0.5, "Ni": 1.5}, CompositionError, "fraction for Fe must be positive, got -0.5"),
         ({"Fe": float("inf")}, CompositionError, "fraction for Fe must be positive, got inf"),
         ({"Fe": 0.5, "Ni": 0.6}, CompositionError, "fractions sum to 1.1, expected 1 within 1e-9"),

@@ -14,10 +14,8 @@ from alloyforge.engines import (
     EngineRequest,
     EngineResponse,
     HttpEngine,
-    RateLimited,
     RecordingEngine,
     ReplayEngine,
-    ReplayMiss,
     TokenBucket,
     TranscriptStore,
     engine_from_config,
@@ -86,7 +84,8 @@ class TestReplayAndRecording:
 
     def test_replay_miss(self, tmp_path):
         engine = ReplayEngine(TranscriptStore(tmp_path))
-        with pytest.raises(ReplayMiss):
+        key = transcript_key(req("never seen"))
+        with pytest.raises(EngineError, match=f"no transcript for key {key}"):
             engine.complete(req("never seen"))
 
     def test_recording_is_idempotent(self, tmp_path):
@@ -173,7 +172,7 @@ class TestHttpEngine:
 
     def test_rate_limited_after_exhaustion(self):
         engine, _ = http_engine([(429, {"error": "slow"})] * 3, max_retries=2)
-        with pytest.raises(RateLimited):
+        with pytest.raises(EngineError, match="still throttling after 2 retries"):
             engine.complete(req())
 
     def test_context_too_long_status(self):
@@ -237,7 +236,7 @@ class TestHttpEngine:
         ([(302, {})], EngineError, 1),
         ([(408, {"error": "timeout"})] * 2 + [(200, OK)], None, 3),
         ([(408, {"error": "timeout"})] * 3, EngineError, 3),
-        ([(429, {"error": "slow down"})] * 3, RateLimited, 3),
+        ([(429, {"error": "slow down"})] * 3, EngineError, 3),
         ([(500, {"error": "boom"}), (502, {}), (599, {})], EngineError, 3),
         ([(503, {"error": "busy"}), (200, OK)], None, 2),
         ([OSError("connection reset")] * 3, EngineError, 3),
@@ -347,10 +346,10 @@ class TestEngineFromConfig:
         monkeypatch.setattr(engines, "_post_json", _no_network)
         cfg = loaded(tmp_path, {"engine.forward.transcript_dir": str(tmp_path / "store")})
         engine = engine_from_config(cfg, "forward")
-        with pytest.raises(ReplayMiss, match=f"no transcript for key {transcript_key(req())}"):
+        with pytest.raises(EngineError, match=f"no transcript for key {transcript_key(req())}"):
             engine.complete(req())
-        # a miss records nothing
-        assert list((tmp_path / "store").iterdir()) == []
+        # a miss records nothing, so the store's directory is never created
+        assert not (tmp_path / "store").exists()
         assert isinstance(engine, ReplayEngine)
 
     def test_http_with_recording(self, tmp_path):
@@ -394,13 +393,23 @@ class TestEngineFromConfig:
         assert engine.complete(req()).text == "recorded"
 
     @pytest.mark.parametrize("endpoint", [None, "http://fake"], ids=["replay", "http"])
-    def test_with_a_model_the_store_is_its_subdirectory(self, tmp_path, endpoint):
+    def test_with_a_model_the_store_is_its_subdirectory(self, tmp_path, monkeypatch, endpoint):
+        monkeypatch.setattr(engines, "_post_json",
+                            lambda url, payload, headers, timeout: (200, {"text": "answered"}))
         cfg = Config({"engine.forward.endpoint": endpoint,
                       "engine.forward.model": "claude-3.5-sonnet",
                       "engine.forward.transcript_dir": str(tmp_path)})
         engine = engine_from_config(cfg, "forward")
-        assert engine.store.root == tmp_path / "model=claude-3.5-sonnet"
-        assert engine.store.root.is_dir()
+        root = tmp_path / "model=claude-3.5-sonnet"
+        assert engine.store.root == root
+        # the directory is created by the first recorded transcript
+        assert not root.exists()
+        if endpoint is None:
+            RecordingEngine(_StaticEngine("answered"), engine.store).complete(req())
+        else:
+            engine.complete(req())
+        assert sorted(path.suffix for path in root.iterdir()) == [".request", ".response"]
+        assert engine.complete(req()).text == "answered"
 
     def test_model_stores_stay_inside_and_are_never_shared(self, tmp_path):
         models = ["..", ".", "../up", "a/b", "a_b", "a%2Fb", "a%252Fb", "/abs", "a b",
@@ -409,7 +418,10 @@ class TestEngineFromConfig:
         for model in models:
             cfg = Config({"engine.forward.model": model,
                           "engine.forward.transcript_dir": str(tmp_path)})
-            root = engine_from_config(cfg, "forward").store.root
+            engine = engine_from_config(cfg, "forward")
+            engine.store.put(transcript_key(req()), req(), EngineResponse(text=model))
+            assert engine.complete(req()).text == model
+            root = engine.store.root
             assert root.resolve().parent == tmp_path.resolve(), model
             roots.append(root.resolve())
         assert len(set(roots)) == len(models)

@@ -10,10 +10,8 @@ from alloyforge.composition import Composition, l1_distance
 from alloyforge.evaluation import (
     L1_MATCH,
     ConfusionCounts,
-    DocumentMismatch,
     EntityMetrics,
     SCORABLE_FIELDS,
-    UnknownField,
     composite_criterion,
     evaluate_run,
     f1,
@@ -397,7 +395,7 @@ class TestScoreEntities:
             assert (c.tp, c.fp, c.fn) == (1, 1, 1), name
 
     def test_unknown_field(self):
-        with pytest.raises(UnknownField):
+        with pytest.raises(ValueError, match="unknown field 'bogus'"):
             score_entities(match_entries([], []), [], [], fields=("bogus",))
 
     def test_conservation(self):
@@ -462,10 +460,13 @@ class TestEvaluateRun:
         for metrics in report.metrics.values():
             assert metrics.precision == 0.0 and metrics.recall == 0.0
 
-    def test_document_mismatch(self):
-        extracted = {"zzz": self._doc_records("zzz", ["MoNbTaW"])}
-        with pytest.raises(DocumentMismatch):
-            evaluate_run(extracted, {"a": self._doc_records("a", ["MoNbTaW"])})
+    def test_extracted_documents_outside_the_truth_change_no_count(self):
+        truth = {"a": self._doc_records("a", ["MoNbTaW"])}
+        extracted = {"a": self._doc_records("a", ["MoNbTaW", "NbTaVW"])}
+        stray = {**extracted, "zzz": self._doc_records("zzz", ["MoNbTaW", "AlCoCrFeNi"])}
+        counts = evaluate_run(extracted, truth).counts
+        assert {(c.tp, c.fp, c.fn) for c in counts.values()} == {(1, 1, 0)}
+        assert evaluate_run(stray, truth).counts == counts
 
     def test_micro_average_is_count_sum(self):
         truth = {
@@ -490,7 +491,7 @@ class TestEvaluateRun:
 
     @pytest.mark.parametrize("fields, error, message", [
         (("phase", "phase"), ValueError, "field 'phase' is listed twice"),
-        (("phase", "bogus"), UnknownField, "bogus"),
+        (("phase", "bogus"), ValueError, "unknown field 'bogus'"),
         ((), ValueError, "no fields to score"),
     ])
     @pytest.mark.parametrize("with_truth", [True, False])

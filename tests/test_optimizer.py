@@ -25,7 +25,7 @@ from alloyforge.optimizer import (
     forward_extract,
     optimize,
 )
-from alloyforge.pipeline import CorpusMiss, CorpusStore, ingest_corpus
+from alloyforge.pipeline import CorpusStore, PipelineError, ingest_corpus
 from alloyforge.records import serialize_record_set
 
 from tests.oracles import reference_improved_text
@@ -66,7 +66,7 @@ class TestForwardExtract:
 
     def test_missing_doc(self, corpus7, truth_by_doc):
         engine = ScriptedForwardEngine(truth_by_doc)
-        with pytest.raises(CorpusMiss):
+        with pytest.raises(PipelineError, match="document 'nope' is not in the corpus manifest"):
             forward_extract(Prompt(INITIAL_PROMPT_TEXT), "nope", engine, corpus7)
 
 

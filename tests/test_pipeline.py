@@ -14,9 +14,7 @@ from alloyforge.engines import (
 )
 from alloyforge.pipeline import (
     CorpusStore,
-    DuplicateId,
     PipelineError,
-    UnreadablePath,
     clean_dataset,
     dataset_to_csv,
     ingest_corpus,
@@ -70,13 +68,13 @@ class TestIngestCorpus:
             f"doc_id,path,kind\nd1,{doc},plain_text\nd1,{doc},plain_text\n",
             encoding="utf-8",
         )
-        with pytest.raises(DuplicateId):
+        with pytest.raises(PipelineError, match=":3: duplicate id 'd1'"):
             ingest_corpus(manifest)
 
     def test_unreadable_path(self, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("doc_id,path,kind\nd1,missing.txt,plain_text\n", encoding="utf-8")
-        with pytest.raises(UnreadablePath):
+        with pytest.raises(PipelineError, match=":2: cannot read .*missing.txt"):
             ingest_corpus(manifest)
 
     @pytest.mark.parametrize("row, message", [

@@ -8,7 +8,6 @@ from alloyforge.quality import (
     ERROR_TAGS,
     SEMANTIC_MISINTERPRETATION,
     UNIT_ERROR,
-    NonPositive,
     classify_errors,
     faithfulness_audit,
     filter_plausible,
@@ -66,7 +65,7 @@ class TestUnitRepair:
         assert suggest_unit_repair(50.0) is None
 
     def test_nonpositive(self):
-        with pytest.raises(NonPositive):
+        with pytest.raises(ValueError, match="lattice value must be positive, got 0.0"):
             suggest_unit_repair(0.0)
 
     def test_idempotence(self):

@@ -22,9 +22,7 @@ from alloyforge.records import (
     SCHEMA_KEYS,
     AlloyRecord,
     DocumentId,
-    GroundTruthError,
     MalformedOutput,
-    MissingColumn,
     PHASE_KINDS,
     PROCESSING_KINDS,
     RecordError,
@@ -622,7 +620,7 @@ class TestGroundTruth:
     def test_missing_column(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("doc_id,alloy_name\nd1,foo\n", encoding="utf-8")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(RecordError, match="bad.csv: missing column"):
             load_ground_truth(bad)
 
     def test_header_only(self, tmp_path):
@@ -642,6 +640,6 @@ class TestGroundTruth:
             "d1,Not found,Not found,Not found,BCC,as-cast,3.2\n",
             encoding="utf-8",
         )
-        with pytest.raises(GroundTruthError) as err:
+        with pytest.raises(RecordError, match="row rejected") as err:
             load_ground_truth(bad)
         assert ":2:" in str(err.value)
