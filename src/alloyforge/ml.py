@@ -29,6 +29,7 @@ ESVR_VAL_FRACTION = 0.25       # share of the training set carved off for valida
 CV_FOLDS = 10
 _PIVOT_RTOL = 1e-10            # Cholesky pivot share below which gram[A, A] is singular
 _PATH_STEPS = 20               # step cap of one LASSO homotopy path, per feature
+_ELASSO_BLOCK = 16             # resamples whose LASSO paths run as one stack
 _TAU = 1e-12
 
 logger = logging.getLogger(__name__)
@@ -458,7 +459,8 @@ def train_esvr(
 
 
 def _lasso_path(gram, corr, grid):
-    """Exact minimizers of (1/2) w'Gram w - corr'w + lam*||w||_1 along ``grid``.
+    """Exact minimizers of (1/2) w'Gram w - corr'w + lam*||w||_1 along ``grid``,
+    for a stack of independent problems followed in lockstep.
 
     With Gram = X'X/n and corr = X'y/n this is the LASSO
     (1/2n)||y - Xw||^2 + lam*||w||_1. The homotopy (LARS with the lasso
@@ -476,68 +478,99 @@ def _lasso_path(gram, corr, grid):
     whose join would leave gram[A, A] with a Cholesky pivot at or below
     ``_PIVOT_RTOL`` of its diagonal entry never joins: in exact arithmetic it
     is a combination of the active columns, whose correlation stays within
-    the penalty.
+    the penalty. The feature a bend just changed does not change back at
+    that penalty, which would only undo a join or drop of a coefficient that
+    stays 0 (ties in rank-deficient designs), and a coefficient whose sign
+    rounding turns against s is written as 0: in exact arithmetic it has
+    sign s on the stretch or is 0.
 
-    ``grid`` is decreasing and nonnegative. Returns (W, capped): W[k] solves
-    the problem at grid[k], and is zero at or above the shutoff. capped is
-    True when the path took ``_PATH_STEPS`` steps per feature with grid
-    points left; those points then hold the coefficients at the last bend.
+    ``gram`` is (F, p, p), ``corr`` (F, p) and ``grid`` (F, m), each row of
+    ``grid`` decreasing and nonnegative. Each step solves every unfinished
+    path's system in one call, gram[A, A] padded with the identity off A, and
+    every other operation acts on each path alone, so a path's bits do not
+    depend on the rest of the stack. Returns (W, capped): W[f, k] solves
+    problem f at grid[f, k], and is zero at or above its shutoff. capped[f]
+    is True when path f took ``_PATH_STEPS`` steps per feature with grid
+    points left; those points then hold the coefficients at its last bend.
     """
     gram = np.asarray(gram, dtype=float)
     corr = np.asarray(corr, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    p, m = len(corr), len(grid)
-    W = np.zeros((m, p))
-    lam = float(np.max(np.abs(corr), initial=0.0))
-    k = int(np.count_nonzero(grid >= lam))   # grid points where w = 0
-    if k == m:
-        return W, False
-    diag = np.diag(gram)
-    # row j: corr[j], the sign of w[j] while j is active, gram[j]
-    system = np.column_stack([corr, np.zeros(p), gram])
-    events = np.empty((3, p))   # per feature, the penalty where it reaches +lam, -lam, 0
-    active = []
-    changed = int(np.argmax(np.abs(corr)))   # the feature the next step adds or drops
-    system[changed, 1] = 1.0 if corr[changed] > 0.0 else -1.0
+    (F, p), m = corr.shape, grid.shape[1]
+    W = np.zeros((F, m, p))
+    capped = np.zeros(F, dtype=bool)
+    lam = np.max(np.abs(corr), axis=1, initial=0.0)
+    k = np.count_nonzero(grid >= lam[:, None], axis=1)   # grid points where w = 0
+    # the arrays below follow the unfinished paths, path[i] being the i-th
+    path = np.flatnonzero(k < m)
+    gram, corr, grid, lam, k = gram[path], corr[path], grid[path], lam[path], k[path]
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    rows, eye = np.arange(len(path)), np.eye(p)
+    feature = np.tile(np.arange(p), 3)   # of each column of the (kind, feature) events
+    # per path, row j: corr[j], the sign of w[j] while j is active, gram[j]
+    system = np.concatenate([corr[:, :, None], np.zeros((len(path), p, 1)), gram], axis=2)
+    active = np.zeros((len(path), p), dtype=bool)
+    changed = np.argmax(np.abs(corr), axis=1)   # the feature the next step adds or drops
+    system[rows, changed, 1] = np.where(corr[rows, changed] > 0.0, 1.0, -1.0)
+    # per step, for the paths that took it: w = a - penalty * d with sign s on
+    # the grid points k:stop, and the penalties there
+    stretches = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_PATH_STEPS * p):
-            if changed in active:
-                active.remove(changed)
-            else:
-                active.append(changed)
-            rows = system[active]
-            gram_rows = rows[:, 2:]
+            if not len(path):
+                break
+            active[rows, changed] ^= True
             # w[A] = a - lam * d; the other columns give the pivot each inactive
             # feature would add to the Cholesky factor of gram[A, A]
-            solved = np.linalg.solve(gram_rows[:, active], rows)
-            a, d = solved[:, 0], solved[:, 1]
-            pivot = diag - np.einsum("ij,ij->j", gram_rows, solved[:, 2:])
+            rhs = np.where(active[:, :, None], system, 0.0)
+            solved = np.linalg.solve(
+                np.where(active[:, :, None] & active[:, None, :], gram, eye), rhs)
+            a, d, s = solved[:, :, 0], solved[:, :, 1], rhs[:, :, 1]
+            pivot = diag - np.einsum("fij,fij->fj", gram, solved[:, :, 2:])
             # off A, corr - gram w = alpha + lam * beta, which moves toward +lam
             # as lam falls where beta < 1 and toward -lam where beta > -1
-            alpha, beta = corr - a @ gram_rows, d @ gram_rows
-            np.divide(alpha, 1.0 - beta, out=events[0])
-            np.divide(alpha, -1.0 - beta, out=events[1])
-            events[0, ~(beta < 1.0)] = 0.0
-            events[1, ~(beta > -1.0)] = 0.0
-            events[:2, pivot <= _PIVOT_RTOL * diag] = 0.0
-            events[:2, active] = 0.0
-            # on A, w[j] shrinks as lam falls where it has the sign opposite to d[j]
-            events[2] = 0.0
-            events[2, active] = np.where(rows[:, 1] * d < 0.0, a / d, 0.0)
+            alpha = corr - np.einsum("fi,fij->fj", a, gram)
+            beta = np.einsum("fi,fij->fj", d, gram)
+            joins = ~(active | (pivot <= _PIVOT_RTOL * diag))
+            events = np.concatenate([
+                np.where(joins & (beta < 1.0), alpha / (1.0 - beta), 0.0),
+                np.where(joins & (beta > -1.0), alpha / (-1.0 - beta), 0.0),
+                # on A, w[j] shrinks as lam falls where it has the sign opposite to d[j]
+                np.where(s * d < 0.0, a / d, 0.0),
+            ], axis=1)
             events[~(events > 0.0)] = 0.0
-            np.minimum(events, lam, out=events)
-            kind, changed = divmod(int(events.argmax()), p)
-            lam = events.item(kind, changed)
-            if kind < 2:
-                system[changed, 1] = 1.0 - 2.0 * kind
+            np.minimum(events, lam[:, None], out=events)
+            # the feature that just changed does not change back at this penalty:
+            # in exact arithmetic a joined coefficient grows from 0 and a dropped
+            # correlation moves inside the penalty, unless either stays where it is
+            events[(feature == changed[:, None]) & (events == lam[:, None])] = 0.0
+            kind, changed = np.divmod(events.argmax(axis=1), p)
+            lam = events[rows, kind * p + changed]
+            joined = kind < 2
+            system[rows[joined], changed[joined], 1] = 1.0 - 2.0 * kind[joined]
             # the grid points on this stretch, down to the next bend (to 0 after the last)
-            stop = int(np.count_nonzero(grid >= lam))
-            W[k:stop, active] = a - grid[k:stop, None] * d
-            if stop == m:
-                return W, False
+            stop = np.count_nonzero(grid >= lam[:, None], axis=1)
+            stretches.append((path, a, d, s, k, stop, grid))
             k = stop
-    W[k:, active] = a - lam * d   # stopped at the cap: the rest hold the last bend
-    return W, True
+            if (stop == m).any():
+                keep = stop < m
+                path, gram, corr, grid, diag, system, active, changed, lam, k, a, d, s = (
+                    x[keep] for x in (path, gram, corr, grid, diag, system, active,
+                                      changed, lam, k, a, d, s))
+                rows = rows[:len(path)]
+    if len(path):   # stopped at the cap: the rest hold the last bend
+        last_bend = np.repeat(lam[:, None], m, axis=1)
+        stretches.append((path, a, d, s, k, np.full(len(path), m), last_bend))
+        capped[path] = True
+    if not stretches:
+        return W, capped
+    # each grid point below a shutoff lies on one stretch
+    path, a, d, s, k, stop, grid = (np.concatenate(x) for x in zip(*stretches))
+    at = np.repeat(np.arange(len(path)), stop - k)   # the stretch of each point
+    point = np.arange(len(at)) - np.repeat(np.cumsum(stop - k) - stop, stop - k)
+    w = a[at] - grid[at, point][:, None] * d[at]
+    W[path[at], point] = np.where(s[at] * w > 0.0, w, 0.0)
+    return W, capped
 
 
 def _centered_moments(X: np.ndarray, y: np.ndarray):
@@ -554,7 +587,7 @@ def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float):
         raise ValueError(f"penalty must be nonnegative, got {lam}")
     x_mean, y_mean, gram, corr = _centered_moments(
         np.asarray(X, dtype=float), np.asarray(y, dtype=float))
-    w = _lasso_path(gram, corr, [lam])[0][0]
+    w = _lasso_path(gram[None], corr[None], [[lam]])[0][0, 0]
     return w, y_mean - float(x_mean @ w)
 
 
@@ -577,7 +610,11 @@ def train_elasso(
     50-point logarithmic grid below that resample's shutoff penalty. Each
     fold scores the whole grid from one homotopy path, and the resample's
     coefficients are read off its own path, run down to the chosen penalty.
-    ``extra["lasso_capped"]`` counts the paths (``CV_FOLDS`` + 1 per
+    Resamples go in blocks of ``_ELASSO_BLOCK``: one ``_lasso_path`` call
+    runs the fold paths of a block, and one more its full-sample paths. A
+    path's bits do not depend on the rest of its stack, and each resample
+    draws from its own seed, so estimator b is the same for every ``B``
+    above b. ``extra["lasso_capped"]`` counts the paths (``CV_FOLDS`` + 1 per
     resample) that stopped at their step cap.
     """
     X = np.asarray(X, dtype=float)
@@ -596,33 +633,47 @@ def train_elasso(
     children = np.random.SeedSequence(seed).spawn(B)
 
     estimators, capped = [], 0
-    for b in range(B):
-        rng = np.random.default_rng(children[b])
-        picks = rng.integers(0, n, n)
-        Zb, ub = Z[picks], u[picks]
-        xm, ym, gram, corr = _centered_moments(Zb, ub)
-        lam_max = float(np.max(np.abs(corr)))
-        if lam_max <= 0:
-            lam_max = 1e-8
-        grid = np.geomspace(lam_max, lam_max * 1e-4, 50)
+    for first in range(0, B, _ELASSO_BLOCK):
+        resamples, grids = [], []
+        for b in range(first, min(first + _ELASSO_BLOCK, B)):
+            rng = np.random.default_rng(children[b])
+            picks = rng.integers(0, n, n)
+            Zb, ub = Z[picks], u[picks]
+            moments = _centered_moments(Zb, ub)
+            lam_max = float(np.max(np.abs(moments[3])))
+            if lam_max <= 0:
+                lam_max = 1e-8
+            grids.append(np.geomspace(lam_max, lam_max * 1e-4, 50))
+            fold_ids = rng.permutation(n) % CV_FOLDS
+            val_masks = [fold_ids == fold for fold in range(CV_FOLDS)]
+            folds = [_centered_moments(Zb[~val], ub[~val]) for val in val_masks]
+            resamples.append((Zb, ub, moments, val_masks, folds))
+        grids = np.array(grids)
 
-        fold_ids = rng.permutation(n) % CV_FOLDS
-        cv_errors = np.zeros(len(grid))
-        for fold in range(CV_FOLDS):
-            val_mask = fold_ids == fold
-            fxm, fym, fgram, fcorr = _centered_moments(Zb[~val_mask], ub[~val_mask])
-            W, hit_cap = _lasso_path(fgram, fcorr, grid)
-            capped += hit_cap
-            # (validation sample, penalty) errors of the whole grid
-            err = (Zb[val_mask] - fxm) @ W.T
-            err += fym - ub[val_mask, None]
-            cv_errors += np.mean(np.square(err, out=err), axis=0)
-        best_idx = int(np.argmin(cv_errors))
-        W, hit_cap = _lasso_path(gram, corr, grid[: best_idx + 1])
-        capped += hit_cap
-        w = W[-1]
-        estimators.append(LassoEstimator(
-            coef=w, intercept=ym - float(xm @ w), lam=float(grid[best_idx])))
+        # one stack of every fold path of the block, CV_FOLDS per resample
+        folds = [fold for *_, resample_folds in resamples for fold in resample_folds]
+        W, hit_cap = _lasso_path([f[2] for f in folds], [f[3] for f in folds],
+                                 np.repeat(grids, CV_FOLDS, axis=0))
+        capped += int(np.count_nonzero(hit_cap))
+        best = np.zeros(len(resamples), dtype=int)
+        for i, (Zb, ub, _, val_masks, folds) in enumerate(resamples):
+            cv_errors = np.zeros(grids.shape[1])
+            for val, (fxm, fym, _, _), W_fold in zip(val_masks, folds, W[i * CV_FOLDS:]):
+                # (validation sample, penalty) errors of the whole grid
+                err = (Zb[val] - fxm) @ W_fold.T
+                err += fym - ub[val, None]
+                cv_errors += np.mean(np.square(err, out=err), axis=0)
+            best[i] = np.argmin(cv_errors)
+
+        # each full-sample path stops at its chosen penalty: its grid repeats it after
+        chosen = grids[np.arange(len(resamples)), best]
+        full = [moments for _, _, moments, _, _ in resamples]
+        W, hit_cap = _lasso_path(
+            [f[2] for f in full], [f[3] for f in full],
+            np.where(np.arange(grids.shape[1]) <= best[:, None], grids, chosen[:, None]))
+        capped += int(np.count_nonzero(hit_cap))
+        for (xm, ym, _, _), w, lam in zip(full, W[:, -1].copy(), chosen.tolist()):
+            estimators.append(LassoEstimator(coef=w, intercept=ym - float(xm @ w), lam=lam))
     if capped:
         logger.warning("%d of %d LASSO paths stopped at the step cap",
                        capped, B * (CV_FOLDS + 1))

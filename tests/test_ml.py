@@ -74,6 +74,12 @@ def lasso_grid(corr):
     return np.geomspace(lam_max, lam_max * 1e-4, 50)
 
 
+def lasso_path(gram, corr, grid):
+    """One problem's path from ``ml._lasso_path``, run as a stack of one."""
+    W, capped = ml._lasso_path([gram], [corr], [grid])
+    return W[0], bool(capped[0])
+
+
 def correlated_elasso_problem():
     rng = np.random.default_rng(46)
     X = rng.normal(size=(80, 1)) + 0.2 * rng.normal(size=(80, 6))
@@ -319,7 +325,7 @@ class TestLassoActiveSetFinish:
             gram, corr = correlated_moments(rng, n=int(rng.integers(30, 100)))
             assert np.linalg.cond(gram) >= 500
             grid = lasso_grid(corr)
-            W, capped = ml._lasso_path(gram, corr, grid)
+            W, capped = lasso_path(gram, corr, grid)
             assert not capped
             for w, lam in zip(W, grid):
                 assert_lasso_kkt(gram, corr, w, lam, 1e-9)
@@ -332,7 +338,7 @@ class TestLassoActiveSetFinish:
         _, _, gram, corr = ml._centered_moments(X, y)
         assert corr.tolist() == [0.25, 0.25, 0.125, -0.25]
         grid = np.append(lasso_grid(corr), 0.0)
-        W, capped = ml._lasso_path(gram, corr, grid)
+        W, capped = lasso_path(gram, corr, grid)
         assert not capped
         for w, lam in zip(W, grid):
             assert_lasso_kkt(gram, corr, w, lam, 1e-12)
@@ -352,7 +358,7 @@ class TestLassoActiveSetFinish:
         for X, y in designs:
             _, _, gram, corr = ml._centered_moments(np.array(X, float), np.array(y, float))
             grid = np.geomspace(np.max(np.abs(corr)), np.max(np.abs(corr)) * 1e-3, 8)
-            W, capped = ml._lasso_path(gram, corr, grid)
+            W, capped = lasso_path(gram, corr, grid)
             assert not capped
             assert np.all(W[0] == 0.0)
             w = None
@@ -380,7 +386,7 @@ class TestLassoActiveSetFinish:
                 continue
             ties += np.count_nonzero(np.abs(corr) == lam_max) > 1
             grid = np.geomspace(lam_max, lam_max * 1e-3, 8)
-            W, capped = ml._lasso_path(gram, corr, grid)
+            W, capped = lasso_path(gram, corr, grid)
             assert not capped
             w = None
             for got, lam in zip(W, grid):
@@ -393,7 +399,7 @@ class TestLassoActiveSetFinish:
         # keep it out for good
         gram, corr = rejoin_moments()
         grid = lasso_grid(corr)
-        W, capped = ml._lasso_path(gram, corr, grid)
+        W, capped = lasso_path(gram, corr, grid)
         assert not capped
         signs = np.sign(W[:, 1]).tolist()
         runs = [s for k, s in enumerate(signs) if k == 0 or s != signs[k - 1]]
@@ -412,7 +418,7 @@ class TestLassoActiveSetFinish:
             _, _, gram, corr = ml._centered_moments(X, y)
             assert gram[2, 2] == 0.0
             grid = lasso_grid(corr)
-            W, capped = ml._lasso_path(gram, corr, grid)
+            W, capped = lasso_path(gram, corr, grid)
             assert not capped
             assert np.all(W[:, 2] == 0.0)
             for w, lam in zip(W, grid):
@@ -427,20 +433,63 @@ class TestLassoActiveSetFinish:
         y = X[:, :4] @ np.array([1.5, -1.0, 0.5, 0.25]) + rng.normal(0, 0.1, 50)
         _, _, gram, corr = ml._centered_moments(X, y)
         grid = np.append(lasso_grid(corr), 0.0)
-        W, capped = ml._lasso_path(gram, corr, grid)
+        W, capped = lasso_path(gram, corr, grid)
         assert not capped
         assert np.count_nonzero(W[-1]) == 4
         assert not np.any((W[:, 0] != 0.0) & (W[:, 4] != 0.0))
         for w, lam in zip(W, grid):
             assert_lasso_kkt(gram, corr, w, lam, 1e-9)
 
+    def test_strict_signs_on_rank_deficient_integer_designs(self):
+        # with fewer independent rows than columns, ties can keep a feature active
+        # whose coefficient is 0 in exact arithmetic; rounding must not give it the
+        # sign opposite to its correlation, nor cycle between joining and dropping it
+        rng = np.random.default_rng(7)
+        stacks = {}   # p -> (gram, corr, grid) of each design with p columns
+        for trial in range(3000):
+            n, p = int(rng.integers(3, 8)), int(rng.integers(3, 7))
+            X = rng.integers(-1, 2, size=(n, p)).astype(float)
+            y = rng.integers(-2, 3, size=n).astype(float)
+            _, _, gram, corr = ml._centered_moments(X, y)
+            lam_max = float(np.max(np.abs(corr)))
+            if lam_max == 0.0 or np.linalg.matrix_rank(gram) == p:
+                continue
+            grid = np.geomspace(lam_max, lam_max * 1e-3, 8)
+            stacks.setdefault(p, []).append((gram, corr, grid))
+        assert sum(len(stack) for stack in stacks.values()) >= 1500
+        for stack in stacks.values():
+            W, capped = ml._lasso_path(*zip(*stack))
+            assert not capped.any()
+            for (gram, corr, grid), path in zip(stack, W):
+                for w, lam in zip(path, grid):
+                    assert_lasso_kkt(gram, corr, w, lam, 1e-9)
+
+    def test_a_path_has_the_same_bits_alone_and_in_a_stack(self, monkeypatch):
+        # beside the others: a path capped at 6 steps and one whose grid lies at
+        # its shutoff penalty
+        monkeypatch.setattr(ml, "_PATH_STEPS", 1)
+        rng = np.random.default_rng(42)
+        problems = [correlated_moments(rng) for _ in range(6)]
+        problems.insert(2, rejoin_moments())
+        grids = [lasso_grid(corr) for _, corr in problems]
+        grids[4] = np.full(50, float(np.max(np.abs(problems[4][1]))))
+        W, capped = ml._lasso_path(*zip(*problems), grids)
+        assert capped.tolist() == [False, False, True, False, False, False, False]
+        assert np.all(W[4] == 0.0) and not np.all(W[3] == 0.0)
+        for size in (1, 3):
+            for first in range(0, len(problems), size):
+                part = slice(first, first + size)
+                got, got_capped = ml._lasso_path(*zip(*problems[part]), grids[part])
+                assert got.tobytes() == W[part].tobytes()
+                assert got_capped.tolist() == capped[part].tolist()
+
     def test_step_cap_is_reported(self, monkeypatch):
         # the path past the cap holds the coefficients at the last bend it reached
         gram, corr = rejoin_moments()
         grid = lasso_grid(corr)
-        full, _ = ml._lasso_path(gram, corr, grid)
+        full, _ = lasso_path(gram, corr, grid)
         monkeypatch.setattr(ml, "_PATH_STEPS", 1)   # one step per feature: 6 steps
-        W, capped = ml._lasso_path(gram, corr, grid)
+        W, capped = lasso_path(gram, corr, grid)
         assert capped
         same = np.all(W == full, axis=1)
         reached = int(np.argmin(same))
@@ -464,7 +513,8 @@ class TestLassoActiveSetFinish:
     def test_elasso_counts_and_logs_capped_fits(self, monkeypatch, caplog):
         X, y = vegard_data(n=40)
         monkeypatch.setattr(
-            ml, "_lasso_path", lambda gram, corr, grid: (np.zeros((len(grid), 6)), True))
+            ml, "_lasso_path",
+            lambda gram, corr, grid: (np.zeros(np.shape(grid) + (6,)), np.ones(len(grid), bool)))
         with caplog.at_level(logging.WARNING, "alloyforge.ml"):
             model = ml.train_elasso(X, y, B=2, seed=2)
         # all CV errors tie, so the first penalty wins: per resample 10 fold
@@ -565,6 +615,17 @@ class TestEnsembles:
         ml.save_model(a, pa)
         ml.save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_elasso_estimators_do_not_depend_on_B(self):
+        # resamples 16 to 19 share their block with 20 to 31 when B = 40, and
+        # only with each other when B = 20
+        assert 4 < ml._ELASSO_BLOCK == 16
+        X, y = vegard_data(n=40)
+        models = {B: ml.train_elasso(X, y, B=B, seed=6) for B in (4, 20, 40)}
+        for B in (4, 20):
+            for small, large in zip(models[B].estimators, models[40].estimators):
+                assert small.coef.tobytes() == large.coef.tobytes()
+                assert (small.intercept, small.lam) == (large.intercept, large.lam)
 
     def test_elasso_needs_enough_samples(self):
         X, y = vegard_data(n=8)
