@@ -105,11 +105,12 @@ def transcript_key(request: EngineRequest) -> str:
 
 class TranscriptStore:
     """Directory of <key>.request / <key>.response files, UTF-8, write-once;
-    the directory is created when the first transcript is recorded."""
+    the directory is created once, when the store records its first transcript."""
 
     def __init__(self, root):
         self.root = Path(root)
         self._lock = threading.Lock()
+        self._made = False  # whether this store has created its directory
 
     def _paths(self, key: str) -> tuple[Path, Path]:
         return self.root / f"{key}.request", self.root / f"{key}.response"
@@ -132,7 +133,9 @@ class TranscriptStore:
         with self._lock:
             if resp_path.exists():
                 return
-            self.root.mkdir(parents=True, exist_ok=True)
+            if not self._made:
+                self.root.mkdir(parents=True, exist_ok=True)
+                self._made = True
             # constant "model" and "options" for the reason given in transcript_key
             request_blob = {
                 "model": "",

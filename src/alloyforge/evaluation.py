@@ -105,15 +105,21 @@ def match_entries(extracted: list[AlloyRecord], truth: list[AlloyRecord]) -> Mat
     for elements, (e_idxs, t_idxs) in groups.items():
         # l1_distance over the one element set of the group, which is the union
         # of any two of its supports; fsum rounds correctly, so walking the set
-        # in its own order gives l1_distance's bits
+        # in its own order gives l1_distance's bits; as there, a pair holding one
+        # shared object is 0.0 without the sum
         distance: list[list[float]] = []
         local: list[tuple[int, int]] = []  # admissible pairs of group positions
         for le, e in enumerate(e_idxs):
-            fe = extracted[e].nominal_composition.fractions
+            ce = extracted[e].nominal_composition
+            fe = ce.fractions
             row = []
             for lt, t in enumerate(t_idxs):
-                ft = truth[t].nominal_composition.fractions
-                d = math.fsum([abs(fe[sym] - ft[sym]) for sym in elements])
+                ct = truth[t].nominal_composition
+                if ce is ct:
+                    d = 0.0
+                else:
+                    ft = ct.fractions
+                    d = math.fsum([abs(fe[sym] - ft[sym]) for sym in elements])
                 row.append(d)
                 if d <= L1_MATCH:
                     local.append((le, lt))

@@ -162,16 +162,18 @@ def forward_extract(
     prompt: Prompt,
     doc_id: str,
     engine,
-    corpus: CorpusStore,
+    document: tuple[str, tuple],
     temperature: float = 0.0,
 ) -> list[AlloyRecord]:
     """Extract one document with the forward engine and parse the completion.
 
-    A completion carrying the irrelevance sentinel yields an empty record
-    list; unparseable completions also yield an empty list (the parse problem
-    is logged, not fatal).
+    ``document`` is the ``(text, attachments)`` pair that
+    ``CorpusStore.request_document`` gives for ``doc_id``. A completion
+    carrying the irrelevance sentinel yields an empty record list;
+    unparseable completions also yield an empty list (the parse problem is
+    logged, not fatal).
     """
-    request = build_document_request(prompt.text, doc_id, corpus, temperature)
+    request = build_document_request(prompt.text, doc_id, document, temperature)
     response = engine.complete(request)
     if is_rejection(response.text):
         return []
@@ -191,20 +193,22 @@ def extraction_loss(
     truth: list[AlloyRecord],
     output: list[AlloyRecord],
     evaluator,
-    corpus: CorpusStore,
+    document: tuple[str, tuple],
 ) -> Feedback:
     """Ask the evaluator engine to critique one document's output.
 
-    The evaluation request embeds the prompt, the document (a PDF as a
-    reference to its attachment), the expert data, and the model output; the
-    critique's closing ALIGNED/MISALIGNED statement becomes the verdict. An
-    unparseable verdict, an empty critique included, is conservatively treated as
+    ``document`` is the ``(text, attachments)`` pair that
+    ``CorpusStore.request_document`` gives for ``doc_id``. The evaluation
+    request embeds the prompt, the document (a PDF as a reference to its
+    attachment), the expert data, and the model output; the critique's
+    closing ALIGNED/MISALIGNED statement becomes the verdict. An unparseable
+    verdict, an empty critique included, is conservatively treated as
     misaligned.
     """
-    document, attachments = corpus.request_document(doc_id)
+    text, attachments = document
     slots = {
         "PROMPT": prompt.text,
-        "DOCUMENT": document,
+        "DOCUMENT": text,
         "EXPERT_DATA": serialize_record_set(truth),
         "MODEL_OUTPUT": serialize_record_set(output),
     }
@@ -278,8 +282,10 @@ def optimize(
 
     Per epoch, only the corpus documents that have expert data are called, in
     batches of ``batch_size`` in manifest order; each batch makes one backward
-    update, and an empty expert reference is refused before any call. An
-    epoch's snapshot scores the union of its outputs against the full reference.
+    update. An empty expert reference is refused before any call, and so is a
+    document that cannot be read: each one is read once per run, before the
+    first call. An epoch's snapshot scores the union of its outputs against
+    the full reference.
     Each document's forward and evaluator calls run together, concurrently
     above parallelism 1. An engine error from either call fails only that
     document: it is logged, recorded in ``history.failures`` and left out of
@@ -292,9 +298,11 @@ def optimize(
     if missing:
         raise ValueError(f"truth documents missing from corpus: {sorted(missing)}")
 
+    doc_ids = [doc_id for doc_id in corpus.ids if doc_id in truth_by_doc]
+    documents = {doc_id: corpus.request_document(doc_id) for doc_id in doc_ids}
+
     history = PromptHistory(prompts=[initial], epochs=[])
     current = initial
-    doc_ids = [doc_id for doc_id in corpus.ids if doc_id in truth_by_doc]
     batches = [
         doc_ids[start : start + config.batch_size]
         for start in range(0, len(doc_ids), config.batch_size)
@@ -302,11 +310,12 @@ def optimize(
 
     def attempt(doc_id: str):
         """Forward-extract one document under the batch's prompt and critique the output."""
+        document = documents[doc_id]
         output = forward_extract(
-            current, doc_id, config.forward_engine, corpus, config.forward_temperature
+            current, doc_id, config.forward_engine, document, config.forward_temperature
         )
         return output, extraction_loss(current, doc_id, truth_by_doc[doc_id], output,
-                                       config.evaluator_engine, corpus)
+                                       config.evaluator_engine, document)
 
     for epoch in range(1, config.epochs + 1):
         epoch_outputs: dict[str, list[AlloyRecord]] = {}

@@ -130,10 +130,14 @@ def ingest_corpus(manifest_path) -> list[ManifestEntry]:
 
 
 def build_document_request(
-    prompt_text: str, doc_id: str, corpus: CorpusStore, temperature: float = 0.0
+    prompt_text: str, doc_id: str, document: tuple[str, tuple], temperature: float = 0.0
 ) -> EngineRequest:
-    """Assemble the extraction request for one document."""
-    text, attachments = corpus.request_document(doc_id)
+    """Assemble the extraction request for one document.
+
+    ``document`` is the ``(text, attachments)`` pair that
+    ``CorpusStore.request_document`` gives for ``doc_id``.
+    """
+    text, attachments = document
     user_text = (
         f"Extract the alloy data from the attached document ({doc_id})." if attachments
         else f"Document {doc_id}:\n\n{text}\n\nExtract the alloy data now."
@@ -369,7 +373,8 @@ def run_extraction(
     def attempt_document(doc_id: str) -> None:
         nonlocal calls
         attempt = ledger.states[doc_id].attempts + 1
-        request = build_document_request(prompt_text, doc_id, corpus, temperature)
+        request = build_document_request(prompt_text, doc_id, corpus.request_document(doc_id),
+                                         temperature)
         with lock:
             calls += 1
         called = time.perf_counter()

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .composition import Composition, CompositionError, parse_formula
@@ -351,9 +352,28 @@ def parse_record_set(text: str, source: DocumentId) -> RecordSetParseResult:
     return RecordSetParseResult(records=records, issues=issues)
 
 
+# each field's opening as json.dumps(indent=2) writes it inside a record object
+_FIELD_OPENERS = tuple(f'    "{key}": ' for key in SCHEMA_KEYS)
+
+
 def serialize_record_set(records: list[AlloyRecord]) -> str:
-    """Canonical, deterministic JSON for a record set (round-trips exactly)."""
-    return json.dumps([record_to_object(r) for r in records], indent=2, ensure_ascii=False)
+    """Canonical, deterministic JSON for a record set (round-trips exactly).
+
+    The bytes of ``json.dumps([record_to_object(r) for r in records],
+    indent=2, ensure_ascii=False)``, written directly: ``json`` runs its
+    pure-Python encoder whenever ``indent`` is set, and this layout is fixed,
+    so each value needs only ``encode_basestring``, which is what
+    ``json.dumps(ensure_ascii=False)`` applies to a ``str``.
+    """
+    if not records:
+        return "[]"
+    objects = []
+    for record in records:
+        raw = record.raw_fields
+        fields = ",\n".join(opener + encode_basestring(raw.get(key, MISSING_SENTINEL))
+                            for opener, key in zip(_FIELD_OPENERS, SCHEMA_KEYS))
+        objects.append("  {\n" + fields + "\n  }")
+    return "[\n" + ",\n".join(objects) + "\n]"
 
 
 def _extract_entries(text: str) -> list:

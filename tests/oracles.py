@@ -32,6 +32,7 @@ from alloyforge.records import (
     _coerce_entries,
     _phase_of,
     _processing_of,
+    record_to_object,
 )
 from alloyforge.ml import (
     _PIVOT_RTOL,
@@ -376,6 +377,11 @@ def reference_featurize(composition: Composition, table) -> np.ndarray:
 def _exact_sum(terms) -> float:
     """The float terms added exactly as fractions, rounded to a float once."""
     return float(sum((Fraction(term) for term in terms), Fraction(0)))
+
+
+def reference_serialize_record_set(records: list[AlloyRecord]) -> str:
+    """The record-set JSON as ``json`` writes it: two-space indent, non-ASCII kept."""
+    return json.dumps([record_to_object(r) for r in records], indent=2, ensure_ascii=False)
 
 
 def reference_cosine_similarity(a: Composition, b: Composition) -> float:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,24 @@ class TestReplayAndRecording:
         store.put(key, req(), EngineResponse(text="second"))
         assert len(list(tmp_path.glob("*.response"))) == 1
         assert store.get(key).text == "first"
+
+    def test_a_store_makes_its_directory_once_and_only_to_record(self, tmp_path, monkeypatch):
+        made = []
+        mkdir = Path.mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        store = TranscriptStore(tmp_path / "store")
+        with pytest.raises(EngineError, match="no transcript for key"):
+            ReplayEngine(store).complete(req("never seen"))
+        assert made == [] and not (tmp_path / "store").exists()
+        for text in ("one", "two", "three"):
+            store.put(transcript_key(req(text)), req(text), EngineResponse(text=text))
+        assert made == [tmp_path / "store"]
+        assert len(list((tmp_path / "store").glob("*.response"))) == 3
 
     def test_reuse_cached_skips_inner(self, tmp_path):
         store = TranscriptStore(tmp_path)

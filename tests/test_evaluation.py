@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -224,6 +225,33 @@ class TestMatchEntries:
                 [l1_distance(e.nominal_composition, t.nominal_composition).hex() for t in truth]
                 for e in extracted
             ]
+
+    @pytest.mark.parametrize("e_ks, t_ks, contested", [
+        ((0,), (0,), False),                        # a singleton group
+        ((0,), (0, 0), True),                       # a tie, broken by truth index
+        ((20, 0, 10, 0), (10, 30, 0, 20), True),    # a same-alloy group for the solver
+    ])
+    def test_a_shared_composition_matches_as_an_equal_distinct_one(
+            self, e_ks, t_ks, contested, monkeypatch):
+        seen = []
+
+        def spy(distance):
+            seen.append([[d.hex() for d in row] for row in distance])
+            return _assign(distance)
+
+        monkeypatch.setattr(evaluation, "_assign", spy)
+        # equal formula texts parse to one object while a record holds it
+        extracted = [_same_alloy_record(k) for k in e_ks]
+        shared = [_same_alloy_record(k) for k in t_ks]
+        first_e, first_t = extracted[e_ks.index(0)], shared[t_ks.index(0)]
+        assert first_e.nominal_composition is first_t.nominal_composition
+        distinct = [dataclasses.replace(record, nominal_composition=Composition(
+            dict(record.nominal_composition.fractions))) for record in shared]
+        assert not {id(r.nominal_composition) for r in distinct} & {
+            id(r.nominal_composition) for r in extracted}
+        assert match_entries(extracted, shared) == match_entries(extracted, distinct)
+        assert len(seen) == (2 if contested else 0)
+        assert seen[:1] == seen[1:]
 
     def test_reversed_half_off_group_is_fast(self):
         # each extracted record lies between its truth and the next one, in

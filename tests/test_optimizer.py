@@ -26,8 +26,9 @@ from alloyforge.optimizer import (
     optimize,
 )
 from alloyforge.pipeline import CorpusStore, PipelineError, ingest_corpus
-from alloyforge.records import serialize_record_set
+from alloyforge.records import DocumentId, make_record, serialize_record_set
 
+from tests.conftest import FIXTURES
 from tests.oracles import reference_improved_text
 from tests.scripted import (
     INITIAL_PROMPT_TEXT,
@@ -51,30 +52,27 @@ def scripted_config(truth_by_doc, **overrides):
 class TestForwardExtract:
     def test_initial_prompt_reveals_threshold_zero(self, corpus7, truth_by_doc):
         engine = ScriptedForwardEngine(truth_by_doc)
-        records = forward_extract(Prompt(INITIAL_PROMPT_TEXT), "d01", engine, corpus7)
+        records = forward_extract(Prompt(INITIAL_PROMPT_TEXT), "d01", engine,
+                                  corpus7.request_document("d01"))
         assert records == truth_by_doc["d01"][:1]
 
     def test_full_prompt_reveals_everything_below_cap(self, corpus7, truth_by_doc):
         engine = ScriptedForwardEngine(truth_by_doc)
         loaded_prompt = Prompt(INITIAL_PROMPT_TEXT + "\n" + "\n".join(MARKERS))
-        records = forward_extract(loaded_prompt, "d03", engine, corpus7)
+        records = forward_extract(loaded_prompt, "d03", engine, corpus7.request_document("d03"))
         assert records == truth_by_doc["d03"][:2]  # threshold-99 row never appears
 
     def test_rejection_sentinel_empty(self, corpus8, truth_by_doc):
         engine = ScriptedForwardEngine(truth_by_doc)
-        assert forward_extract(Prompt(INITIAL_PROMPT_TEXT), "d08", engine, corpus8) == []
-
-    def test_missing_doc(self, corpus7, truth_by_doc):
-        engine = ScriptedForwardEngine(truth_by_doc)
-        with pytest.raises(PipelineError, match="document 'nope' is not in the corpus manifest"):
-            forward_extract(Prompt(INITIAL_PROMPT_TEXT), "nope", engine, corpus7)
+        assert forward_extract(Prompt(INITIAL_PROMPT_TEXT), "d08", engine,
+                               corpus8.request_document("d08")) == []
 
 
 class TestExtractionLoss:
     def test_aligned_when_identical(self, corpus7, truth_by_doc):
         feedback = extraction_loss(
             Prompt("p"), "d01", truth_by_doc["d01"], truth_by_doc["d01"],
-            ScriptedEvaluatorEngine(), corpus7,
+            ScriptedEvaluatorEngine(), corpus7.request_document("d01"),
         )
         assert feedback.verdict == ALIGNED
         assert feedback.prompt_version == 0
@@ -82,7 +80,8 @@ class TestExtractionLoss:
     def test_misaligned_names_missing_entries(self, corpus7, truth_by_doc):
         truth = truth_by_doc["d01"]
         feedback = extraction_loss(
-            Prompt("p"), "d01", truth, truth[:1], ScriptedEvaluatorEngine(), corpus7
+            Prompt("p"), "d01", truth, truth[:1], ScriptedEvaluatorEngine(),
+            corpus7.request_document("d01"),
         )
         assert feedback.verdict == MISALIGNED
         assert "Missing entry" in feedback.text
@@ -94,7 +93,8 @@ class TestExtractionLoss:
                 return EngineResponse(text="It is complicated.")
 
         feedback = extraction_loss(
-            Prompt("p"), "d01", truth_by_doc["d01"], [], MumblingEvaluator(), corpus7
+            Prompt("p"), "d01", truth_by_doc["d01"], [], MumblingEvaluator(),
+            corpus7.request_document("d01"),
         )
         assert feedback.verdict == MISALIGNED
 
@@ -108,7 +108,8 @@ class TestExtractionLoss:
 
         prompt = Prompt("THE PROMPT TEXT")
         truth = truth_by_doc["d02"]
-        extraction_loss(prompt, "d02", truth, truth, CapturingEvaluator(), corpus7)
+        extraction_loss(prompt, "d02", truth, truth, CapturingEvaluator(),
+                        corpus7.request_document("d02"))
         body = captured["text"]
         assert "THE PROMPT TEXT" in body
         assert "MoNbTaW" in body                      # document text
@@ -130,7 +131,7 @@ class TestExtractionLoss:
         prompt = Prompt("Quote <<DOCUMENT>> and <<MODEL_OUTPUT>> as given.")
         truth = truth_by_doc["d02"]
         extraction_loss(prompt, "d", truth, [], CapturingEvaluator(),
-                        CorpusStore(ingest_corpus(manifest)))
+                        CorpusStore(ingest_corpus(manifest)).request_document("d"))
         around = re.split(r"<<PROMPT>>|<<DOCUMENT>>|<<EXPERT_DATA>>|<<MODEL_OUTPUT>>",
                           default_evaluation_template())
         filled = (prompt.text, document, serialize_record_set(truth), serialize_record_set([]))
@@ -316,6 +317,41 @@ class TestOptimize:
         bad_truth["d99"] = truth_by_doc["d01"]
         with pytest.raises(ValueError):
             optimize(Prompt(INITIAL_PROMPT_TEXT), corpus7, bad_truth, config)
+
+    def test_each_expert_document_is_read_once_per_run(self, truth_by_doc):
+        reads = []
+
+        class CountingCorpus(CorpusStore):
+            def request_document(self, doc_id):
+                reads.append(doc_id)
+                return super().request_document(doc_id)
+
+        corpus = CountingCorpus(ingest_corpus(FIXTURES / "manifest8.csv"))
+        config = scripted_config(truth_by_doc, epochs=3)
+        optimize(Prompt(INITIAL_PROMPT_TEXT), corpus, truth_by_doc, config)
+        assert config.forward_engine.calls == config.evaluator_engine.calls == 3 * 7
+        # in manifest order, and never d08, which has no expert data
+        assert reads == [doc_id for doc_id in corpus.ids if doc_id in truth_by_doc]
+        assert sorted(reads) == sorted(truth_by_doc)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_an_unreadable_expert_document_is_refused_before_any_call(
+            self, truth_by_doc, tmp_path, parallelism):
+        # p02 follows d01 in the manifest, so reading it per attempt would call d01 first
+        (tmp_path / "p02.txt").write_bytes("The alloy caf\u00e9 was studied.".encode("latin-1"))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"doc_id,path,kind\nd01,{FIXTURES / 'docs' / 'd01.txt'},plain_text\n"
+                            "p02,p02.txt,plain_text\n", encoding="utf-8")
+        truth = {"d01": truth_by_doc["d01"],
+                 "p02": [make_record(DocumentId("p02"), nominal_composition="MoNbTaW")]}
+        config = scripted_config(truth, parallelism=parallelism)
+        with pytest.raises(PipelineError) as info:
+            optimize(Prompt(INITIAL_PROMPT_TEXT), CorpusStore(ingest_corpus(manifest)), truth,
+                     config)
+        assert str(info.value) == (f"document p02: {tmp_path / 'p02.txt'} is not UTF-8 "
+                                   "(byte 13: invalid continuation byte)")
+        engines = (config.forward_engine, config.backward_engine, config.evaluator_engine)
+        assert [engine.calls for engine in engines] == [0, 0, 0]
 
     def test_deterministic_under_replay(self, corpus7, truth_by_doc, tmp_path):
         stores = {

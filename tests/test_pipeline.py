@@ -110,6 +110,10 @@ class TestIngestCorpus:
             "(document d2 is attached as a PDF)", (("d2", b"%PDF-1.4 fake"),)
         )
 
+    def test_request_document_refuses_an_id_not_in_the_manifest(self, corpus7):
+        with pytest.raises(PipelineError, match="document 'nope' is not in the corpus manifest"):
+            corpus7.request_document("nope")
+
 
 class TestRunExtraction:
     def test_a_document_not_in_utf8_stops_the_run_by_name_and_resumes_once_fixed(

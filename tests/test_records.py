@@ -45,6 +45,7 @@ from tests.oracles import (
     reference_is_missing,
     reference_parse_length,
     reference_record_from_object,
+    reference_serialize_record_set,
 )
 
 DOC = DocumentId("doc1")
@@ -487,6 +488,16 @@ class TestParseRecordSet:
         assert time.perf_counter() - started < 1.0
 
 
+# non-ASCII (U+2028 is a line separator JSON leaves unescaped), quotes, backslashes,
+# control characters and the sentinel, mixed with arbitrary text
+_TRICKY_TEXT = st.lists(
+    st.one_of(st.sampled_from(["\u00c5", "\u00b5", "\u2028", '"', "\\", "\x00", "\x1f",
+                               "\t", "\n", "\x7f", "/", MISSING_SENTINEL]),
+              st.text(max_size=4)),
+    max_size=6,
+).map("".join)
+
+
 class TestSerialization:
     def test_round_trip_random_records(self):
         rng = np.random.default_rng(5)
@@ -529,6 +540,15 @@ class TestSerialization:
 
     def test_empty_set(self):
         assert parse_record_set(serialize_record_set([]), DOC).records == []
+
+    # serialization writes each record's raw_fields, so any text may stand in them
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from(SCHEMA_KEYS), _TRICKY_TEXT), max_size=5))
+    def test_same_bytes_as_json_dumps(self, field_sets):
+        records = [AlloyRecord(DOC, alloy_name="x", raw_fields=fields) for fields in field_sets]
+        text = serialize_record_set(records)
+        assert text == reference_serialize_record_set(records)
+        assert json.loads(text) == [record_to_object(record) for record in records]
 
 
 class TestRecordWritesBackItsText:

@@ -49,7 +49,7 @@ def corpus(tmp_path):
 
 def test_plain_text_forward_request(corpus, tmp_path):
     engine = RecordingEngine(_Static("[]"), TranscriptStore(tmp_path / "store"))
-    engine.complete(build_document_request(PROMPT, "d01", corpus, 1.0))
+    engine.complete(build_document_request(PROMPT, "d01", corpus.request_document("d01"), 1.0))
     assert _files(tmp_path / "store") == {
         "0e12ef8f14dbca255294c58a4bba87dc4ee9845f55883764599ffe9d00c8dae9.request":
             "e3fda004b2bad4668ede0fa0d7600b1957037687e9128aec4a527311a2462794",
@@ -60,7 +60,7 @@ def test_plain_text_forward_request(corpus, tmp_path):
 
 def test_pdf_forward_request(corpus, tmp_path):
     engine = RecordingEngine(_Static("[]"), TranscriptStore(tmp_path / "store"))
-    engine.complete(build_document_request(PROMPT, "p01", corpus, 1.0))
+    engine.complete(build_document_request(PROMPT, "p01", corpus.request_document("p01"), 1.0))
     key = "99e4dd5b6061acbea96af756bd7fbe028d926a08bc50f40b3184111ca0ecb862"
     assert sorted(path.name for path in (tmp_path / "store").iterdir()) == [
         f"{key}.request", f"{key}.response"]
@@ -79,7 +79,8 @@ def test_pdf_forward_request(corpus, tmp_path):
 def test_evaluator_request(corpus, tmp_path, truth_by_doc):
     engine = RecordingEngine(_Static("VERDICT: ALIGNED"), TranscriptStore(tmp_path / "store"))
     truth = truth_by_doc["d01"]
-    extraction_loss(Prompt(PROMPT), "d01", truth, truth[:1], engine, corpus)
+    extraction_loss(Prompt(PROMPT), "d01", truth, truth[:1], engine,
+                    corpus.request_document("d01"))
     assert _files(tmp_path / "store") == {
         "0f528ecb67e6d8cf28a16a5f8696377a28db7200251779e0f9f4d2d74e4991c7.request":
             "3ae9aec9708551fdc6f9d000780e508a7fdce9d803a029c93294e0d81e5ddddc",
